@@ -1,6 +1,6 @@
 """Two-scale multiscale FEM solver for nonlinear compressible Darcy flow."""
 
-from .coarse import CoarseResult, project_system, solve_gmsfem
+from .coarse import CoarseResult, solve_gmsfem
 from .fem import (
     NewtonConfig,
     assemble_weighted_mass,
@@ -53,7 +53,6 @@ __all__ = [
     "neighborhood_restriction",
     "newton_jacobian",
     "newton_residual",
-    "project_system",
     "relative_h1_error",
     "relative_l2_error",
     "run_experiment",

@@ -1,104 +1,32 @@
-"""Coarse-grid Newton time loop on the projected system.
+"""Coarse-grid time loop on the Galerkin-projected system.
 
 The coarse state is kept as its fine-grid prolongation (the density
-nonlinearity is evaluated on fine cells); each Newton iteration assembles the
-fine residual/Jacobian, projects through the basis matrix, solves the small
-system and prolongs the update.
+nonlinearity is evaluated on fine cells).  Each time step runs the fine
+solver's damped-Newton driver (`fem._newton_step`) with the current basis
+matrix R: the fine residual and Jacobian are projected to (R^T J R, R^T F),
+the small system is solved and the update prolonged.  Scheduled online
+enrichment replaces the online columns of R between steps.
 """
 
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-import scipy.sparse as sp
-
-from .errors import NewtonConvergenceError
-from .fem import NewtonConfig, linear_solve, newton_jacobian, newton_residual
+from .fem import FineSolution, NewtonConfig, _initial_state, _newton_step
 from .online import UpdateSchedule, enrich_projection
 
 
-def project_system(R, J, F):
-    """(R^T J R, R^T F) by sparse triple product."""
-    Jc = R.T @ (J @ R)
-    Fc = R.T @ F
-    return Jc, Fc
-
-
-def _solve_projected(Jc, Fc):
-    if sp.issparse(Jc) and Jc.shape[0] <= 4000:
-        return np.linalg.solve(Jc.toarray(), Fc)
-    return linear_solve(Jc, Fc)
-
-
 @dataclass
-class CoarseResult:
-    states: list
-    newton_iters: list = field(default_factory=list)
+class CoarseResult(FineSolution):
     dim_history: list = field(default_factory=list)
     t_basis_online: float = 0.0
-    t_ass: float = 0.0
-    t_solve: float = 0.0
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
-def gmsfem_step(p_prev, projection, problem, config, cell_nodes, result):
+def gmsfem_step(p_prev, projection, problem, config, cell_nodes, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
     columns; returns the accepted fine-grid prolonged state."""
-    fine = problem.fine
-    R = projection.matrix()
-    p = p_prev.copy()
-    scale = None
-    iters = 0
-    for _ in range(config.max_iter):
-        t0 = time.perf_counter()
-        F = newton_residual(
-            p, p_prev, problem.fluid, problem.perm, problem.time.dt,
-            problem.load, fine, problem.boundary, cell_nodes,
-        )
-        result.t_ass += time.perf_counter() - t0
-        Fc = R.T @ F
-        nF = np.linalg.norm(Fc)
-        if scale is None:
-            scale = max(1.0, nF)
-        if nF <= config.tol * scale:
-            break
-        t0 = time.perf_counter()
-        J = newton_jacobian(
-            p, problem.fluid, problem.perm, problem.time.dt, fine,
-            problem.boundary, cell_nodes,
-        )
-        result.t_ass += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Jc = R.T @ (J @ R)
-        delta_c = _solve_projected(Jc, -Fc)
-        result.t_solve += time.perf_counter() - t0
-        delta = R @ delta_c
-
-        alpha = config.damping
-        reduced = False
-        for _ in range(5):
-            trial = p + alpha * delta
-            Ft = newton_residual(
-                trial, p_prev, problem.fluid, problem.perm, problem.time.dt,
-                problem.load, fine, problem.boundary, cell_nodes,
-            )
-            if np.linalg.norm(R.T @ Ft) < nF:
-                reduced = True
-                break
-            alpha *= 0.5
-        if not reduced:
-            if nF <= config.stall_ratio * scale:
-                break
-            raise NewtonConvergenceError("coarse", iters, float(nF))
-        p = trial
-        iters += 1
-    else:
-        raise NewtonConvergenceError("coarse", config.max_iter, float(nF))
-    result.newton_iters.append(iters)
-    return p
+    return _newton_step(
+        p_prev, problem, config, cell_nodes, result, step, R=projection.matrix()
+    )
 
 
 def solve_gmsfem(problem, offline_space, schedule=None, config=None):
@@ -113,14 +41,10 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     schedule.validate(problem.time.n_steps)
     mesh = offline_space.mesh
     projection = offline_space.projection
-    fine = problem.fine
-    cell_nodes = fine.cell_nodes()
+    cell_nodes = problem.fine.cell_nodes()
 
-    p = problem.p0.copy()
-    if problem.boundary.dirichlet_nodes.size:
-        p[problem.boundary.dirichlet_nodes] = problem.boundary.dirichlet_values
-    result = CoarseResult(states=[p.copy()])
-
+    p = _initial_state(problem)
+    result = CoarseResult(states=[p])
     for step in range(1, problem.time.n_steps + 1):
         if schedule.n_online > 0 and step in schedule.update_steps:
             t0 = time.perf_counter()
@@ -130,12 +54,7 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
                 cell_nodes=cell_nodes,
             )
             result.t_basis_online += time.perf_counter() - t0
-        try:
-            p = gmsfem_step(p, projection, problem, config, cell_nodes, result)
-        except NewtonConvergenceError as exc:
-            raise NewtonConvergenceError(
-                step, exc.iterations, exc.residual_norm
-            ) from exc
-        result.states.append(p.copy())
+        p = gmsfem_step(p, projection, problem, config, cell_nodes, result, step)
+        result.states.append(p)
         result.dim_history.append(projection.dim)
     return result

@@ -2,10 +2,13 @@
 
 Trilinear elements on cubic cells: exact element mass/stiffness matrices via
 tensor products of the 1D linear-element matrices, cell-midpoint evaluation of
-the density nonlinearity, backward-Euler Newton residual/Jacobian, and a
-direct sparse solver.
+the density nonlinearity, backward-Euler Newton residual/Jacobian, a direct
+sparse solver, and the damped-Newton time step shared by the fine and the
+coarse solver: the fine solve is the case R = identity of the Galerkin-projected
+step (see `_newton_step`).
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -15,6 +18,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, NewtonConvergenceError, SingularMatrixError
 from .model import density
+
+log = logging.getLogger(__name__)
 
 
 def element_matrices(h):
@@ -217,67 +222,108 @@ class FineSolution:
         return self.states[-1]
 
 
-def solve_fine(problem, config=None):
-    """Backward-Euler time loop on the fine grid with plain (damped) Newton.
-
-    Convergence per step: ||F|| <= tol * max(1, ||F at the step's initial
-    guess||).  Records per-step iteration counts and assembly/solve wall time.
-    """
-    config = config or NewtonConfig()
-    fine = problem.fine
-    cell_nodes = fine.cell_nodes()
+def _initial_state(problem):
+    """The initial state with the Dirichlet values imposed."""
     p = problem.p0.copy()
     if problem.boundary.dirichlet_nodes.size:
         p[problem.boundary.dirichlet_nodes] = problem.boundary.dirichlet_values
-    sol = FineSolution(states=[p.copy()])
+    return p
 
-    for step in range(1, problem.time.n_steps + 1):
-        p_prev = p.copy()
-        scale = None
-        iters = 0
-        for _ in range(config.max_iter):
-            t0 = time.perf_counter()
-            F = newton_residual(
-                p, p_prev, problem.fluid, problem.perm, problem.time.dt,
-                problem.load, fine, problem.boundary, cell_nodes,
-            )
-            sol.t_ass += time.perf_counter() - t0
-            nF = np.linalg.norm(F)
-            if scale is None:
-                scale = max(1.0, nF)
-            if nF <= config.tol * scale:
+
+def _solve_projected(R, J, rhs):
+    """Solve the Galerkin-projected system (R^T J R) x = rhs: dense up to 4000
+    unknowns, sparse LU above."""
+    Jc = R.T @ (J @ R)
+    if sp.issparse(Jc) and Jc.shape[0] <= 4000:
+        try:
+            return np.linalg.solve(Jc.toarray(), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"projected Newton system of dimension {Jc.shape[0]} is "
+                f"singular: {exc}"
+            ) from exc
+    return linear_solve(Jc, rhs)
+
+
+def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
+    """One backward-Euler step by damped Newton; returns the accepted state.
+
+    R=None solves the fine system.  Given a basis matrix R, the residual and
+    Jacobian are still assembled on the fine grid, each Newton system is
+    Galerkin-projected (R^T J R, R^T F) and the update is prolonged with R;
+    convergence, damping and the stall guard then act on ||R^T F||.  Appends
+    the iteration count to sol.newton_iters and the assembly/solve wall time
+    to sol.t_ass/sol.t_solve.
+    """
+    fine = problem.fine
+
+    def residual(p):
+        return newton_residual(
+            p, p_prev, problem.fluid, problem.perm, problem.time.dt,
+            problem.load, fine, problem.boundary, cell_nodes,
+        )
+
+    def project(v):
+        return v if R is None else R.T @ v
+
+    p = p_prev.copy()
+    scale = None
+    iters = 0
+    for _ in range(config.max_iter):
+        t0 = time.perf_counter()
+        F = residual(p)
+        sol.t_ass += time.perf_counter() - t0
+        Fc = project(F)
+        nF = np.linalg.norm(Fc)
+        if scale is None:
+            scale = max(1.0, nF)
+        if nF <= config.tol * scale:
+            break
+        t0 = time.perf_counter()
+        J = newton_jacobian(
+            p, problem.fluid, problem.perm, problem.time.dt, fine,
+            problem.boundary, cell_nodes,
+        )
+        sol.t_ass += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        delta = linear_solve(J, -F) if R is None else _solve_projected(R, J, -Fc)
+        sol.t_solve += time.perf_counter() - t0
+        if R is not None:
+            delta = R @ delta  # prolong the coarse update
+
+        alpha = config.damping
+        reduced = False
+        for _ in range(5):
+            trial = p + alpha * delta
+            if np.linalg.norm(project(residual(trial))) < nF:
+                reduced = True
                 break
-            t0 = time.perf_counter()
-            J = newton_jacobian(
-                p, problem.fluid, problem.perm, problem.time.dt, fine,
-                problem.boundary, cell_nodes,
-            )
-            sol.t_ass += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            delta = linear_solve(J, -F)
-            sol.t_solve += time.perf_counter() - t0
-
-            alpha = config.damping
-            reduced = False
-            for _ in range(5):
-                trial = p + alpha * delta
-                Ft = newton_residual(
-                    trial, p_prev, problem.fluid, problem.perm, problem.time.dt,
-                    problem.load, fine, problem.boundary, cell_nodes,
+            alpha *= 0.5
+        if not reduced:
+            # numerical floor: no step direction reduces the residual
+            if nF <= config.stall_ratio * scale:
+                log.warning(
+                    "Newton stalled at time step %d: accepted residual norm "
+                    "%.3e (scale %.3e) after %d iterations",
+                    step, nF, scale, iters,
                 )
-                if np.linalg.norm(Ft) < nF:
-                    reduced = True
-                    break
-                alpha *= 0.5
-            if not reduced:
-                # numerical floor: no step direction reduces the residual
-                if nF <= config.stall_ratio * scale:
-                    break
-                raise NewtonConvergenceError(step, iters, float(nF))
-            p = trial
-            iters += 1
-        else:
-            raise NewtonConvergenceError(step, config.max_iter, float(nF))
-        sol.states.append(p.copy())
-        sol.newton_iters.append(iters)
+                break
+            raise NewtonConvergenceError(step, iters, float(nF))
+        p = trial
+        iters += 1
+    else:
+        raise NewtonConvergenceError(step, config.max_iter, float(nF))
+    sol.newton_iters.append(iters)
+    return p
+
+
+def solve_fine(problem, config=None):
+    """Backward-Euler time loop on the fine grid with plain (damped) Newton."""
+    config = config or NewtonConfig()
+    cell_nodes = problem.fine.cell_nodes()
+    p = _initial_state(problem)
+    sol = FineSolution(states=[p])
+    for step in range(1, problem.time.n_steps + 1):
+        p = _newton_step(p, problem, config, cell_nodes, sol, step)
+        sol.states.append(p)
     return sol

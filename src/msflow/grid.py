@@ -66,20 +66,6 @@ class FineGrid:
             [I.ravel() * self.h, J.ravel() * self.h, K.ravel() * self.h]
         )
 
-    def cell_centers(self):
-        """(n_cells, 3) array of cell-center coordinates."""
-        i = np.arange(self.nx)
-        j = np.arange(self.ny)
-        k = np.arange(self.nz)
-        K, J, I = np.meshgrid(k, j, i, indexing="ij")
-        return np.column_stack(
-            [
-                (I.ravel() + 0.5) * self.h,
-                (J.ravel() + 0.5) * self.h,
-                (K.ravel() + 0.5) * self.h,
-            ]
-        )
-
     def cell_nodes(self):
         """(n_cells, 8) global node indices per cell, local order x fastest."""
         i = np.arange(self.nx)
@@ -96,19 +82,6 @@ class FineGrid:
             ]
         )
         return base[:, None] + offsets[None, :]
-
-    def boundary_node_mask(self):
-        """Boolean mask of nodes on the domain boundary."""
-        idx = np.arange(self.n_nodes)
-        i, j, k = self.node_ijk(idx)
-        return (
-            (i == 0)
-            | (i == self.nx)
-            | (j == 0)
-            | (j == self.ny)
-            | (k == 0)
-            | (k == self.nz)
-        )
 
 
 @dataclass(frozen=True)

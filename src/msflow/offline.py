@@ -143,6 +143,11 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
         mesh, nb, perm, rho0_cell, np.ones(mesh.fine.n_cells)
     )
     bnd = np.flatnonzero(nb.constrained_mask)
+    if bnd.size == 0:
+        raise ConfigError(
+            f"neighborhood {i} has no constrained boundary nodes, so it has "
+            f"no v2 snapshots (v2 needs at least 3 coarse cells per axis)"
+        )
     free = np.flatnonzero(nb.free_mask)
     A_ff = A[np.ix_(free, free)]
     A_fb = A[np.ix_(free, bnd)]

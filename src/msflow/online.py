@@ -7,7 +7,6 @@ A per-neighborhood error indicator (dual-norm of the residual scaled by the
 first discarded eigenvalue) supports selective enrichment.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
-from .fem import linear_solve, newton_jacobian, newton_residual
+from .fem import _solve_projected, linear_solve, newton_jacobian, newton_residual
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,7 @@ def enrich_projection(
             # correct the trial state in the temporarily enriched space
             projection.set_online(base_cols + new_cols)
             R = projection.matrix()
-            Fc = R.T @ F
-            Jc = (R.T @ (J @ R)).toarray()
-            delta = np.linalg.solve(Jc, -Fc)
-            p = p + R @ delta
+            p = p + R @ _solve_projected(R, J, -(R.T @ F))
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])

@@ -1,41 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow.coarse import project_system, solve_gmsfem
-from msflow.errors import NewtonConvergenceError
+from msflow.coarse import solve_gmsfem
+from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
 from msflow.model import TimeGrid, make_problem
 from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
-from msflow.online import UpdateSchedule
-
-
-def test_project_identity():
-    J = sp.random(10, 10, density=0.5, random_state=0, format="csr")
-    F = np.arange(10.0)
-    R = sp.identity(10, format="csr")
-    Jc, Fc = project_system(R, J, F)
-    assert np.allclose(Jc.toarray(), J.toarray())
-    assert np.array_equal(Fc, F)
-
-
-def test_project_all_ones_column():
-    J = sp.csr_matrix(np.arange(16.0).reshape(4, 4))
-    F = np.array([1.0, 2.0, 3.0, 4.0])
-    R = sp.csr_matrix(np.ones((4, 1)))
-    Jc, Fc = project_system(R, J, F)
-    assert Jc.toarray().item() == pytest.approx(np.arange(16.0).sum())
-    assert Fc.item() == pytest.approx(10.0)
-
-
-def test_project_dense_oracle():
-    rng = np.random.default_rng(0)
-    Jd = rng.standard_normal((20, 20))
-    Rd = rng.standard_normal((20, 5))
-    F = rng.standard_normal(20)
-    Jc, Fc = project_system(sp.csr_matrix(Rd), sp.csr_matrix(Jd), F)
-    assert np.allclose(Jc.toarray(), Rd.T @ Jd @ Rd, rtol=1e-12)
-    assert np.allclose(Fc, Rd.T @ F, rtol=1e-12)
+from msflow.online import UpdateSchedule, enrich_projection
 
 
 def _identity_space(mesh, dirichlet_nodes):
@@ -161,6 +135,74 @@ def test_nonconvergence_carries_step(mesh4, fluid, uniform_perm4):
     with pytest.raises(NewtonConvergenceError) as exc:
         solve_gmsfem(prob, space, config=cfg)
     assert exc.value.step == 1
+
+
+def test_stall_acceptance_logs_warning(mesh4, fluid, uniform_perm4, caplog):
+    """An unreachable tolerance ends both solvers on the stall guard (fine
+    iterations [5, 6], coarse [7, 7] here), which must not pass silently."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    with caplog.at_level(logging.WARNING, logger="msflow"):
+        solve_fine(prob)
+        solve_gmsfem(prob, space)
+    assert not caplog.records
+
+    cfg = NewtonConfig(tol=1e-300)
+    for solve in (lambda: solve_fine(prob, cfg),
+                  lambda: solve_gmsfem(prob, space, config=cfg)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="msflow"):
+            res = solve()
+        stalls = [r for r in caplog.records if "stalled" in r.getMessage()]
+        assert [r.levelno for r in stalls] == [logging.WARNING] * 2
+        assert [int(r.args[0]) for r in stalls] == [1, 2]
+        assert all(0 < it < cfg.max_iter for it in res.newton_iters)
+
+
+def _space_with_zero_column(mesh, space):
+    """The offline space plus one all-zero basis column, which makes every
+    projected Jacobian exactly singular."""
+    pm = space.projection
+    offline = sp.hstack([pm.offline, sp.csr_matrix((pm.n_fine, 1))])
+    bad = ProjectionMatrix(
+        pm.n_fine, offline, pm.col_nb + [0], pm.dirichlet_nodes
+    )
+    return OfflineSpace(
+        mesh=mesh, projection=bad, n_basis=space.n_basis,
+        lambda_next=space.lambda_next,
+    )
+
+
+def test_singular_projected_system_raises(mesh4, fluid, uniform_perm4):
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = _space_with_zero_column(
+        mesh4, build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    )
+    with pytest.raises(SingularMatrixError, match="projected Newton system"):
+        solve_gmsfem(prob, space)
+
+
+def test_singular_online_corrector_raises(mesh4, fluid, uniform_perm4):
+    """With two online rounds the trial state is corrected by a projected
+    Newton step in between; a singular projected system must stay typed."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = _space_with_zero_column(
+        mesh4, build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    )
+    with pytest.raises(SingularMatrixError, match="projected Newton system"):
+        enrich_projection(
+            space.projection, mesh4, prob, p_state=prob.p0, p_prev=prob.p0,
+            n_online=2,
+        )
 
 
 def test_subspace_monotonicity(mesh8, fluid):

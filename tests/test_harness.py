@@ -296,3 +296,12 @@ def test_cli_exit_codes(tmp_path):
         f"output.dir = {tmp_path / 'out3'}\n"
     )
     assert main(["run", "--config", str(newtcfg)]) == 3
+    # 2: v2 snapshots on a 2x2x2 coarse grid (the center neighborhood is the
+    # whole domain and has no constrained boundary nodes)
+    v2cfg = tmp_path / "v2.cfg"
+    v2cfg.write_text(
+        "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
+        "time.steps = 1\n"
+        f"output.dir = {tmp_path / 'out5'}\n"
+    )
+    assert main(["run", "--config", str(v2cfg), "--snapshot", "v2"]) == 2
