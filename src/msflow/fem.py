@@ -251,32 +251,30 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
     R=None solves the fine system.  Given a basis matrix R, the residual and
     Jacobian are still assembled on the fine grid, each Newton system is
     Galerkin-projected (R^T J R, R^T F) and the update is prolonged with R;
-    convergence, damping and the stall guard then act on ||R^T F||.  Appends
-    the iteration count to sol.newton_iters and the assembly/solve wall time
-    to sol.t_ass/sol.t_solve.
+    convergence, damping and the stall guard then act on ||R^T F||.  The
+    residual at the accepted line-search point is the next iteration's.
+    Appends the iteration count to sol.newton_iters and the assembly (every
+    residual, line-search trials included, and every Jacobian) and solve wall
+    time to sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
 
     def residual(p):
-        return newton_residual(
+        """Fine residual at p, its projection and the projection's norm."""
+        t0 = time.perf_counter()
+        F = newton_residual(
             p, p_prev, problem.fluid, problem.perm, problem.time.dt,
             problem.load, fine, problem.boundary, cell_nodes,
         )
-
-    def project(v):
-        return v if R is None else R.T @ v
+        sol.t_ass += time.perf_counter() - t0
+        Fc = F if R is None else R.T @ F
+        return F, Fc, np.linalg.norm(Fc)
 
     p = p_prev.copy()
-    scale = None
+    F, Fc, nF = residual(p)
+    scale = max(1.0, nF)
     iters = 0
     for _ in range(config.max_iter):
-        t0 = time.perf_counter()
-        F = residual(p)
-        sol.t_ass += time.perf_counter() - t0
-        Fc = project(F)
-        nF = np.linalg.norm(Fc)
-        if scale is None:
-            scale = max(1.0, nF)
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
@@ -295,7 +293,8 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
         reduced = False
         for _ in range(5):
             trial = p + alpha * delta
-            if np.linalg.norm(project(residual(trial))) < nF:
+            F_trial, Fc_trial, n_trial = residual(trial)
+            if n_trial < nF:
                 reduced = True
                 break
             alpha *= 0.5
@@ -309,7 +308,7 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
                 )
                 break
             raise NewtonConvergenceError(step, iters, float(nF))
-        p = trial
+        p, F, Fc, nF = trial, F_trial, Fc_trial, n_trial
         iters += 1
     else:
         raise NewtonConvergenceError(step, config.max_iter, float(nF))

@@ -285,20 +285,9 @@ def fine_reference(config, out_dir=None, force=False):
     return (sol.states, sol.newton_iters, sol.t_ass, sol.t_solve), problem, mesh
 
 
-def run_experiment(config, vtk_steps=(), csv_path=None):
-    """One full comparison run: cached fine reference, offline space, coarse
-    loop with scheduled enrichment, error metrics, CSV row and optional VTK
-    snapshots."""
-    (ref_states, _, _, _), problem, mesh = fine_reference(config)
-    out_dir = Path(config["output.dir"])
-
-    n_online = config["online.count"]
-    schedule = (
-        UpdateSchedule(n_online, config.update_steps())
-        if n_online > 0
-        else UpdateSchedule.none()
-    )
-    space = build_offline_space(
+def _offline_space(config, problem, mesh):
+    """The offline space a config asks for, built at the initial state."""
+    return build_offline_space(
         mesh,
         problem.perm,
         problem.fluid,
@@ -309,6 +298,28 @@ def run_experiment(config, vtk_steps=(), csv_path=None):
         extra_density_mass=config["basis.extra_density_mass"],
     )
 
+
+def run_experiment(config, vtk_steps=(), csv_path=None):
+    """One full comparison run: cached fine reference, offline space, coarse
+    loop with scheduled enrichment, error metrics, CSV row and optional VTK
+    snapshots."""
+    (ref_states, _, _, _), problem, mesh = fine_reference(config)
+    space = _offline_space(config, problem, mesh)
+    return _coarse_run(config, problem, mesh, ref_states, space, vtk_steps, csv_path)
+
+
+def _coarse_run(
+    config, problem, mesh, ref_states, space, vtk_steps=(), csv_path=None
+):
+    """The coarse loop of one run on a given offline space, its error metrics,
+    CSV row and VTK snapshots."""
+    out_dir = Path(config["output.dir"])
+    n_online = config["online.count"]
+    schedule = (
+        UpdateSchedule(n_online, config.update_steps())
+        if n_online > 0
+        else UpdateSchedule.none()
+    )
     result = solve_gmsfem(problem, space, schedule, config.newton())
 
     mass = assemble_weighted_mass(mesh.fine, np.ones(mesh.fine.n_cells))
@@ -380,7 +391,26 @@ def parse_variant(label):
 
 def sweep(config, variants, csv_path=None):
     """Run the fine reference once plus one coarse run per variant; returns
-    the list of reports.  The fine reference appears as the first CSV row."""
+    the list of reports.  The fine reference appears as the first CSV row.
+
+    Every variant is validated before anything runs.  Variants with the same
+    offline configuration share one offline space (built once; each run's
+    t_basis still reports its build time plus the run's online time) and the
+    fine reference, problem and mesh are loaded once."""
+    run_cfgs = []
+    for label in variants:
+        off, on, ups = parse_variant(label)
+        run_cfg = ExperimentConfig(dict(config.values))
+        run_cfg.values["basis.offline"] = off
+        run_cfg.values["online.count"] = on
+        if on > 0:
+            sched = UpdateSchedule.evenly_spaced(on, ups, config["time.steps"])
+            run_cfg.values["online.updates"] = ",".join(
+                str(s) for s in sched.update_steps
+            )
+        run_cfg.validate()
+        run_cfgs.append(run_cfg)
+
     (ref_states, ref_iters, ref_t_ass, ref_t_solve), problem, mesh = fine_reference(
         config
     )
@@ -399,16 +429,16 @@ def sweep(config, variants, csv_path=None):
     _append_csv(csv_path, fine_row)
 
     reports = [fine_row]
-    n_steps = config["time.steps"]
-    for label in variants:
-        off, on, ups = parse_variant(label)
-        run_cfg = ExperimentConfig(dict(config.values))
-        run_cfg.values["basis.offline"] = off
-        run_cfg.values["online.count"] = on
-        if on > 0:
-            sched = UpdateSchedule.evenly_spaced(on, ups, n_steps)
-            run_cfg.values["online.updates"] = ",".join(
-                str(s) for s in sched.update_steps
-            )
-        reports.append(run_experiment(run_cfg, csv_path=csv_path))
+    spaces = {}  # one offline space per distinct offline configuration
+    for run_cfg in run_cfgs:
+        key = tuple(
+            run_cfg[k]
+            for k in ("basis.offline", "basis.snapshot", "basis.extra_density_mass")
+        )
+        if key not in spaces:
+            spaces[key] = _offline_space(run_cfg, problem, mesh)
+        spaces[key].projection.set_online([])  # drop the last run's online block
+        reports.append(_coarse_run(
+            run_cfg, problem, mesh, ref_states, spaces[key], csv_path=csv_path,
+        ))
     return reports

@@ -7,17 +7,21 @@ fine-by-coarse projection matrix whose columns are the multiscale basis
 vectors.
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import assemble_from_cells, element_matrices
 from .model import density
+
+log = logging.getLogger(__name__)
 
 
 class PartitionOfUnity:
@@ -172,11 +176,16 @@ class SpectralDecomposition:
 
 
 def solve_local_spectral(
-    mesh, i, snapshot, perm, rho0_cell, kappa_tilde, extra_density_mass=False
+    mesh, i, snapshot, perm, rho0_cell, kappa_tilde, extra_density_mass=False,
+    n_eig=None,
 ):
     """Generalized eigenproblem A v = lambda M v projected to the snapshot
     space; ascending eigenvalues, M-orthonormal vectors, deterministic sign
-    (largest-magnitude component positive)."""
+    (largest-magnitude component positive).
+
+    n_eig=None computes the full spectrum; otherwise only the n_eig lowest
+    eigenpairs (all of them if the snapshot space is smaller).
+    """
     nb = mesh.neighborhoods[i]
     A, M = _local_operators(
         mesh, nb, perm, rho0_cell, kappa_tilde, extra_density_mass
@@ -187,8 +196,9 @@ def solve_local_spectral(
         S = snapshot.basis
         Ad = S.T @ (A @ S)
         Md = S.T @ (M @ S)
+    subset = None if n_eig is None else [0, min(n_eig, Ad.shape[0]) - 1]
     try:
-        vals, vecs = la.eigh(Ad, Md)
+        vals, vecs = la.eigh(Ad, Md, subset_by_index=subset)
     except la.LinAlgError as exc:
         raise SingularMatrixError(
             f"spectral mass matrix of neighborhood {i} is numerically singular "
@@ -222,14 +232,21 @@ class ProjectionMatrix:
     Column layout: all offline columns (neighborhood ascending, mode
     ascending), then online columns (neighborhood ascending, online index
     ascending).  Replacing the online block never touches offline columns.
+
+    dim counts every basis function.  independent, if given, lists the
+    offline columns that span the offline space; the others are linear
+    combinations of them and matrix() leaves them out.
     """
 
-    def __init__(self, n_fine, offline, col_nb, dirichlet_nodes):
+    def __init__(self, n_fine, offline, col_nb, dirichlet_nodes, independent=None):
         self.n_fine = n_fine
         self.offline = offline.tocsr()
         self.col_nb = list(col_nb)  # neighborhood id per offline column
         self.dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=int)
         self.online_cols = []  # list of (neighborhood id, fine vector) pairs
+        self._basis = (
+            self.offline if independent is None else self.offline[:, independent]
+        )
 
     @property
     def n_offline(self):
@@ -252,10 +269,12 @@ class ProjectionMatrix:
         self.online_cols = list(cols)
 
     def matrix(self):
+        """The basis the coarse solves use: the independent offline columns,
+        then the online columns."""
         if not self.online_cols:
-            return self.offline
+            return self._basis
         dense = np.column_stack([v for _, v in self.online_cols])
-        return sp.hstack([self.offline, sp.csr_matrix(dense)]).tocsr()
+        return sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
 
     def gram_extremes(self, sample=None):
         """(smallest, largest) eigenvalue of the (sampled) column Gram matrix."""
@@ -279,9 +298,26 @@ class OfflineSpace:
     t_basis: float = 0.0
 
 
+def _independent_columns(R):
+    """Indices, ascending, of a numerically independent subset of R's
+    columns: pivoted Cholesky (LAPACK dpstrf, default tolerance
+    n * eps * max diagonal) of the Gram matrix of the unit-normalized columns.
+
+    Normalizing first makes the test independent of the column scales, which
+    span about six orders of magnitude on high-contrast fields."""
+    G = (R.T @ R).toarray()
+    d = np.diag(G)
+    s = np.zeros_like(d)
+    s[d > 0] = d[d > 0] ** -0.5
+    _, piv, rank, _ = lapack.dpstrf(s[:, None] * G * s[None, :])
+    return np.sort(piv[:rank] - 1)
+
+
 def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     """Stack chi_i * psi_l columns into the sparse projection matrix; rows at
-    global Dirichlet nodes are zeroed."""
+    global Dirichlet nodes are zeroed.  Columns that are linearly dependent on
+    the others (hats times modes can coincide on small patches, and Dirichlet
+    rows remove more) stay counted in dim but are left out of matrix()."""
     n_fine = mesh.fine.n_nodes
     dmask = np.zeros(n_fine, dtype=bool)
     dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=int)
@@ -304,8 +340,15 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     R = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_fine, col),
+    ).tocsr()
+    keep = _independent_columns(R)
+    if keep.size == col:
+        return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes)
+    log.info(
+        "left %d of %d offline basis columns out of the coarse solves as "
+        "linearly dependent", col - keep.size, col,
     )
-    return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes)
+    return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes, independent=keep)
 
 
 def build_offline_space(
@@ -346,14 +389,14 @@ def build_offline_space(
             snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
         else:
             raise ConfigError(f"unknown snapshot kind '{kind}'")
-        spec = solve_local_spectral(
-            mesh, i, snap, perm, rho0_cell, kt, extra_density_mass
-        )
         L = n_basis[i]
+        spec = solve_local_spectral(
+            mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=L + 2
+        )
         psi = select_offline_basis(snap, spec, L)
         local_sets.append((i, psi))
         lambda_next[i] = spec.eigenvalues[min(L, spec.eigenvalues.size - 1)]
-        all_eigs.append(spec.eigenvalues[: L + 2].copy())
+        all_eigs.append(spec.eigenvalues)
 
     if dirichlet_nodes is None:
         dirichlet_nodes = np.empty(0, dtype=int)

@@ -129,7 +129,12 @@ def error_indicator(mesh, i, local_residual, J_global, lambda_next):
     rows = nb.nodes[free]
     J_loc = J_global[np.ix_(rows, rows)]
     J_sym = sp.csc_matrix(0.5 * (J_loc + J_loc.T))
-    x = spla.splu(J_sym).solve(r)
+    try:
+        x = spla.splu(J_sym).solve(r)
+    except RuntimeError as exc:
+        raise SingularMatrixError(
+            f"error indicator solve failed on neighborhood {i}: {exc}"
+        ) from exc
     return float(r @ x) / float(lambda_next)
 
 

@@ -139,7 +139,7 @@ def test_nonconvergence_carries_step(mesh4, fluid, uniform_perm4):
 
 def test_stall_acceptance_logs_warning(mesh4, fluid, uniform_perm4, caplog):
     """An unreachable tolerance ends both solvers on the stall guard (fine
-    iterations [5, 6], coarse [7, 7] here), which must not pass silently."""
+    iterations [5, 6], coarse [7, 5] here), which must not pass silently."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
         "neumann-wells", well_rate=1e8,

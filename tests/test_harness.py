@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from msflow import harness
 from msflow.cli import main
 from msflow.errors import ConfigError, MsflowError
 from msflow.harness import (
@@ -232,6 +233,40 @@ def test_sweep_rows(tmp_path):
     csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert csv[0] == CSV_HEADER
     assert len(csv) == 4
+
+
+def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch):
+    calls = []
+    build = harness.build_offline_space
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_offline_space", counting)
+    reports = sweep(small_config(tmp_path), ["2+0", "2+1", "4+0"])
+    assert calls == [2, 4]
+    # a reused space reports its build time in every row that uses it
+    assert reports[1].t_basis > 0.0 and reports[2].t_basis > reports[1].t_basis
+
+
+def _rows_without_timing(path):
+    return [
+        ",".join(f[:2] + f[5:])
+        for f in (line.split(",") for line in path.read_text().splitlines())
+    ]
+
+
+def test_sweep_shared_space_keeps_online_block_private(tmp_path):
+    """An offline-only run after an enriched run on the same offline space
+    equals the offline-only run alone: no online column leaks between runs."""
+    sweep(small_config(tmp_path / "a"), ["2+1", "2+0"])
+    sweep(small_config(tmp_path / "b"), ["2+0"])
+    a = _rows_without_timing(tmp_path / "a" / "out" / "sweep.csv")
+    b = _rows_without_timing(tmp_path / "b" / "out" / "sweep.csv")
+    assert a[3].startswith("2+0,54,")
+    assert a[3] == b[2]
+    assert a[2].startswith("2+1,81,")
 
 
 def test_cli_run_and_check(tmp_path, capsys):

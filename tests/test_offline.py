@@ -3,7 +3,14 @@ import pytest
 
 from msflow.errors import ConfigError
 from msflow.fem import assemble_from_cells, element_matrices
-from msflow.model import PermeabilityField, density, generate_channel_field
+from msflow.grid import build_two_scale_mesh
+from msflow.model import (
+    PermeabilityField,
+    TimeGrid,
+    density,
+    generate_channel_field,
+    make_problem,
+)
 from msflow.offline import (
     _local_connectivity,
     _local_operators,
@@ -291,3 +298,99 @@ def test_local_connectivity_consistency(mesh8):
     _, Me = element_matrices(mesh8.fine.h)
     M = assemble_from_cells(cn, nb.n_local, np.ones(nb.cells.size), Me)
     assert M.sum() == pytest.approx(nb.cells.size * mesh8.fine.h**3, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def desk_patch():
+    """The 16^3 high-contrast desk field and one interior neighborhood (8
+    coarse cells, 729 nodes), as in the acceptance suite."""
+    mesh = build_two_scale_mesh(16, 16, 16, r=4)
+    perm = generate_channel_field(mesh.fine, seed=0, background=1.0,
+                                  channel=1e4, n_channels=6, n_inclusions=8)
+    rho0 = np.ones(mesh.fine.n_cells)
+    kt = compute_kappa_tilde(mesh, perm, rho0)
+    i = next(
+        j for j, nb in enumerate(mesh.neighborhoods) if nb.n_coarse_cells == 8
+    )
+    return mesh, perm, rho0, kt, i
+
+
+@pytest.mark.parametrize("kind", ["v1", "v2"])
+def test_partial_spectrum_matches_full_oracle(desk_patch, kind):
+    """The n_eig lowest eigenpairs agree with the full dense spectrum:
+    eigenvalues to 1e-12 relative, M-orthonormal vectors with the sign
+    convention, and the same span of the first L vectors wherever the
+    spectrum has a gap at L."""
+    mesh, perm, rho0, kt, i = desk_patch
+    nb = mesh.neighborhoods[i]
+    if kind == "v1":
+        snap = build_snapshot_v1(mesh, i)
+    else:
+        snap = build_snapshot_v2(mesh, i, perm, rho0)
+    k = 10
+    full = solve_local_spectral(mesh, i, snap, perm, rho0, kt)
+    part = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=k)
+    lam, mu = full.eigenvalues[:k], part.eigenvalues
+    assert mu.size == k and part.eigenvectors.shape == (snap.dim, k)
+    assert np.abs(mu - lam).max() <= 1e-12 * np.abs(lam).max()
+
+    _, M = _local_operators(mesh, nb, perm, rho0, kt)
+    if snap.basis is not None:
+        M = snap.basis.T @ (M @ snap.basis)
+    V, W = full.eigenvectors[:, :k], part.eigenvectors
+    assert np.abs(W.T @ (M @ W) - np.eye(k)).max() <= 1e-8
+    lead = np.argmax(np.abs(W), axis=0)
+    assert np.all(W[lead, np.arange(k)] > 0)
+
+    checked = 0
+    for L in range(1, k):
+        if (lam[L] - lam[L - 1]) / lam[L] > 1e-8:
+            cosines = np.linalg.svd(V[:, :L].T @ (M @ W[:, :L]), compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-8
+            checked += 1
+    assert checked >= 5
+
+
+def test_subset_larger_than_snapshot_space(mesh8, uniform_perm8):
+    """n_eig beyond the snapshot dimension returns the whole spectrum."""
+    rho0 = np.ones(mesh8.fine.n_cells)
+    kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
+    snap = build_snapshot_v2(mesh8, 0, uniform_perm8, rho0)
+    full = solve_local_spectral(mesh8, 0, snap, uniform_perm8, rho0, kt)
+    part = solve_local_spectral(
+        mesh8, 0, snap, uniform_perm8, rho0, kt, n_eig=snap.dim + 5
+    )
+    assert part.eigenvalues.size == snap.dim
+    assert np.allclose(part.eigenvalues, full.eigenvalues, rtol=1e-12, atol=1e-12)
+
+
+def test_dependent_columns_left_out_of_matrix(
+    mesh4, mesh8, fluid, uniform_perm4, uniform_perm8
+):
+    """On the r=2 mesh the hat-times-mode columns of neighboring patches
+    coincide and Dirichlet rows remove more: 6 of the 54 columns at L=2 with
+    mixed-bc are dependent.  dim still counts all 54 basis functions, and
+    matrix() spans the same space with 48 independent columns.  On the 8^3
+    r=4 mesh nothing is left out."""
+    def space(mesh, perm, L):
+        prob = make_problem(
+            mesh.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
+        )
+        return build_offline_space(
+            mesh, perm, fluid, prob.p0, L,
+            dirichlet_nodes=prob.boundary.dirichlet_nodes,
+        )
+
+    s4 = space(mesh4, uniform_perm4, 2)
+    full = s4.projection.offline.toarray()
+    R = s4.projection.matrix().toarray()
+    assert s4.projection.dim == 54 and full.shape[1] == 54
+    assert R.shape[1] == 48
+    assert np.linalg.matrix_rank(R) == 48
+    assert np.linalg.matrix_rank(np.hstack([full, R])) == 48
+    assert s4.n_basis == [2] * mesh4.n_neighborhoods
+
+    for L in (2, 4):
+        s8 = space(mesh8, uniform_perm8, L)
+        assert s8.projection.dim == L * mesh8.n_neighborhoods
+        assert s8.projection.matrix() is s8.projection.offline

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from msflow.errors import ConfigError
+from msflow.errors import ConfigError, SingularMatrixError
 from msflow.fem import newton_jacobian, newton_residual
 from msflow.model import TimeGrid, make_problem
 from msflow.offline import build_offline_space
@@ -231,3 +232,13 @@ def test_enrichment_improves_single_newton_step(mesh8, fluid, wells8, space8):
     enriched = after_one_step()
     proj.set_online([])
     assert enriched < plain
+
+
+def test_error_indicator_singular_block_raises(mesh8, wells8):
+    """A singular local Jacobian block surfaces as SingularMatrixError, not as
+    SuperLU's RuntimeError."""
+    prob, F, _ = wells8
+    n = mesh8.fine.n_nodes
+    lr = compute_local_residual(mesh8, 13, F, prob.boundary.dirichlet_nodes)
+    with pytest.raises(SingularMatrixError, match="neighborhood 13"):
+        error_indicator(mesh8, 13, lr, sp.csr_matrix((n, n)), 1.0)
