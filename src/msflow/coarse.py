@@ -21,11 +21,11 @@ class CoarseResult(FineSolution):
     t_basis_online: float = 0.0
 
 
-def gmsfem_step(p_prev, projection, problem, config, cell_nodes, result, step):
+def gmsfem_step(p_prev, projection, problem, config, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
     columns; returns the accepted fine-grid prolonged state."""
     return _newton_step(
-        p_prev, problem, config, cell_nodes, result, step, R=projection.matrix()
+        p_prev, problem, config, result, step, R=projection.matrix()
     )
 
 
@@ -41,7 +41,6 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     schedule.validate(problem.time.n_steps)
     mesh = offline_space.mesh
     projection = offline_space.projection
-    cell_nodes = problem.fine.cell_nodes()
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
@@ -51,10 +50,9 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
             enrich_projection(
                 projection, mesh, problem,
                 p_state=p, p_prev=p, n_online=schedule.n_online,
-                cell_nodes=cell_nodes,
             )
             result.t_basis_online += time.perf_counter() - t0
-        p = gmsfem_step(p, projection, problem, config, cell_nodes, result, step)
+        p = gmsfem_step(p, projection, problem, config, result, step)
         result.states.append(p)
         result.dim_history.append(projection.dim)
     return result

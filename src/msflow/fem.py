@@ -6,8 +6,15 @@ the density nonlinearity, backward-Euler Newton residual/Jacobian, a direct
 sparse solver, and the damped-Newton time step shared by the fine and the
 coarse solver: the fine solve is the case R = identity of the Galerkin-projected
 step (see `_newton_step`).
+
+Every sparse operator (the Jacobian, the weighted global stiffness and mass,
+and the local spectral operators of the offline stage) is assembled by
+`assemble_cells`: per-cell 8x8 blocks are scattered into a CSR pattern that is
+built once per (grid, Dirichlet node set) with the Dirichlet rows and columns
+reduced to the diagonal.
 """
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -22,9 +29,10 @@ from .model import density
 log = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=16)
 def element_matrices(h):
     """Exact 8x8 stiffness and mass matrices of the unit-coefficient trilinear
-    element on a cube of edge h; local node order x fastest."""
+    element on a cube of edge h; local node order x fastest (read-only)."""
     m1 = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     k1 = 1.0 / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
     Ke = (
@@ -33,20 +41,58 @@ def element_matrices(h):
         + np.kron(k1, np.kron(m1, m1))
     )
     Me = np.kron(m1, np.kron(m1, m1))
+    Ke.setflags(write=False)
+    Me.setflags(write=False)
     return Ke, Me
 
 
-def assemble_from_cells(cell_nodes, n_dof, w, elem):
-    """Assemble sum_cells w_c * elem over the given connectivity into CSR."""
-    w = np.asarray(w, dtype=float)
-    data = w[:, None, None] * elem[None, :, :]
-    rows = np.repeat(cell_nodes, 8, axis=1).ravel()
-    cols = np.tile(cell_nodes, (1, 8)).ravel()
-    A = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(n_dof, n_dof))
-    return A.tocsr()
+@functools.lru_cache(maxsize=32)
+def _csr_pattern(fine, dirichlet_key):
+    """(indptr, indices, scatter, diag): the CSR structure of the Q1 operators
+    on `fine` with the rows and columns of the Dirichlet nodes (int64 bytes)
+    reduced to the diagonal, the CSR slot of each entry of the flattened
+    (n_cells, 8, 8) cell blocks (slot nnz, dropped, for entries in a Dirichlet
+    row or column) and the slots of the Dirichlet diagonal."""
+    n = fine.n_nodes
+    cn = fine.cell_nodes()
+    rows = np.repeat(cn, 8, axis=1).ravel()
+    cols = np.tile(cn, (1, 8)).ravel()
+    dirichlet = np.frombuffer(dirichlet_key, dtype=np.int64)
+    dmask = np.zeros(n, dtype=bool)
+    dmask[dirichlet] = True
+    keep = ~(dmask[rows] | dmask[cols])
+    n_keep = int(keep.sum())
+    keys, slot = np.unique(
+        np.concatenate([rows[keep] * n + cols[keep], dirichlet * (n + 1)]),
+        return_inverse=True,
+    )
+    scatter = np.full(rows.size, keys.size, dtype=np.int32)
+    scatter[keep] = slot[:n_keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    diag = slot[n_keep:].astype(np.int32)
+    for a in (indptr, indices, scatter, diag):
+        a.setflags(write=False)
+    return indptr, indices, scatter, diag
 
 
-def assemble_weighted_stiffness(fine, w_cell, cell_nodes=None, n_dof=None):
+def assemble_cells(fine, blocks, dirichlet_nodes=None):
+    """Sum per-cell 8x8 blocks, shape (n_cells, 8, 8) in `cell_nodes()` order,
+    into a CSR matrix on `fine`; the rows and columns of dirichlet_nodes are
+    replaced by the identity."""
+    d = np.asarray([] if dirichlet_nodes is None else dirichlet_nodes, dtype=np.int64)
+    indptr, indices, scatter, diag = _csr_pattern(fine, d.tobytes())
+    data = np.bincount(scatter, weights=blocks.ravel(), minlength=indices.size + 1)[:-1]
+    data[diag] = 1.0
+    # own index arrays, so that in-place operations on the result never reach
+    # the shared pattern
+    return sp.csr_matrix(
+        (data, indices.copy(), indptr.copy()), shape=(fine.n_nodes, fine.n_nodes)
+    )
+
+
+def assemble_weighted_stiffness(fine, w_cell):
     """Global stiffness with a positive cell-wise weight (symmetric PSD;
     constants are in the kernel before any Dirichlet elimination)."""
     w_cell = np.asarray(w_cell, dtype=float)
@@ -54,30 +100,25 @@ def assemble_weighted_stiffness(fine, w_cell, cell_nodes=None, n_dof=None):
         bad = int(np.argmax(w_cell <= 0))
         raise AssemblyError(f"non-positive stiffness weight at cell {bad}")
     Ke, _ = element_matrices(fine.h)
-    if cell_nodes is None:
-        cell_nodes = fine.cell_nodes()
-        n_dof = fine.n_nodes
-    return assemble_from_cells(cell_nodes, n_dof, w_cell, Ke)
+    return assemble_cells(fine, w_cell[:, None, None] * Ke)
 
 
-def assemble_weighted_mass(fine, w_cell, cell_nodes=None, n_dof=None):
+def assemble_weighted_mass(fine, w_cell):
     """Global consistent mass with a nonnegative cell-wise weight."""
     w_cell = np.asarray(w_cell, dtype=float)
     if np.any(w_cell < 0) or not np.any(w_cell > 0):
         raise AssemblyError("mass weight must be nonnegative and not identically zero")
     _, Me = element_matrices(fine.h)
-    if cell_nodes is None:
-        cell_nodes = fine.cell_nodes()
-        n_dof = fine.n_nodes
-    return assemble_from_cells(cell_nodes, n_dof, w_cell, Me)
+    return assemble_cells(fine, w_cell[:, None, None] * Me)
 
 
-def cell_average(p, cell_nodes):
-    """Cell-wise average of a nodal field (the midpoint quadrature state)."""
-    return np.asarray(p)[cell_nodes].mean(axis=1)
+def cell_average(p, cn):
+    """Cell-wise average of a nodal field (the midpoint quadrature state) over
+    the connectivity cn."""
+    return np.asarray(p)[cn].mean(axis=1)
 
 
-def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None, cell_nodes=None):
+def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     """Backward-Euler Newton residual of the compressible-flow weak form.
 
     F_j = (phi rho(p), N_j) - (phi rho(p_prev), N_j)
@@ -90,8 +131,7 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None, cell_
         raise AssemblyError(
             f"state length {p.shape[0]} != fine node count {fine.n_nodes}"
         )
-    if cell_nodes is None:
-        cell_nodes = fine.cell_nodes()
+    cell_nodes = fine.cell_nodes()
     Ke, _ = element_matrices(fine.h)
 
     p_loc = p[cell_nodes]
@@ -123,44 +163,31 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None, cell_
     return F
 
 
-def newton_jacobian(p, fluid, perm, dt, fine, boundary=None, cell_nodes=None):
+def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     """Exact derivative of `newton_residual` with respect to the state.
 
     Dirichlet rows and columns are eliminated to the identity.
     """
     p = np.asarray(p, dtype=float)
-    if cell_nodes is None:
-        cell_nodes = fine.cell_nodes()
     Ke, _ = element_matrices(fine.h)
-    n = fine.n_nodes
 
-    p_loc = p[cell_nodes]
+    p_loc = p[fine.cell_nodes()]
     p_mean = p_loc.mean(axis=1)
     rho_c = density(p_mean, fluid)
 
     vol8 = fine.h**3 / 8.0
     # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i
-    acc = (fluid.phi * fluid.c * rho_c * vol8 / 8.0)[:, None, None] * np.ones((1, 8, 8))
+    acc = (fluid.phi * fluid.c * rho_c * vol8 / 8.0)[:, None, None]
     # flux, frozen density: dt (kappa/mu) rho_c Ke
     flux_w = dt * (perm.values / fluid.mu) * rho_c
     stiff = flux_w[:, None, None] * Ke[None, :, :]
     # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
     kp = np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
-    dens = (fluid.c / 8.0) * flux_w[:, None, None] * kp[:, :, None] * np.ones((1, 1, 8))
+    dens = (fluid.c / 8.0) * flux_w[:, None, None] * kp[:, :, None]
 
-    data = (acc + stiff + dens).ravel()
-    rows = np.repeat(cell_nodes, 8, axis=1).ravel()
-    cols = np.tile(cell_nodes, (1, 8)).ravel()
-
-    if boundary is not None and boundary.dirichlet_nodes.size:
-        dmask = np.zeros(n, dtype=bool)
-        dmask[boundary.dirichlet_nodes] = True
-        keep = ~(dmask[rows] | dmask[cols])
-        rows = np.concatenate([rows[keep], boundary.dirichlet_nodes])
-        cols = np.concatenate([cols[keep], boundary.dirichlet_nodes])
-        data = np.concatenate([data[keep], np.ones(boundary.dirichlet_nodes.size)])
-
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return assemble_cells(
+        fine, acc + stiff + dens, None if boundary is None else boundary.dirichlet_nodes
+    )
 
 
 def linear_solve(A, b, rtol=1e-10):
@@ -245,7 +272,7 @@ def _solve_projected(R, J, rhs):
     return linear_solve(Jc, rhs)
 
 
-def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
+def _newton_step(p_prev, problem, config, sol, step, R=None):
     """One backward-Euler step by damped Newton; returns the accepted state.
 
     R=None solves the fine system.  Given a basis matrix R, the residual and
@@ -264,7 +291,7 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
         t0 = time.perf_counter()
         F = newton_residual(
             p, p_prev, problem.fluid, problem.perm, problem.time.dt,
-            problem.load, fine, problem.boundary, cell_nodes,
+            problem.load, fine, problem.boundary,
         )
         sol.t_ass += time.perf_counter() - t0
         Fc = F if R is None else R.T @ F
@@ -280,7 +307,7 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
         t0 = time.perf_counter()
         J = newton_jacobian(
             p, problem.fluid, problem.perm, problem.time.dt, fine,
-            problem.boundary, cell_nodes,
+            problem.boundary,
         )
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -319,10 +346,9 @@ def _newton_step(p_prev, problem, config, cell_nodes, sol, step, R=None):
 def solve_fine(problem, config=None):
     """Backward-Euler time loop on the fine grid with plain (damped) Newton."""
     config = config or NewtonConfig()
-    cell_nodes = problem.fine.cell_nodes()
     p = _initial_state(problem)
     sol = FineSolution(states=[p])
     for step in range(1, problem.time.n_steps + 1):
-        p = _newton_step(p, problem, config, cell_nodes, sol, step)
+        p = _newton_step(p, problem, config, sol, step)
         sol.states.append(p)
     return sol

@@ -1,13 +1,18 @@
-"""Two-scale structured hexahedral mesh.
+"""Two-scale structured hexahedral mesh and its Q1 connectivity.
 
 The fine grid is a uniform nx x ny x nz partition of a box with cubic cells of
 edge h; the coarse grid is obtained by merging r x r x r fine cells. Around
 every coarse vertex we build the neighborhood (union of adjacent coarse cells)
 together with the fine-node index maps needed for local assembly.
 
-Node and cell orderings are lexicographic with x fastest.
+Node and cell orderings are lexicographic with x fastest.  This module is the
+one place where Q1 connectivity is built: `FineGrid.cell_nodes()` is computed
+once per grid and shared read-only, and a neighborhood's local numbering
+is the connectivity of its own box grid (`CoarseNeighborhood.box`), so the
+patches of one mesh share a handful of patterns.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,32 +61,20 @@ class FineGrid:
         k = idx // (self.nx * self.ny)
         return i, j, k
 
-    def node_coords(self):
-        """(n_nodes, 3) array of node coordinates, x fastest."""
-        i = np.arange(self.nx + 1)
-        j = np.arange(self.ny + 1)
-        k = np.arange(self.nz + 1)
-        K, J, I = np.meshgrid(k, j, i, indexing="ij")
-        return np.column_stack(
-            [I.ravel() * self.h, J.ravel() * self.h, K.ravel() * self.h]
-        )
-
     def cell_nodes(self):
-        """(n_cells, 8) global node indices per cell, local order x fastest."""
-        i = np.arange(self.nx)
-        j = np.arange(self.ny)
-        k = np.arange(self.nz)
-        K, J, I = np.meshgrid(k, j, i, indexing="ij")
-        base = self.node_index(I.ravel(), J.ravel(), K.ravel())
-        offsets = np.array(
-            [
-                self.node_index(dx, dy, dz)
-                for dz in (0, 1)
-                for dy in (0, 1)
-                for dx in (0, 1)
-            ]
-        )
-        return base[:, None] + offsets[None, :]
+        """(n_cells, 8) global node indices per cell, local order x fastest;
+        built once per grid and read-only."""
+        return _cell_nodes(self)
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_nodes(grid):
+    base = grid.node_index(*grid.cell_ijk(np.arange(grid.n_cells)))
+    corners = [(dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+    offsets = np.array([grid.node_index(*c) for c in corners])
+    cn = base[:, None] + offsets[None, :]
+    cn.setflags(write=False)
+    return cn
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,9 @@ class CoarseNeighborhood:
 
     The patch is always an axis-aligned box of fine nodes [lo, hi] per axis
     (inclusive).  `nodes` are the global fine-node indices of the box in local
-    lexicographic order, so local index l <-> global index nodes[l].
+    lexicographic order, so local index l <-> global index nodes[l], and
+    `cells` likewise for the box cells.  `box` is the box as a grid of its
+    own, whose `cell_nodes()` is the patch connectivity in local numbering.
 
     Two boundary notions are kept:
       * boundary_mask: nodes on the geometric patch boundary (any box face),
@@ -122,6 +117,7 @@ class CoarseNeighborhood:
     n_coarse_cells: int
     node_lo: tuple
     node_hi: tuple
+    box: FineGrid
     nodes: np.ndarray
     cells: np.ndarray
     boundary_mask: np.ndarray
@@ -132,10 +128,6 @@ class CoarseNeighborhood:
         return self.nodes.size
 
     @property
-    def interior_mask(self):
-        return ~self.boundary_mask
-
-    @property
     def free_mask(self):
         """Local DOFs that participate in constrained local solves."""
         return ~self.constrained_mask
@@ -143,11 +135,6 @@ class CoarseNeighborhood:
     def restrict(self, v):
         v = np.asarray(v)
         return v[self.nodes]
-
-    def extend_by_zero(self, vloc, n_fine):
-        out = np.zeros(n_fine)
-        out[self.nodes] = vloc
-        return out
 
 
 @dataclass(frozen=True)
@@ -176,19 +163,12 @@ def _build_neighborhood(fine, coarse, idx):
         * (min(K, coarse.Nz - 1) - max(K - 1, 0) + 1)
     )
 
-    ii = np.arange(lo[0], hi[0] + 1)
-    jj = np.arange(lo[1], hi[1] + 1)
-    kk = np.arange(lo[2], hi[2] + 1)
-    KK, JJ, II = np.meshgrid(kk, jj, ii, indexing="ij")
-    nodes = fine.node_index(II.ravel(), JJ.ravel(), KK.ravel())
+    box = FineGrid(hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], fine.h)
+    coords = [c + o for c, o in zip(box.node_ijk(np.arange(box.n_nodes)), lo)]
+    nodes = fine.node_index(*coords)
+    ci, cj, ck = box.cell_ijk(np.arange(box.n_cells))
+    cells = fine.cell_index(ci + lo[0], cj + lo[1], ck + lo[2])
 
-    ci = np.arange(lo[0], hi[0])
-    cj = np.arange(lo[1], hi[1])
-    ck = np.arange(lo[2], hi[2])
-    CK, CJ, CI = np.meshgrid(ck, cj, ci, indexing="ij")
-    cells = fine.cell_index(CI.ravel(), CJ.ravel(), CK.ravel())
-
-    coords = (II.ravel(), JJ.ravel(), KK.ravel())
     dims = (fine.nx, fine.ny, fine.nz)
     boundary = np.zeros(nodes.size, dtype=bool)
     constrained = np.zeros(nodes.size, dtype=bool)
@@ -207,6 +187,7 @@ def _build_neighborhood(fine, coarse, idx):
         n_coarse_cells=n_coarse_cells,
         node_lo=lo,
         node_hi=hi,
+        box=box,
         nodes=nodes,
         cells=cells,
         boundary_mask=boundary,

@@ -2,6 +2,10 @@
 CSV reporting and VTK export."""
 
 import hashlib
+import logging
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +31,13 @@ from .model import (
 from .offline import build_offline_space
 from .online import UpdateSchedule
 
+log = logging.getLogger(__name__)
+
 CSV_HEADER = "nb,dim,t_basis,t_ass,t_solve,e_l2,e_h1,newton_total"
+
+# Part of the fine-reference cache key: bump it whenever the cache format or
+# the fine solver's arithmetic (even its last bits) changes.
+REFERENCE_VERSION = 2
 
 # key -> (type, default); None default means required-when-used
 _SCHEMA = {
@@ -179,13 +189,16 @@ class ExperimentConfig:
         )
 
     def reference_hash(self):
-        """Hash of every sub-config the fine reference depends on."""
+        """Hash of the reference version and every sub-config the fine
+        reference depends on."""
         keys = [
             k for k in sorted(_SCHEMA)
             if k.split(".")[0] in ("mesh", "field", "problem", "fluid", "time", "newton")
             or k == "seed"
         ]
-        payload = "\n".join(f"{k}={self.values[k]!r}" for k in keys)
+        payload = "\n".join(
+            [f"version={REFERENCE_VERSION}"] + [f"{k}={self.values[k]!r}" for k in keys]
+        )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -259,29 +272,53 @@ def _append_csv(path, report):
         fh.write(report.csv_row() + "\n")
 
 
+def _load_reference(cache, problem):
+    """The cached reference (states, newton_iters, t_ass, t_solve), or None
+    (logged at WARNING) if the file cannot be read or its arrays have the
+    wrong shape."""
+    try:
+        with np.load(cache) as data:
+            states, iters = data["states"], data["newton_iters"]
+            t_ass, t_solve = float(data["t_ass"]), float(data["t_solve"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        log.warning("ignoring unreadable fine reference cache %s: %s", cache, exc)
+        return None
+    n = problem.time.n_steps
+    if states.shape != (n + 1, problem.fine.n_nodes) or iters.shape != (n,):
+        log.warning("ignoring fine reference cache %s: shapes do not match the config", cache)
+        return None
+    return list(states), list(iters), t_ass, t_solve
+
+
 def fine_reference(config, out_dir=None, force=False):
-    """Fine-grid reference solve, cached on disk by the config hash."""
+    """Fine-grid reference solve, cached on disk by the config hash.
+
+    The cache is written to a temporary file and renamed into place; an
+    unreadable or mismatched cache counts as a miss."""
     out_dir = Path(out_dir or config["output.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = out_dir / f"fine_ref_{config.reference_hash()}.npz"
     mesh = config.validate()
     problem = config.build_problem(mesh.fine)
     if cache.exists() and not force:
-        with np.load(cache) as data:
-            return (
-                list(data["states"]),
-                list(data["newton_iters"]),
-                float(data["t_ass"]),
-                float(data["t_solve"]),
-            ), problem, mesh
+        ref = _load_reference(cache, problem)
+        if ref is not None:
+            return ref, problem, mesh
     sol = solve_fine(problem, config.newton())
-    np.savez_compressed(
-        cache,
-        states=np.asarray(sol.states),
-        newton_iters=np.asarray(sol.newton_iters),
-        t_ass=sol.t_ass,
-        t_solve=sol.t_solve,
-    )
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez_compressed(
+                fh,
+                states=np.asarray(sol.states),
+                newton_iters=np.asarray(sol.newton_iters),
+                t_ass=sol.t_ass,
+                t_solve=sol.t_solve,
+            )
+        os.replace(tmp, cache)
+    finally:
+        tmp.unlink(missing_ok=True)
     return (sol.states, sol.newton_iters, sol.t_ass, sol.t_solve), problem, mesh
 
 

@@ -46,11 +46,6 @@ def density_derivative(p, props):
     return props.c * density(p, props)
 
 
-def pressure_from_density(rho, props):
-    """Inverse of the constitutive law on the positive range."""
-    return props.p_ref + np.log(np.asarray(rho, dtype=float) / props.rho_ref) / props.c
-
-
 @dataclass(frozen=True)
 class PermeabilityField:
     values: np.ndarray

@@ -5,6 +5,10 @@ two snapshot space flavors (full local space / harmonic extensions of
 boundary deltas), the local generalized spectral problem, and assembly of the
 fine-by-coarse projection matrix whose columns are the multiscale basis
 vectors.
+
+The local stiffness and mass of a neighborhood are assembled on its box grid
+(`CoarseNeighborhood.box`) by the same cell-block assembler as the global
+operators, so patches of one box shape share one sparsity pattern.
 """
 
 import logging
@@ -18,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
-from .fem import assemble_from_cells, element_matrices
+from .fem import assemble_weighted_mass, assemble_weighted_stiffness, cell_average
 from .model import density
 
 log = logging.getLogger(__name__)
@@ -74,26 +78,6 @@ class PartitionOfUnity:
         total = g * SY * SZ + SX * g * SZ + SX * SY * g
         return total.ravel()
 
-    def chi_grad_sq(self, i):
-        """|grad chi_i|^2 at the centers of neighborhood i's cells."""
-        nb = self.mesh.neighborhoods[i]
-        fine = self.mesh.fine
-        r = self.mesh.coarse.r
-        H = self.mesh.coarse.H
-        I, J, K = nb.vertex
-        ci, cj, ck = fine.cell_ijk(nb.cells)
-
-        def val_slope(c, V):
-            t = (c + 0.5) / r - V
-            v = np.maximum(0.0, 1.0 - np.abs(t))
-            s = np.where(np.abs(t) < 1.0, -np.sign(t) / H, 0.0)
-            return v, s
-
-        vx, gx = val_slope(ci, I)
-        vy, gy = val_slope(cj, J)
-        vz, gz = val_slope(ck, K)
-        return (gx * vy * vz) ** 2 + (vx * gy * vz) ** 2 + (vx * vy * gz) ** 2
-
 
 def build_partition_of_unity(mesh):
     return PartitionOfUnity(mesh)
@@ -114,24 +98,18 @@ class SnapshotSpace:
     dim: int
 
 
-def _local_connectivity(mesh, nb):
-    """Cell-node connectivity of a neighborhood in local DOF numbering."""
-    fine = mesh.fine
-    glob2loc = np.full(fine.n_nodes, -1, dtype=np.int64)
-    glob2loc[nb.nodes] = np.arange(nb.n_local)
-    return glob2loc[fine.cell_nodes()[nb.cells]]
+def _local_stiffness(nb, perm, rho0_cell):
+    """rho0 * kappa weighted stiffness of a neighborhood, local numbering."""
+    return assemble_weighted_stiffness(nb.box, rho0_cell[nb.cells] * perm.values[nb.cells])
 
 
-def _local_operators(mesh, nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
-    Ke, Me = element_matrices(mesh.fine.h)
-    cn = _local_connectivity(mesh, nb)
-    w_stiff = rho0_cell[nb.cells] * perm.values[nb.cells]
+def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
+    """Stiffness and spectral mass of the local eigenproblem of a
+    neighborhood, local numbering."""
     w_mass = kappa_tilde[nb.cells]
     if extra_density_mass:
         w_mass = w_mass * rho0_cell[nb.cells]
-    A = assemble_from_cells(cn, nb.n_local, w_stiff, Ke)
-    M = assemble_from_cells(cn, nb.n_local, w_mass, Me)
-    return A, M
+    return _local_stiffness(nb, perm, rho0_cell), assemble_weighted_mass(nb.box, w_mass)
 
 
 def build_snapshot_v1(mesh, i):
@@ -143,9 +121,7 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     """Harmonic extensions of the boundary delta traces: one column per
     constrained boundary node of the neighborhood."""
     nb = mesh.neighborhoods[i]
-    A, _ = _local_operators(
-        mesh, nb, perm, rho0_cell, np.ones(mesh.fine.n_cells)
-    )
+    A = _local_stiffness(nb, perm, rho0_cell)
     bnd = np.flatnonzero(nb.constrained_mask)
     if bnd.size == 0:
         raise ConfigError(
@@ -187,9 +163,7 @@ def solve_local_spectral(
     eigenpairs (all of them if the snapshot space is smaller).
     """
     nb = mesh.neighborhoods[i]
-    A, M = _local_operators(
-        mesh, nb, perm, rho0_cell, kappa_tilde, extra_density_mass
-    )
+    A, M = _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass)
     if snapshot.basis is None:
         Ad, Md = A.toarray(), M.toarray()
     else:
@@ -275,16 +249,6 @@ class ProjectionMatrix:
             return self._basis
         dense = np.column_stack([v for _, v in self.online_cols])
         return sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
-
-    def gram_extremes(self, sample=None):
-        """(smallest, largest) eigenvalue of the (sampled) column Gram matrix."""
-        R = self.matrix()
-        if sample is not None and sample < R.shape[1]:
-            step = max(1, R.shape[1] // sample)
-            R = R[:, ::step]
-        G = (R.T @ R).toarray()
-        ev = np.linalg.eigvalsh(G)
-        return float(ev[0]), float(ev[-1])
 
 
 @dataclass
@@ -374,8 +338,7 @@ def build_offline_space(
     if len(n_basis) != mesh.n_neighborhoods:
         raise ConfigError("per-neighborhood basis count has wrong length")
 
-    cell_nodes = fine.cell_nodes()
-    rho0_cell = density(np.asarray(p0)[cell_nodes].mean(axis=1), fluid)
+    rho0_cell = density(cell_average(p0, fine.cell_nodes()), fluid)
     pou = build_partition_of_unity(mesh)
     kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
 

@@ -145,13 +145,11 @@ def enrich_projection(
     p_state,
     p_prev,
     n_online,
-    cell_nodes=None,
     top_k=None,
     lambda_next=None,
-    append=False,
 ):
-    """Compute the online block at the current state and install it
-    (replacing any previous online columns unless append=True).
+    """Compute the online block at the current state and install it in place
+    of any previous online columns.
 
     For n_online >= 2 the construction is iterative: after each round the
     trial state is corrected by one projected Newton step in the temporarily
@@ -162,22 +160,19 @@ def enrich_projection(
     if n_online == 0:
         return 0
     fine = problem.fine
-    if cell_nodes is None:
-        cell_nodes = fine.cell_nodes()
     dirichlet = problem.boundary.dirichlet_nodes
     ids = list(range(mesh.n_neighborhoods))
 
-    base_cols = list(projection.online_cols) if append else []
     new_cols = []
     p = p_state.copy()
     for round_ in range(n_online):
         F = newton_residual(
             p, p_prev, problem.fluid, problem.perm, problem.time.dt,
-            problem.load, fine, problem.boundary, cell_nodes,
+            problem.load, fine, problem.boundary,
         )
         J = newton_jacobian(
             p, problem.fluid, problem.perm, problem.time.dt, fine,
-            problem.boundary, cell_nodes,
+            problem.boundary,
         )
         chosen = ids
         if top_k is not None and top_k < len(ids):
@@ -202,11 +197,11 @@ def enrich_projection(
         new_cols.extend(round_cols)
         if round_ + 1 < n_online and round_cols:
             # correct the trial state in the temporarily enriched space
-            projection.set_online(base_cols + new_cols)
+            projection.set_online(new_cols)
             R = projection.matrix()
             p = p + R @ _solve_projected(R, J, -(R.T @ F))
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])
-    projection.set_online(base_cols + new_cols)
+    projection.set_online(new_cols)
     return len(new_cols)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from msflow.grid import build_two_scale_mesh
 from msflow.model import FluidProps, PermeabilityField
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("msflow", deadline=None, derandomize=True, database=None)
+settings.load_profile("msflow")
 
 
 @pytest.fixture(scope="session")

@@ -242,7 +242,7 @@ def test_local_spectral_suite(desk):
     assert np.abs(v0 - v0.mean()).max() <= 1e-8 * np.abs(v0).max()
     assert np.all(np.diff(lam) >= -1e-10 * lam[-1])
 
-    _, M = _local_operators(mesh, nb, perm, rho0, kt)
+    _, M = _local_operators(nb, perm, rho0, kt)
     V = spec.eigenvectors[:, :12]
     assert np.abs(V.T @ (M @ V) - np.eye(12)).max() <= 1e-8
 
@@ -256,7 +256,7 @@ def test_local_spectral_suite(desk):
     snap2 = build_snapshot_v2(mesh, i, perm, rho0)
     S = snap2.basis
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
-    A, _ = _local_operators(mesh, nb, perm, rho0, rho0)
+    A, _ = _local_operators(nb, perm, rho0, rho0)
     res = A @ S
     free = np.flatnonzero(nb.free_mask)
     assert np.abs(res[free]).max() <= 1e-10 * np.abs(A.data).max()

@@ -106,15 +106,14 @@ def test_projected_residual_below_tolerance(mesh4, fluid, uniform_perm4):
     cfg = NewtonConfig()
     res = solve_gmsfem(prob, space, config=cfg)
     R = space.projection.matrix()
-    cn = mesh4.fine.cell_nodes()
     for n in (1, 2):
         F0 = newton_residual(
             res.states[n - 1], res.states[n - 1], fluid, uniform_perm4,
-            prob.time.dt, prob.load, mesh4.fine, prob.boundary, cn,
+            prob.time.dt, prob.load, mesh4.fine, prob.boundary,
         )
         F = newton_residual(
             res.states[n], res.states[n - 1], fluid, uniform_perm4,
-            prob.time.dt, prob.load, mesh4.fine, prob.boundary, cn,
+            prob.time.dt, prob.load, mesh4.fine, prob.boundary,
         )
         # accepted steps satisfy the projected-residual criterion
         # (tol relative to the step's initial residual, stall floor 1e-3)

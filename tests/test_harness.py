@@ -184,6 +184,47 @@ def test_fine_reference_caching(tmp_path):
     assert np.array_equal(np.asarray(states), np.asarray(states2))
 
 
+def test_reference_hash_includes_version(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path)
+    before = cfg.reference_hash()
+    monkeypatch.setattr(harness, "REFERENCE_VERSION", harness.REFERENCE_VERSION + 1)
+    assert cfg.reference_hash() != before
+
+
+def test_fine_reference_written_through_temp_file(tmp_path, monkeypatch):
+    """An interrupted write leaves neither a cache nor a temp file behind."""
+    cfg = small_config(tmp_path)
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness.np, "savez_compressed", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        fine_reference(cfg)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong_shape"])
+def test_bad_fine_reference_cache_is_a_miss(tmp_path, caplog, damage):
+    cfg = small_config(tmp_path)
+    (states, _, _, _), _, _ = fine_reference(cfg)
+    cache = tmp_path / "out" / f"fine_ref_{cfg.reference_hash()}.npz"
+    if damage == "truncated":
+        cache.write_bytes(cache.read_bytes()[:100])
+    else:
+        np.savez(cache, states=np.zeros((2, 5)), newton_iters=np.zeros(1),
+                 t_ass=0.0, t_solve=0.0)
+    with caplog.at_level("WARNING", logger="msflow.harness"):
+        (states2, _, _, _), _, _ = fine_reference(cfg)
+    assert "ignoring" in caplog.text and str(cache) in caplog.text
+    assert np.array_equal(np.asarray(states), np.asarray(states2))
+    caplog.clear()
+    (states3, _, _, _), _, _ = fine_reference(cfg)  # the rewritten cache loads
+    assert caplog.text == ""
+    assert np.array_equal(np.asarray(states), np.asarray(states3))
+
+
 def test_run_experiment_report(tmp_path):
     cfg = small_config(tmp_path)
     report = run_experiment(cfg)

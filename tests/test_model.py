@@ -15,7 +15,6 @@ from msflow.model import (
     generate_channel_field,
     load_field_from_file,
     make_problem,
-    pressure_from_density,
     save_field_to_file,
 )
 
@@ -64,13 +63,6 @@ def test_density_derivative_finite_difference(fluid):
 
 def test_density_derivative_monotone(fluid):
     assert density_derivative(1.9e7, fluid) < density_derivative(2.2e7, fluid)
-
-
-def test_density_inverse_round_trip(fluid):
-    rho = np.array([400.0, 850.0, 1700.0])
-    assert np.allclose(
-        density(pressure_from_density(rho, fluid), fluid), rho, rtol=1e-12
-    )
 
 
 def test_fluid_props_validation():

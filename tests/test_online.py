@@ -43,13 +43,12 @@ def wells8(mesh8, fluid):
         mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=5),
         "neumann-wells", well_rate=1e8,
     )
-    cn = mesh8.fine.cell_nodes()
     F = newton_residual(
         prob.p0, prob.p0, fluid, perm, prob.time.dt, prob.load,
-        mesh8.fine, prob.boundary, cn,
+        mesh8.fine, prob.boundary,
     )
     J = newton_jacobian(
-        prob.p0, fluid, perm, prob.time.dt, mesh8.fine, prob.boundary, cn
+        prob.p0, fluid, perm, prob.time.dt, mesh8.fine, prob.boundary
     )
     return prob, F, J
 
