@@ -3,9 +3,11 @@
 The coarse state is kept as its fine-grid prolongation (the density
 nonlinearity is evaluated on fine cells).  Each time step runs the fine
 solver's damped-Newton driver (`fem._newton_step`) with the current basis
-matrix R: the fine residual and Jacobian are projected to (R^T J R, R^T F),
-the small system is solved and the update prolonged.  Scheduled online
-enrichment replaces the online columns of R between steps.
+matrix R: the fine residual is projected to R^T F, R^T J R is assembled
+from the Jacobian's cell blocks coarse cell by coarse cell (the basis's
+gather, `ProjectionMatrix.gather`), the small dense system is solved and the
+update prolonged.  Scheduled online enrichment replaces the online columns of
+R between steps.
 """
 
 import time
@@ -21,12 +23,11 @@ class CoarseResult(FineSolution):
     t_basis_online: float = 0.0
 
 
-def gmsfem_step(p_prev, projection, problem, config, result, step):
+def gmsfem_step(p_prev, projection, mesh, problem, config, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
     columns; returns the accepted fine-grid prolonged state."""
-    return _newton_step(
-        p_prev, problem, config, result, step, R=projection.matrix()
-    )
+    gather = projection.gather(mesh, problem.boundary.dirichlet_nodes)
+    return _newton_step(p_prev, problem, config, result, step, gather=gather)
 
 
 def solve_gmsfem(problem, offline_space, schedule=None, config=None):
@@ -44,15 +45,18 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
-    for step in range(1, problem.time.n_steps + 1):
-        if schedule.n_online > 0 and step in schedule.update_steps:
-            t0 = time.perf_counter()
-            enrich_projection(
-                projection, mesh, problem,
-                p_state=p, p_prev=p, n_online=schedule.n_online,
-            )
-            result.t_basis_online += time.perf_counter() - t0
-        p = gmsfem_step(p, projection, problem, config, result, step)
-        result.states.append(p)
-        result.dim_history.append(projection.dim)
+    try:
+        for step in range(1, problem.time.n_steps + 1):
+            if schedule.n_online > 0 and step in schedule.update_steps:
+                t0 = time.perf_counter()
+                enrich_projection(
+                    projection, mesh, problem,
+                    p_state=p, p_prev=p, n_online=schedule.n_online,
+                )
+                result.t_basis_online += time.perf_counter() - t0
+            p = gmsfem_step(p, projection, mesh, problem, config, result, step)
+            result.states.append(p)
+            result.dim_history.append(projection.dim)
+    finally:
+        projection.drop_cache()  # a space kept for later runs keeps no buffers
     return result

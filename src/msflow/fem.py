@@ -11,7 +11,10 @@ Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
 `assemble_cells`: per-cell 8x8 blocks are scattered into a CSR pattern that is
 built once per (grid, Dirichlet node set) with the Dirichlet rows and columns
-reduced to the diagonal.
+reduced to the diagonal.  The coarse solver's projected Jacobian R^T J R is
+not formed from the sparse J: `_projected_jacobian` sums, coarse cell by
+coarse cell, the Jacobian's cell blocks against the rows of R on that cell
+(`_CellGather`).
 """
 
 import functools
@@ -20,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,18 +59,17 @@ def _csr_pattern(fine, dirichlet_key):
     row or column) and the slots of the Dirichlet diagonal."""
     n = fine.n_nodes
     cn = fine.cell_nodes()
-    rows = np.repeat(cn, 8, axis=1).ravel()
-    cols = np.tile(cn, (1, 8)).ravel()
     dirichlet = np.frombuffer(dirichlet_key, dtype=np.int64)
     dmask = np.zeros(n, dtype=bool)
     dmask[dirichlet] = True
-    keep = ~(dmask[rows] | dmask[cols])
+    dcell = dmask[cn]
+    keep = ~(dcell[:, :, None] | dcell[:, None, :]).ravel()
     n_keep = int(keep.sum())
+    entry = (cn[:, :, None] * n + cn[:, None, :]).ravel()  # row * n + col
     keys, slot = np.unique(
-        np.concatenate([rows[keep] * n + cols[keep], dirichlet * (n + 1)]),
-        return_inverse=True,
+        np.concatenate([entry[keep], dirichlet * (n + 1)]), return_inverse=True
     )
-    scatter = np.full(rows.size, keys.size, dtype=np.int32)
+    scatter = np.full(entry.size, keys.size, dtype=np.int32)
     scatter[keep] = slot[:n_keep]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
@@ -163,11 +166,9 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     return F
 
 
-def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
-    """Exact derivative of `newton_residual` with respect to the state.
-
-    Dirichlet rows and columns are eliminated to the identity.
-    """
+def _jacobian_blocks(p, fluid, perm, dt, fine):
+    """Per-cell 8x8 blocks, (n_cells, 8, 8) in `cell_nodes()` order, of the
+    derivative of `newton_residual` before the Dirichlet elimination."""
     p = np.asarray(p, dtype=float)
     Ke, _ = element_matrices(fine.h)
 
@@ -176,17 +177,25 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     rho_c = density(p_mean, fluid)
 
     vol8 = fine.h**3 / 8.0
-    # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i
-    acc = (fluid.phi * fluid.c * rho_c * vol8 / 8.0)[:, None, None]
     # flux, frozen density: dt (kappa/mu) rho_c Ke
     flux_w = dt * (perm.values / fluid.mu) * rho_c
-    stiff = flux_w[:, None, None] * Ke[None, :, :]
+    blocks = flux_w[:, None, None] * Ke[None, :, :]
+    # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i
+    blocks += (fluid.phi * fluid.c * rho_c * vol8 / 8.0)[:, None, None]
     # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
     kp = np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
-    dens = (fluid.c / 8.0) * flux_w[:, None, None] * kp[:, :, None]
+    blocks += ((fluid.c / 8.0) * flux_w[:, None] * kp)[:, :, None]
+    return blocks
 
+
+def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
+    """Exact derivative of `newton_residual` with respect to the state.
+
+    Dirichlet rows and columns are eliminated to the identity.
+    """
     return assemble_cells(
-        fine, acc + stiff + dens, None if boundary is None else boundary.dirichlet_nodes
+        fine, _jacobian_blocks(p, fluid, perm, dt, fine),
+        None if boundary is None else boundary.dirichlet_nodes,
     )
 
 
@@ -257,34 +266,140 @@ def _initial_state(problem):
     return p
 
 
-def _solve_projected(R, J, rhs):
-    """Solve the Galerkin-projected system (R^T J R) x = rhs: dense up to 4000
-    unknowns, sparse LU above."""
-    Jc = R.T @ (J @ R)
-    if sp.issparse(Jc) and Jc.shape[0] <= 4000:
-        try:
-            return np.linalg.solve(Jc.toarray(), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"projected Newton system of dimension {Jc.shape[0]} is "
-                f"singular: {exc}"
-            ) from exc
-    return linear_solve(Jc, rhs)
+# Projected systems up to this dimension are solved dense, larger ones by
+# sparse LU.
+_DENSE_MAX = 4000
+# Coarse cells per batch of the projected assembly: about this many entries
+# of their dense (r+1)^3 x (r+1)^3 Jacobians at a time.
+_BATCH_ENTRIES = 1 << 17
 
 
-def _newton_step(p_prev, problem, config, sol, step, R=None):
+@dataclass(eq=False, repr=False)
+class _CellGather:
+    """A basis matrix R split by coarse cell, for assembling R^T J R from the
+    Jacobian's cell blocks.
+
+    The r^3 fine cells of coarse cell K touch only its (r+1)^3 nodes, so
+    with J_K the unreduced Jacobian of K and R_K the rows of R at K's nodes
+    (the rows of Dirichlet nodes zeroed) restricted to the columns that are
+    nonzero there,
+
+        R^T J R = sum_K R_K^T J_K R_K + R_D^T R_D,
+
+    where R_D is R on the Dirichlet rows, which J reduces to the identity.
+    The coarse cells are batched by their column count k; each batch holds
+    the fine cells (C, r^3), the columns (C, k) and R_K (C, (r+1)^3, k).
+    """
+
+    key: tuple  # (fine grid, coarse grid, Dirichlet nodes as bytes)
+    R: object  # CSR, n_fine x dim
+    batches: list
+    slots: np.ndarray  # slot in a flattened J_K of each box cell-block entry
+    dirichlet_gram: object  # R_D^T R_D as COO
+    buf: np.ndarray = None  # the dense R^T J R, reused across iterations
+
+    @property
+    def dim(self):
+        return self.R.shape[1]
+
+
+def _cell_gather(mesh, R, dirichlet_nodes):
+    """The `_CellGather` of R on mesh, derived from the sparsity of R."""
+    box, nodes, cells = mesh.coarse_cells()
+    n_coarse, m = nodes.shape
+    d = np.asarray(dirichlet_nodes, dtype=np.int64)
+    R = R.tocsr()
+    free = np.ones(R.shape[0], dtype=bool)
+    free[d] = False
+
+    by_k = {}  # column count -> [(coarse cell, its columns, its R_K)]
+    for K in range(n_coarse):
+        sub = R[nodes[K]]
+        row = np.repeat(np.arange(m), np.diff(sub.indptr))
+        nz = free[nodes[K]][row] & (sub.data != 0.0)
+        cols, pos = np.unique(sub.indices[nz], return_inverse=True)
+        if cols.size:
+            RK = np.zeros((m, cols.size))
+            RK[row[nz], pos] = sub.data[nz]
+            by_k.setdefault(cols.size, []).append((K, cols, RK))
+    per_batch = max(1, _BATCH_ENTRIES // (m * m))
+    batches = []
+    for group in by_k.values():
+        for b in range(0, len(group), per_batch):
+            K, cols, RK = zip(*group[b:b + per_batch])
+            batches.append((cells[list(K)], np.stack(cols), np.stack(RK)))
+
+    cn = box.cell_nodes()
+    slots = (cn[:, :, None] * m + cn[:, None, :]).ravel()
+    RD = R[d]
+    gram = (RD.T @ RD).tocoo()
+    return _CellGather((mesh.fine, mesh.coarse, d.tobytes()), R, batches, slots, gram)
+
+
+def _projected_jacobian(gather, blocks):
+    """R^T J R from the Jacobian's cell blocks (n_cells, 8, 8): the gather's
+    dense buffer, overwritten, up to _DENSE_MAX unknowns, CSR above."""
+    n = gather.dim
+    parts = []  # (rows, cols, values) of the terms of R^T J R
+    for cells, cols, RK in gather.batches:
+        C, m, k = RK.shape
+        slots = (np.arange(C)[:, None] * (m * m) + gather.slots).ravel()
+        JK = np.bincount(slots, weights=blocks[cells].ravel(), minlength=C * m * m)
+        JcK = RK.transpose(0, 2, 1) @ (JK.reshape(C, m, m) @ RK)
+        parts.append((cols[:, :, None], cols[:, None, :], JcK))
+    g = gather.dirichlet_gram
+    parts.append((g.row, g.col, g.data))
+    if n > _DENSE_MAX:
+        coo = [
+            (np.broadcast_to(r, v.shape).ravel(), np.broadcast_to(c, v.shape).ravel(),
+             v.ravel())
+            for r, c, v in parts
+        ]
+        i, j, v = (np.concatenate(a) for a in zip(*coo))
+        Jc = sp.csr_matrix((v, (i, j)), shape=(n, n))
+        Jc.eliminate_zeros()
+        return Jc
+    if gather.buf is None:
+        gather.buf = np.zeros((n, n), order="F")
+    else:
+        gather.buf.fill(0.0)
+    flat = gather.buf.reshape(-1, order="F")  # a view: the buffer is F-ordered
+    for r, c, v in parts:
+        np.add.at(flat, (r + c * n).ravel(), v.ravel())
+    return gather.buf
+
+
+def _solve_projected(gather, blocks, rhs):
+    """Solve the Galerkin-projected system (R^T J R) x = rhs, with R^T J R
+    assembled from the Jacobian's cell blocks: dense LU (LAPACK gesv, in
+    place) up to _DENSE_MAX unknowns, sparse LU above."""
+    Jc = _projected_jacobian(gather, blocks)
+    if sp.issparse(Jc):
+        return linear_solve(Jc, rhs)
+    _, _, x, info = lapack.dgesv(Jc, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SingularMatrixError(
+            f"projected Newton system of dimension {Jc.shape[0]} is singular: "
+            f"zero pivot at {info}"
+        )
+    return x
+
+
+def _newton_step(p_prev, problem, config, sol, step, gather=None):
     """One backward-Euler step by damped Newton; returns the accepted state.
 
-    R=None solves the fine system.  Given a basis matrix R, the residual and
-    Jacobian are still assembled on the fine grid, each Newton system is
-    Galerkin-projected (R^T J R, R^T F) and the update is prolonged with R;
-    convergence, damping and the stall guard then act on ||R^T F||.  The
-    residual at the accepted line-search point is the next iteration's.
-    Appends the iteration count to sol.newton_iters and the assembly (every
-    residual, line-search trials included, and every Jacobian) and solve wall
-    time to sol.t_ass/sol.t_solve.
+    gather=None solves the fine system.  Given the `_CellGather` of a basis
+    matrix R, the residual and the Jacobian's cell blocks are still computed
+    on the fine grid, each Newton system is Galerkin-projected (R^T J R,
+    R^T F) and the update is prolonged with R; convergence, damping and the
+    stall guard then act on ||R^T F||.  The residual at the accepted
+    line-search point is the next iteration's.  Appends the iteration count
+    to sol.newton_iters and the assembly (every residual, line-search trials
+    included, and every Jacobian or its cell blocks) and solve (projection
+    included) wall time to sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
+    R = None if gather is None else gather.R
 
     def residual(p):
         """Fine residual at p, its projection and the projection's norm."""
@@ -305,13 +420,21 @@ def _newton_step(p_prev, problem, config, sol, step, R=None):
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
-        J = newton_jacobian(
-            p, problem.fluid, problem.perm, problem.time.dt, fine,
-            problem.boundary,
-        )
+        if gather is None:
+            J = newton_jacobian(
+                p, problem.fluid, problem.perm, problem.time.dt, fine,
+                problem.boundary,
+            )
+        else:
+            blocks = _jacobian_blocks(
+                p, problem.fluid, problem.perm, problem.time.dt, fine
+            )
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
-        delta = linear_solve(J, -F) if R is None else _solve_projected(R, J, -Fc)
+        if gather is None:
+            delta = linear_solve(J, -F)
+        else:
+            delta = _solve_projected(gather, blocks, -Fc)
         sol.t_solve += time.perf_counter() - t0
         if R is not None:
             delta = R @ delta  # prolong the coarse update

@@ -22,7 +22,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
-from .fem import assemble_weighted_mass, assemble_weighted_stiffness, cell_average
+from .fem import (
+    _cell_gather,
+    assemble_weighted_mass,
+    assemble_weighted_stiffness,
+    cell_average,
+)
 from .model import density
 
 log = logging.getLogger(__name__)
@@ -209,7 +214,9 @@ class ProjectionMatrix:
 
     dim counts every basis function.  independent, if given, lists the
     offline columns that span the offline space; the others are linear
-    combinations of them and matrix() leaves them out.
+    combinations of them and matrix() leaves them out.  matrix() and the
+    coarse-cell gather of the projected assembly are built on first use and
+    dropped by set_online and by a coarse solve when it ends.
     """
 
     def __init__(self, n_fine, offline, col_nb, dirichlet_nodes, independent=None):
@@ -221,6 +228,7 @@ class ProjectionMatrix:
         self._basis = (
             self.offline if independent is None else self.offline[:, independent]
         )
+        self.drop_cache()
 
     @property
     def n_offline(self):
@@ -241,14 +249,34 @@ class ProjectionMatrix:
             if v.shape[0] != self.n_fine:
                 raise ConfigError("online column has wrong length")
         self.online_cols = list(cols)
+        self.drop_cache()
 
     def matrix(self):
         """The basis the coarse solves use: the independent offline columns,
         then the online columns."""
-        if not self.online_cols:
-            return self._basis
-        dense = np.column_stack([v for _, v in self.online_cols])
-        return sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
+        if self._matrix is None:
+            if not self.online_cols:
+                self._matrix = self._basis
+            else:
+                dense = np.column_stack([v for _, v in self.online_cols])
+                self._matrix = sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
+        return self._matrix
+
+    def gather(self, mesh, dirichlet_nodes):
+        """matrix() split by the coarse cells of mesh, with the rows of the
+        given Dirichlet nodes reduced as the Jacobian reduces them, for
+        `fem._solve_projected`."""
+        d = np.asarray(dirichlet_nodes, dtype=np.int64)
+        key = (mesh.fine, mesh.coarse, d.tobytes())
+        if self._gather is None or self._gather.key != key:
+            self._gather = _cell_gather(mesh, self.matrix(), d)
+        return self._gather
+
+    def drop_cache(self):
+        """Free the memoized matrix() and the gather with its dense buffer;
+        both are rebuilt on next use."""
+        self._matrix = None
+        self._gather = None
 
 
 @dataclass
@@ -269,11 +297,15 @@ def _independent_columns(R):
 
     Normalizing first makes the test independent of the column scales, which
     span about six orders of magnitude on high-contrast fields."""
-    G = (R.T @ R).toarray()
-    d = np.diag(G)
+    G = (R.T @ R).toarray(order="F")
+    d = np.diag(G).copy()
     s = np.zeros_like(d)
     s[d > 0] = d[d > 0] ** -0.5
-    _, piv, rank, _ = lapack.dpstrf(s[:, None] * G * s[None, :])
+    # scaled and factorized in place: at dim 1000 every copy of G is 8 MB,
+    # and this step sets the peak memory of the offline build
+    G *= s[:, None]
+    G *= s[None, :]
+    _, piv, rank, _ = lapack.dpstrf(G, overwrite_a=True)
     return np.sort(piv[:rank] - 1)
 
 

@@ -14,7 +14,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
-from .fem import _solve_projected, linear_solve, newton_jacobian, newton_residual
+from .fem import (
+    _jacobian_blocks,
+    _solve_projected,
+    linear_solve,
+    newton_jacobian,
+    newton_residual,
+)
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,11 @@ def enrich_projection(
         if round_ + 1 < n_online and round_cols:
             # correct the trial state in the temporarily enriched space
             projection.set_online(new_cols)
-            R = projection.matrix()
-            p = p + R @ _solve_projected(R, J, -(R.T @ F))
+            gather = projection.gather(mesh, dirichlet)
+            blocks = _jacobian_blocks(
+                p, problem.fluid, problem.perm, problem.time.dt, fine
+            )
+            p = p + gather.R @ _solve_projected(gather, blocks, -(gather.R.T @ F))
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])

@@ -36,6 +36,28 @@ def test_identity_projection_matches_fine(mesh4, fluid, uniform_perm4):
     assert dev <= 1e-10 * np.abs(np.asarray(ref.states)).max()
 
 
+def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4):
+    """The coarse-cell gather and its dense buffer live only while a solve
+    runs, so a space kept for later runs holds no solver buffers."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    built = []
+    gather = space.projection.gather
+
+    def recording_gather(*args):
+        built.append(gather(*args))
+        return built[-1]
+
+    space.projection.gather = recording_gather
+    solve_gmsfem(prob, space, UpdateSchedule(1, (2,)))
+    assert len({id(g) for g in built}) == 2  # offline basis, then enriched
+    assert all(g.buf is not None for g in built)
+    assert space.projection._gather is None
+
+
 def test_constant_steady_state_zero_iterations(mesh4, fluid, uniform_perm4):
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=3),

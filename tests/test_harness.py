@@ -324,6 +324,14 @@ def test_cli_run_and_check(tmp_path, capsys):
     assert out[1].startswith("2+0,")
 
 
+def test_cli_check_passes(capsys):
+    """`msflow check`: partition of unity, Jacobian finite differences and
+    the identity-projection equivalence of the coarse solver on small grids."""
+    assert main(["check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and all(line.startswith("[PASS]") for line in out)
+
+
 def test_cli_sweep_prints_ratio(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(

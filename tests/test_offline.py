@@ -400,3 +400,39 @@ def test_dependent_columns_left_out_of_matrix(
         s8 = space(mesh8, uniform_perm8, L)
         assert s8.projection.dim == L * mesh8.n_neighborhoods
         assert s8.projection.matrix() is s8.projection.offline
+
+
+def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
+    """matrix() and the coarse-cell gather are memoized until the next
+    set_online, so a space shared by several runs never solves with the basis
+    of an earlier online block; a gather for another Dirichlet set is
+    rebuilt."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
+    )
+    d = prob.boundary.dirichlet_nodes
+    pm = build_offline_space(
+        mesh4, uniform_perm4, fluid, prob.p0, 2, dirichlet_nodes=d
+    ).projection
+    R0 = pm.matrix()
+    assert pm.matrix() is R0
+    g0 = pm.gather(mesh4, d)
+    assert pm.gather(mesh4, d) is g0 and g0.R is R0
+
+    nb = mesh4.neighborhoods[13]
+    v = np.zeros(mesh4.fine.n_nodes)
+    v[nb.nodes[nb.free_mask]] = 1.0
+    v[d] = 0.0
+    pm.set_online([(13, v)])
+    R1 = pm.matrix()
+    assert R1 is not R0 and R1.shape[1] == R0.shape[1] + 1
+    assert np.array_equal(R1[:, -1].toarray().ravel(), v)
+    g1 = pm.gather(mesh4, d)
+    assert g1 is not g0 and g1.R is R1
+    assert pm.gather(mesh4, d[:3]) is not g1
+
+    pm.set_online([])
+    assert pm.matrix() is not R1 and pm.matrix().shape == R0.shape
+    assert pm.gather(mesh4, d).R is pm.matrix()
+    pm.drop_cache()
+    assert pm._gather is None and pm._matrix is None

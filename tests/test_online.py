@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from msflow import fem, online
 from msflow.errors import ConfigError, SingularMatrixError
 from msflow.fem import newton_jacobian, newton_residual
 from msflow.model import TimeGrid, make_problem
@@ -177,14 +178,31 @@ def test_enrich_counts_and_replace_semantics(mesh8, wells8, space8):
     assert nbs == sorted(nbs)
 
 
-def test_enrich_multi_vector_rounds(mesh8, wells8, space8):
-    prob, _, _ = wells8
+def test_enrich_multi_vector_rounds(mesh8, wells8, space8, monkeypatch):
+    """Two rounds: between them the trial state is corrected by one projected
+    Newton step, which matches the sparse triple-product oracle
+    (R^T J R) x = -R^T F in the space enriched by the first round."""
+    prob, F, J = wells8
     proj = space8.projection
+    proj.set_online([])
+    corrections = []
+
+    def recording_solve(gather, blocks, rhs):
+        x = fem._solve_projected(gather, blocks, rhs)
+        corrections.append((gather.R.copy(), x))
+        return x
+
+    monkeypatch.setattr(online, "_solve_projected", recording_solve)
     added = enrich_projection(
         proj, mesh8, prob, p_state=prob.p0, p_prev=prob.p0, n_online=2
     )
     assert added == 2 * mesh8.n_neighborhoods
     assert proj.dim == proj.n_offline + 2 * mesh8.n_neighborhoods
+    (R, x), = corrections
+    assert R.shape[1] == proj.n_offline + mesh8.n_neighborhoods
+    delta = R @ x
+    oracle = R @ np.linalg.solve((R.T @ (J @ R)).toarray(), -(R.T @ F))
+    assert np.abs(delta - oracle).max() <= 1e-10 * np.abs(oracle).max()
     proj.set_online([])
 
 

@@ -1,5 +1,9 @@
-"""Property tests of the Q1 connectivity and the cell-block assembler on
-small random grids, weights and Dirichlet node sets."""
+"""Property tests on small random grids, weights, states and Dirichlet node
+sets: the Q1 connectivity, the cell-block assembler, the Jacobian, the
+projected Jacobian assembled from coarse-cell blocks, and the coarse solver's
+identity-projection equivalence and determinism."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,16 +11,30 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msflow import fem
+from msflow.coarse import solve_gmsfem
 from msflow.fem import (
+    _cell_gather,
+    _jacobian_blocks,
+    _projected_jacobian,
     assemble_cells,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
     element_matrices,
     newton_jacobian,
     newton_residual,
+    solve_fine,
 )
 from msflow.grid import FineGrid, build_two_scale_mesh
-from msflow.model import BoundarySpec, FluidProps, PermeabilityField
+from msflow.model import (
+    BoundarySpec,
+    FluidProps,
+    PermeabilityField,
+    ProblemSpec,
+    TimeGrid,
+)
+from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
+from msflow.online import UpdateSchedule
 
 cells_per_axis = st.integers(2, 4)
 
@@ -130,3 +148,127 @@ def test_memoized_connectivity_is_read_only(nx, ny, nz):
     assert FineGrid(nx, ny, nz, 1.0).cell_nodes() is cn
     with pytest.raises(ValueError):
         cn[0, 0] = 1
+
+
+@st.composite
+def two_scale_cases(draw, max_cells=4, ratios=(2, 3)):
+    """(mesh, rng, Dirichlet nodes): 2-max_cells coarse cells per axis of r^3
+    fine cells each, a random subset of the nodes (possibly empty) as the
+    Dirichlet set."""
+    r = draw(st.sampled_from(ratios))
+    n = [r * draw(st.integers(2, max_cells)) for _ in range(3)]
+    mesh = build_two_scale_mesh(*n, r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dirichlet = draw(st.integers(0, mesh.fine.n_nodes // 4))
+    dirichlet = rng.choice(mesh.fine.n_nodes, n_dirichlet, replace=False)
+    return mesh, rng, dirichlet
+
+
+def random_problem(mesh, rng, dirichlet, n_steps=2):
+    fluid = FluidProps()
+    n = mesh.fine.n_nodes
+    return ProblemSpec(
+        fine=mesh.fine,
+        fluid=fluid,
+        perm=PermeabilityField(rng.uniform(1.0, 1e3, mesh.fine.n_cells)),
+        boundary=BoundarySpec(
+            dirichlet_nodes=dirichlet,
+            dirichlet_values=fluid.p_ref * (1.0 + 1e-3 * rng.standard_normal(dirichlet.size)),
+        ),
+        load=1e3 * rng.standard_normal(n),
+        time=TimeGrid(dt=2.5e-5, n_steps=n_steps),
+        p0=fluid.p_ref * (1.0 + 1e-3 * rng.standard_normal(n)),
+    )
+
+
+def patch_column(mesh, rng, i, density=1.0):
+    """A random fine vector supported on a random part of patch i."""
+    nb = mesh.neighborhoods[i]
+    v = np.zeros(mesh.fine.n_nodes)
+    on = nb.nodes[rng.random(nb.n_local) < density]
+    v[on] = rng.standard_normal(on.size)
+    return v
+
+
+def basis_matrix(kind, mesh, rng, dirichlet, problem):
+    n_nb = mesh.n_neighborhoods
+    if kind == "offline+online":
+        space = build_offline_space(
+            mesh, problem.perm, problem.fluid, problem.p0, 2, dirichlet_nodes=dirichlet
+        )
+        chosen = np.sort(rng.choice(n_nb, rng.integers(1, n_nb + 1), replace=False))
+        space.projection.set_online(
+            [(int(i), patch_column(mesh, rng, i)) for i in chosen]
+        )
+        return space.projection.matrix()
+    if kind == "identity":
+        return sp.identity(mesh.fine.n_nodes, format="csr")
+    cols = [patch_column(mesh, rng, i, density=0.5) for i in rng.integers(0, n_nb, 2 * n_nb)]
+    if kind == "zero column":
+        cols.insert(int(rng.integers(0, len(cols) + 1)), np.zeros(mesh.fine.n_nodes))
+    return sp.csr_matrix(np.column_stack(cols))
+
+
+@pytest.mark.parametrize("kind", ["offline+online", "identity", "sparse", "zero column"])
+@settings(max_examples=8)
+@given(case=two_scale_cases())
+def test_projected_jacobian_matches_triple_product(kind, case):
+    mesh, rng, dirichlet = case
+    if kind == "identity":  # keep the dense oracle small
+        mesh = build_two_scale_mesh(*(2 * c for c in (mesh.coarse.Nx, mesh.coarse.Ny,
+                                                      mesh.coarse.Nz)), 2)
+        dirichlet = dirichlet[dirichlet < mesh.fine.n_nodes]
+    problem = random_problem(mesh, rng, dirichlet)
+    R = basis_matrix(kind, mesh, rng, dirichlet, problem)
+    p = problem.p0
+    blocks = _jacobian_blocks(p, problem.fluid, problem.perm, problem.time.dt, mesh.fine)
+    J = newton_jacobian(p, problem.fluid, problem.perm, problem.time.dt, mesh.fine,
+                        problem.boundary)
+    oracle = (R.T @ (J @ R)).toarray()
+    tol = 1e-12 * np.abs(oracle).max()
+
+    gather = _cell_gather(mesh, R, dirichlet)
+    dense = _projected_jacobian(gather, blocks).copy()
+    assert np.abs(dense - oracle).max() <= tol
+    # the dense buffer is reused and overwritten, not accumulated into
+    again = _projected_jacobian(gather, blocks)
+    assert again is gather.buf and np.array_equal(again, dense)
+    with mock.patch.object(fem, "_DENSE_MAX", 0):
+        Jc = _projected_jacobian(gather, blocks)
+    assert sp.issparse(Jc)
+    assert np.abs(Jc.toarray() - oracle).max() <= tol
+
+
+def identity_space(mesh, dirichlet):
+    n = mesh.fine.n_nodes
+    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n, dirichlet)
+    return OfflineSpace(mesh=mesh, projection=pm, n_basis=[],
+                        lambda_next=np.ones(mesh.n_neighborhoods))
+
+
+@settings(max_examples=8)
+@given(two_scale_cases(max_cells=3, ratios=(2,)))
+def test_identity_projection_matches_fine_solve(case):
+    mesh, rng, dirichlet = case
+    problem = random_problem(mesh, rng, dirichlet)
+    ref = np.asarray(solve_fine(problem).states)
+    states = np.asarray(solve_gmsfem(problem, identity_space(mesh, dirichlet)).states)
+    assert np.abs(states - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@settings(max_examples=5)
+@given(two_scale_cases(max_cells=3))
+def test_coarse_solve_is_deterministic(case):
+    """Two coarse solves on one shared space, with online enrichment (two
+    rounds, so the projected corrector runs too), give identical states."""
+    mesh, rng, dirichlet = case
+    problem = random_problem(mesh, rng, dirichlet, n_steps=3)
+    space = build_offline_space(
+        mesh, problem.perm, problem.fluid, problem.p0, 2, dirichlet_nodes=dirichlet
+    )
+    schedule = UpdateSchedule(2, (1, 3))
+    first = solve_gmsfem(problem, space, schedule)
+    space.projection.set_online([])
+    second = solve_gmsfem(problem, space, schedule)
+    assert np.array_equal(np.asarray(first.states), np.asarray(second.states))
+    assert first.newton_iters == second.newton_iters
