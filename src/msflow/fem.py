@@ -7,6 +7,12 @@ sparse solver, and the damped-Newton time step shared by the fine and the
 coarse solver: the fine solve is the case R = identity of the Galerkin-projected
 step (see `_newton_step`).
 
+The fine Newton systems of one `solve_fine` call share one sparse LU
+(`_KeptLU`, MMD ordering on A^T + A): the first Jacobian is factored, every
+later system is solved by GMRES preconditioned with that LU to a relative
+residual of _GMRES_RTOL, and a system that GMRES does not solve within
+_GMRES_MAXITER iterations factors its own Jacobian, which is kept instead.
+
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
 `assemble_cells`: per-cell 8x8 blocks are scattered into a CSR pattern that is
@@ -199,21 +205,23 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     )
 
 
-def linear_solve(A, b, rtol=1e-10):
-    """Direct sparse solve with a residual-norm check."""
-    b = np.asarray(b, dtype=float)
+def _factor(A, permc_spec=None):
+    """Sparse LU of A (SuperLU, COLAMD column ordering by default)."""
     try:
-        lu = spla.splu(sp.csc_matrix(A))
-        x = lu.solve(b)
+        return spla.splu(sp.csc_matrix(A), permc_spec=permc_spec)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
+
+
+def _lu_solve(lu, A, b, rtol=1e-10):
+    """Solve A x = b with the LU of A, one step of iterative refinement if the
+    residual exceeds rtol * ||b||, and a residual-norm check."""
+    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse solve produced non-finite entries")
     nb = np.linalg.norm(b)
     if nb > 0:
         res = b - A @ x
-        # one step of iterative refinement if the factorization left a
-        # larger-than-requested residual
         if np.linalg.norm(res) > rtol * nb:
             x = x + lu.solve(res)
             res = b - A @ x
@@ -223,6 +231,67 @@ def linear_solve(A, b, rtol=1e-10):
                 f"exceeds 1e-6 * ||b|| (near-singular matrix)"
             )
     return x
+
+
+def linear_solve(A, b, rtol=1e-10):
+    """Direct sparse solve with a residual-norm check."""
+    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float), rtol)
+
+
+# A fine Newton system is solved by GMRES, preconditioned with a kept LU, to
+# this relative residual; one that has not converged within _GMRES_MAXITER
+# iterations is solved by factoring its own Jacobian, which is kept instead.
+_GMRES_RTOL = 1e-12
+_GMRES_MAXITER = 20
+
+
+class _KeptLU:
+    """The sparse LU of one fine Jacobian (MMD ordering on A^T + A), kept
+    through a `solve_fine` call and used as the GMRES preconditioner of the
+    later Newton systems.  With c small the Jacobian barely moves over a run,
+    so a few GMRES iterations replace a factorization."""
+
+    def __init__(self):
+        self.lu = None
+
+    def release(self):
+        self.lu = None
+
+    def solve(self, J, b, step, it):
+        """Solve J x = b; step and it (time step, Newton iteration) name the
+        system in the log."""
+        if self.lu is not None:
+            x, its = self._gmres(J, b)
+            if x is not None:
+                return x
+            log.debug(
+                "refactoring the fine Jacobian at time step %d, Newton "
+                "iteration %d: GMRES not converged after %d iterations",
+                step, it, its,
+            )
+            self.lu = None  # never two factorizations alive at once
+        self.lu = _factor(J, permc_spec="MMD_AT_PLUS_A")
+        return _lu_solve(self.lu, J, b)
+
+    def _gmres(self, J, b):
+        """(x, iterations) by GMRES from the kept LU's solution; x is None if
+        the relative residual is above _GMRES_RTOL after _GMRES_MAXITER
+        iterations."""
+        x = self.lu.solve(b)
+        atol = _GMRES_RTOL * np.linalg.norm(b)
+        M = spla.LinearOperator(J.shape, matvec=self.lu.solve, dtype=float)
+        its = []
+        converged = np.linalg.norm(b - J @ x) <= atol
+        while not converged and len(its) < _GMRES_MAXITER:
+            # One restart cycle per call: a cycle that meets the tolerance on
+            # the preconditioned residual but not on the true one goes on.
+            x, info = spla.gmres(
+                J, b, x0=x, rtol=0.0, atol=atol, M=M,
+                restart=_GMRES_MAXITER - len(its), maxiter=1,
+                callback=its.append, callback_type="pr_norm",
+            )
+            converged = info == 0
+        return (x if converged else None), len(its)
 
 
 @dataclass
@@ -385,18 +454,19 @@ def _solve_projected(gather, blocks, rhs):
     return x
 
 
-def _newton_step(p_prev, problem, config, sol, step, gather=None):
+def _newton_step(p_prev, problem, config, sol, step, gather=None, fine_lu=None):
     """One backward-Euler step by damped Newton; returns the accepted state.
 
-    gather=None solves the fine system.  Given the `_CellGather` of a basis
-    matrix R, the residual and the Jacobian's cell blocks are still computed
-    on the fine grid, each Newton system is Galerkin-projected (R^T J R,
-    R^T F) and the update is prolonged with R; convergence, damping and the
-    stall guard then act on ||R^T F||.  The residual at the accepted
-    line-search point is the next iteration's.  Appends the iteration count
-    to sol.newton_iters and the assembly (every residual, line-search trials
-    included, and every Jacobian or its cell blocks) and solve (projection
-    included) wall time to sol.t_ass/sol.t_solve.
+    gather=None solves the fine system with the `_KeptLU` fine_lu.  Given
+    the `_CellGather` of a basis matrix R, the residual and the Jacobian's
+    cell blocks are still computed on the fine grid, each Newton system is
+    Galerkin-projected (R^T J R, R^T F) and the update is prolonged with R;
+    convergence, damping and the stall guard then act on ||R^T F||.  The
+    residual at the accepted line-search point is the next iteration's.
+    Appends the iteration count to sol.newton_iters and the assembly (every
+    residual, line-search trials included, and every Jacobian or its cell
+    blocks) and solve (projection included) wall time to
+    sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
     R = None if gather is None else gather.R
@@ -432,7 +502,7 @@ def _newton_step(p_prev, problem, config, sol, step, gather=None):
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
         if gather is None:
-            delta = linear_solve(J, -F)
+            delta = fine_lu.solve(J, -F, step, iters + 1)
         else:
             delta = _solve_projected(gather, blocks, -Fc)
         sol.t_solve += time.perf_counter() - t0
@@ -467,11 +537,16 @@ def _newton_step(p_prev, problem, config, sol, step, gather=None):
 
 
 def solve_fine(problem, config=None):
-    """Backward-Euler time loop on the fine grid with plain (damped) Newton."""
+    """Backward-Euler time loop on the fine grid with plain (damped) Newton;
+    all its Newton systems share one `_KeptLU`, freed on return."""
     config = config or NewtonConfig()
     p = _initial_state(problem)
     sol = FineSolution(states=[p])
-    for step in range(1, problem.time.n_steps + 1):
-        p = _newton_step(p, problem, config, sol, step)
-        sol.states.append(p)
+    fine_lu = _KeptLU()
+    try:
+        for step in range(1, problem.time.n_steps + 1):
+            p = _newton_step(p, problem, config, sol, step, fine_lu=fine_lu)
+            sol.states.append(p)
+    finally:
+        fine_lu.release()
     return sol

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from msflow import fem
 from msflow.errors import (
     AssemblyError,
     NewtonConvergenceError,
@@ -283,3 +286,37 @@ def test_solve_fine_nonconvergence_reports_step(mesh4, fluid, uniform_perm4):
         solve_fine(prob, cfg)
     assert exc.value.step == 1
     assert exc.value.residual_norm > 0
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplog,
+                                              monkeypatch, cap):
+    """A normal fine solve logs nothing.  With the GMRES cap lowered, each
+    refactorization is one DEBUG record on msflow.fem naming the time step,
+    the Newton iteration and the GMRES iterations spent (the cap); with cap 0
+    every system after the first refactors."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=3),
+        "neumann-wells", well_rate=1e8,
+    )
+    with caplog.at_level(logging.DEBUG, logger="msflow"):
+        ref = solve_fine(prob)
+    assert not caplog.records
+
+    caplog.clear()
+    monkeypatch.setattr(fem, "_GMRES_MAXITER", cap)
+    with caplog.at_level(logging.DEBUG, logger="msflow"):
+        sol = solve_fine(prob)
+    assert sol.newton_iters == ref.newton_iters
+    later = [
+        (step, it, cap)
+        for step, n in enumerate(sol.newton_iters, 1) for it in range(1, n + 1)
+    ][1:]
+    logged = [r.args for r in caplog.records]
+    assert all(r.name == "msflow.fem" and r.levelno == logging.DEBUG for r in caplog.records)
+    assert "refactoring" in caplog.records[0].getMessage()
+    assert len(later) >= 3
+    if cap == 0:
+        assert logged == later
+    else:
+        assert logged and set(logged) <= set(later)

@@ -1,25 +1,31 @@
 """Property tests on small random grids, weights, states and Dirichlet node
 sets: the Q1 connectivity, the cell-block assembler, the Jacobian, the
-projected Jacobian assembled from coarse-cell blocks, and the coarse solver's
+projected Jacobian assembled from coarse-cell blocks, the fine solver's kept
+factorization, mass balance, the partition of unity, and the coarse solver's
 identity-projection equivalence and determinism."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msflow import fem
 from msflow.coarse import solve_gmsfem
+from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import (
+    NewtonConfig,
     _cell_gather,
     _jacobian_blocks,
     _projected_jacobian,
     assemble_cells,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
+    cell_average,
     element_matrices,
     newton_jacobian,
     newton_residual,
@@ -31,9 +37,17 @@ from msflow.model import (
     FluidProps,
     PermeabilityField,
     ProblemSpec,
+    SourceSpec,
     TimeGrid,
+    build_source_vector,
+    density,
 )
-from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
+from msflow.offline import (
+    OfflineSpace,
+    ProjectionMatrix,
+    build_offline_space,
+    build_partition_of_unity,
+)
 from msflow.online import UpdateSchedule
 
 cells_per_axis = st.integers(2, 4)
@@ -164,18 +178,20 @@ def two_scale_cases(draw, max_cells=4, ratios=(2, 3)):
     return mesh, rng, dirichlet
 
 
-def random_problem(mesh, rng, dirichlet, n_steps=2):
+def random_problem(fine, rng, dirichlet, n_steps=2, load=None):
+    """Random permeability, Dirichlet values and initial state; a random load
+    unless one is given."""
     fluid = FluidProps()
-    n = mesh.fine.n_nodes
+    n = fine.n_nodes
     return ProblemSpec(
-        fine=mesh.fine,
+        fine=fine,
         fluid=fluid,
-        perm=PermeabilityField(rng.uniform(1.0, 1e3, mesh.fine.n_cells)),
+        perm=PermeabilityField(rng.uniform(1.0, 1e3, fine.n_cells)),
         boundary=BoundarySpec(
             dirichlet_nodes=dirichlet,
             dirichlet_values=fluid.p_ref * (1.0 + 1e-3 * rng.standard_normal(dirichlet.size)),
         ),
-        load=1e3 * rng.standard_normal(n),
+        load=1e3 * rng.standard_normal(n) if load is None else load,
         time=TimeGrid(dt=2.5e-5, n_steps=n_steps),
         p0=fluid.p_ref * (1.0 + 1e-3 * rng.standard_normal(n)),
     )
@@ -218,7 +234,7 @@ def test_projected_jacobian_matches_triple_product(kind, case):
         mesh = build_two_scale_mesh(*(2 * c for c in (mesh.coarse.Nx, mesh.coarse.Ny,
                                                       mesh.coarse.Nz)), 2)
         dirichlet = dirichlet[dirichlet < mesh.fine.n_nodes]
-    problem = random_problem(mesh, rng, dirichlet)
+    problem = random_problem(mesh.fine, rng, dirichlet)
     R = basis_matrix(kind, mesh, rng, dirichlet, problem)
     p = problem.p0
     blocks = _jacobian_blocks(p, problem.fluid, problem.perm, problem.time.dt, mesh.fine)
@@ -250,7 +266,7 @@ def identity_space(mesh, dirichlet):
 @given(two_scale_cases(max_cells=3, ratios=(2,)))
 def test_identity_projection_matches_fine_solve(case):
     mesh, rng, dirichlet = case
-    problem = random_problem(mesh, rng, dirichlet)
+    problem = random_problem(mesh.fine, rng, dirichlet)
     ref = np.asarray(solve_fine(problem).states)
     states = np.asarray(solve_gmsfem(problem, identity_space(mesh, dirichlet)).states)
     assert np.abs(states - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -262,7 +278,7 @@ def test_coarse_solve_is_deterministic(case):
     """Two coarse solves on one shared space, with online enrichment (two
     rounds, so the projected corrector runs too), give identical states."""
     mesh, rng, dirichlet = case
-    problem = random_problem(mesh, rng, dirichlet, n_steps=3)
+    problem = random_problem(mesh.fine, rng, dirichlet, n_steps=3)
     space = build_offline_space(
         mesh, problem.perm, problem.fluid, problem.p0, 2, dirichlet_nodes=dirichlet
     )
@@ -272,3 +288,162 @@ def test_coarse_solve_is_deterministic(case):
     second = solve_gmsfem(problem, space, schedule)
     assert np.array_equal(np.asarray(first.states), np.asarray(second.states))
     assert first.newton_iters == second.newton_iters
+
+
+def balanced_wells(fine, rng, rate):
+    """The load of 2-4 single-cell wells at random cells, with random rates
+    of magnitude up to `rate` that sum to zero."""
+    cells = rng.choice(fine.n_cells, rng.integers(2, 5), replace=False)
+    rates = rate * rng.uniform(-1.0, 1.0, cells.size)
+    rates -= rates.mean()
+    return build_source_vector(
+        fine, SourceSpec([(np.array([c]), q) for c, q in zip(cells, rates)])
+    )
+
+
+class _Factorization:
+    """A SuperLU factorization that can be weakly referenced; whatever keeps
+    its `solve` keeps it alive."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+class TrackedFactorizations:
+    """Stands in for `spla.splu` (the one found at construction): counts the
+    calls and checks at each one that every earlier factorization has been
+    freed."""
+
+    def __init__(self):
+        self.splu = spla.splu
+        self.calls = 0
+        self.made = []  # weak references to the factorizations returned
+
+    def __call__(self, A, **kwargs):
+        self.calls += 1
+        assert self.all_freed(), "two sparse factorizations alive at once"
+        lu = _Factorization(self.splu(A, **kwargs))
+        self.made.append(weakref.ref(lu))
+        return lu
+
+    def all_freed(self):
+        return all(ref() is None for ref in self.made)
+
+
+def direct_solve(_kept, J, b, _step, _it):
+    """A fresh factorization and direct solve for every fine Newton system."""
+    return fem.linear_solve(J, b)
+
+
+@pytest.mark.parametrize("cap", [fem._GMRES_MAXITER, 0])
+@settings(max_examples=10)
+@given(case=grid_cases(), rate=st.sampled_from([1e4, 1e6, 1e8]))
+def test_kept_factorization_matches_direct_solve(cap, case, rate):
+    """solve_fine on one kept factorization takes the same Newton iterations
+    to the same states as a direct solve of every system.  The default cap
+    never refactors here; cap 0 refactors on every system after the first."""
+    fine, rng, dirichlet = case
+    problem = random_problem(fine, rng, dirichlet, n_steps=3,
+                             load=balanced_wells(fine, rng, rate))
+    lus = TrackedFactorizations()
+    with mock.patch.object(fem.spla, "splu", lus), \
+            mock.patch.object(fem, "_GMRES_MAXITER", cap):
+        sol = solve_fine(problem)
+    assert lus.all_freed()  # nothing outlives the solve
+    with mock.patch.object(fem._KeptLU, "solve", direct_solve):
+        ref = solve_fine(problem)
+    assert sol.newton_iters == ref.newton_iters
+    systems = sum(ref.newton_iters)
+    assert lus.calls == (min(systems, 1) if cap else systems)
+    states, ref_states = np.asarray(sol.states), np.asarray(ref.states)
+    assert np.abs(states - ref_states).max() <= 1e-10 * np.abs(ref_states).max()
+
+
+@pytest.mark.parametrize("singular_from", [1, 2])
+@settings(max_examples=5)
+@given(case=grid_cases())
+def test_singular_fine_jacobian_raises(singular_from, case):
+    """An exactly singular fine Jacobian raises SingularMatrixError, whether
+    it is the first (factored directly) or a later one (GMRES fails, then
+    the refactorization does), and the kept factorization is freed."""
+    fine, rng, dirichlet = case
+    problem = random_problem(fine, rng, dirichlet, n_steps=3,
+                             load=balanced_wells(fine, rng, 1e8))
+    free = np.setdiff1d(np.arange(fine.n_nodes), dirichlet)
+    keep = np.ones(fine.n_nodes)
+    keep[rng.choice(free)] = 0.0
+    jacobians = []
+
+    def singular_jacobian(*args):
+        J = newton_jacobian(*args)
+        jacobians.append(J)
+        if len(jacobians) >= singular_from:
+            J = (sp.diags(keep) @ J).tocsr()
+            J.eliminate_zeros()
+        return J
+
+    lus = TrackedFactorizations()
+    with mock.patch.object(fem.spla, "splu", lus), \
+            mock.patch.object(fem, "newton_jacobian", singular_jacobian), \
+            pytest.raises(SingularMatrixError):
+        solve_fine(problem)
+    assert len(jacobians) == singular_from
+    assert lus.calls == singular_from
+    assert lus.all_freed()
+
+
+def test_failed_fine_solve_frees_the_factorization():
+    """A Newton failure after the first factorization frees it, even while
+    the exception and its traceback are still held."""
+    fine = FineGrid(3, 3, 3, 1.0)
+    rng = np.random.default_rng(0)
+    problem = random_problem(fine, rng, np.empty(0, dtype=np.int64),
+                             load=balanced_wells(fine, rng, 1e8))
+    lus = TrackedFactorizations()
+    with mock.patch.object(fem.spla, "splu", lus), \
+            pytest.raises(NewtonConvergenceError) as failure:
+        solve_fine(problem, NewtonConfig(tol=1e-300, max_iter=2, stall_ratio=1e-300))
+    assert failure.value.step == 1 and lus.calls == 1
+    assert lus.all_freed()
+
+
+@settings(max_examples=10)
+@given(case=grid_cases(), rate=st.sampled_from([1e6, 1e8]))
+def test_balanced_wells_conserve_mass(case, rate):
+    """With wells whose rates sum to zero and zero-Neumann boundaries, the
+    total fluid mass of every fine state equals the initial one to 1e-8."""
+    fine, rng, _ = case
+    problem = random_problem(fine, rng, np.empty(0, dtype=np.int64), n_steps=4,
+                             load=balanced_wells(fine, rng, rate))
+    fluid, cn = problem.fluid, fine.cell_nodes()
+    mass = np.array([
+        (fluid.phi * density(cell_average(p, cn), fluid) * fine.h**3).sum()
+        for p in solve_fine(problem).states
+    ])
+    assert np.abs(mass - mass[0]).max() <= 1e-8 * mass[0]
+
+
+@settings(max_examples=10)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_partition_of_unity_on_patches(r, Nx, Ny, Nz):
+    """The hats sum to one at every fine node; hat i equals the trilinear hat
+    of its coarse vertex evaluated on the whole grid, which is zero off its
+    patch and on the patch's constrained boundary and positive inside the
+    patch."""
+    mesh = build_two_scale_mesh(r * Nx, r * Ny, r * Nz, r)
+    fine = mesh.fine
+    pou = build_partition_of_unity(mesh)
+    ijk = np.stack(fine.node_ijk(np.arange(fine.n_nodes))) / r
+    total = np.zeros(fine.n_nodes)
+    for i, nb in enumerate(mesh.neighborhoods):
+        chi = pou.chi_global(i)
+        hat = np.prod(np.maximum(0.0, 1.0 - np.abs(ijk - np.array(nb.vertex)[:, None])), axis=0)
+        assert np.abs(chi - hat).max() <= 1e-15
+        on_patch = chi[nb.nodes]
+        assert np.all(on_patch[nb.constrained_mask] == 0.0)
+        assert np.all(on_patch[~nb.boundary_mask] > 0.0)
+        total += chi
+    assert np.abs(total - 1.0).max() <= 1e-14
