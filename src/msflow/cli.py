@@ -112,6 +112,8 @@ def cmd_gen_field(args):
 
 def cmd_fine_ref(args):
     cfg = _load_config(args)
+    vtk_steps = _vtk_steps(args)
+    harness.check_vtk_steps(cfg, vtk_steps)
     (states, iters, t_ass, t_solve), problem, mesh = harness.fine_reference(
         cfg, force=args.force
     )
@@ -120,7 +122,7 @@ def cmd_fine_ref(args):
         f"{int(sum(iters))} Newton iterations, "
         f"t_ass={t_ass:.3f}s t_solve={t_solve:.3f}s"
     )
-    for step in _vtk_steps(args):
+    for step in vtk_steps:
         harness.export_vtk(
             mesh.fine, states[step],
             Path(cfg["output.dir"]) / f"fine_step{step:03d}.vtk",

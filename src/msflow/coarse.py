@@ -33,15 +33,17 @@ def gmsfem_step(p_prev, projection, mesh, problem, config, result, step):
 def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     """Full coarse time loop with scheduled online enrichment.
 
-    At each scheduled step the online block is recomputed (before the first
-    Newton iteration) from the residual at the previous accepted state and
-    replaces the previous online columns.
+    Every run starts from the offline space: any online block a previous run
+    left on it is dropped on entry.  At each scheduled step the online block
+    is recomputed (before the first Newton iteration) from the residual at
+    the previous accepted state and replaces the previous online columns.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
     schedule.validate(problem.time.n_steps)
     mesh = offline_space.mesh
     projection = offline_space.projection
+    projection.set_online([])
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])

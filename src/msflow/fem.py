@@ -9,9 +9,10 @@ step (see `_newton_step`).
 
 The fine Newton systems of one `solve_fine` call share one sparse LU
 (`_KeptLU`, MMD ordering on A^T + A): the first Jacobian is factored, every
-later system is solved by GMRES preconditioned with that LU to a relative
-residual of _GMRES_RTOL, and a system that GMRES does not solve within
-_GMRES_MAXITER iterations factors its own Jacobian, which is kept instead.
+later system is solved by iterative refinement on that LU (`_refine`, the
+loop `linear_solve` runs for one step) to a relative residual of
+_REFINE_RTOL, and a system that _REFINE_MAXSTEPS steps do not solve factors
+its own Jacobian, which is kept instead.
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
@@ -213,23 +214,34 @@ def _factor(A, permc_spec=None):
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
 
 
-def _lu_solve(lu, A, b, rtol=1e-10):
-    """Solve A x = b with the LU of A, one step of iterative refinement if the
-    residual exceeds rtol * ||b||, and a residual-norm check."""
+def _refine(lu, A, b, rtol, max_steps):
+    """Iterative refinement on lu, the LU of A or of a nearby matrix:
+    x = LU^-1 b, then x += LU^-1 (b - A x) until ||b - A x|| <= rtol ||b||
+    or max_steps steps.  Returns x, ||b - A x|| and the steps taken."""
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse solve produced non-finite entries")
     nb = np.linalg.norm(b)
-    if nb > 0:
+    res = b - A @ x
+    nr = np.linalg.norm(res)
+    steps = 0
+    while nr > rtol * nb and steps < max_steps:
+        x = x + lu.solve(res)
         res = b - A @ x
-        if np.linalg.norm(res) > rtol * nb:
-            x = x + lu.solve(res)
-            res = b - A @ x
-        if np.linalg.norm(res) > 1e-6 * nb:
-            raise SingularMatrixError(
-                f"linear solve residual {np.linalg.norm(res):.3e} "
-                f"exceeds 1e-6 * ||b|| (near-singular matrix)"
-            )
+        nr = np.linalg.norm(res)
+        steps += 1
+    return x, nr, steps
+
+
+def _lu_solve(lu, A, b, rtol=1e-10):
+    """Solve A x = b with the LU of A, one step of iterative refinement if the
+    residual exceeds rtol * ||b||, and a residual-norm check."""
+    x, nr, _ = _refine(lu, A, b, rtol, 1)
+    if not nr <= 1e-6 * np.linalg.norm(b):
+        raise SingularMatrixError(
+            f"linear solve residual {nr:.3e} exceeds 1e-6 * ||b|| "
+            f"(near-singular matrix)"
+        )
     return x
 
 
@@ -238,18 +250,18 @@ def linear_solve(A, b, rtol=1e-10):
     return _lu_solve(_factor(A), A, np.asarray(b, dtype=float), rtol)
 
 
-# A fine Newton system is solved by GMRES, preconditioned with a kept LU, to
-# this relative residual; one that has not converged within _GMRES_MAXITER
-# iterations is solved by factoring its own Jacobian, which is kept instead.
-_GMRES_RTOL = 1e-12
-_GMRES_MAXITER = 20
+# A fine Newton system is solved by iterative refinement on a kept LU to this
+# relative residual; one that has not converged after _REFINE_MAXSTEPS steps
+# is solved by factoring its own Jacobian, which is kept instead.
+_REFINE_RTOL = 1e-12
+_REFINE_MAXSTEPS = 20
 
 
 class _KeptLU:
     """The sparse LU of one fine Jacobian (MMD ordering on A^T + A), kept
-    through a `solve_fine` call and used as the GMRES preconditioner of the
-    later Newton systems.  With c small the Jacobian barely moves over a run,
-    so a few GMRES iterations replace a factorization."""
+    through a `solve_fine` call; the later Newton systems are solved by
+    iterative refinement on it.  With c small the Jacobian barely moves over
+    a run, so a few refinement steps replace a factorization."""
 
     def __init__(self):
         self.lu = None
@@ -261,37 +273,17 @@ class _KeptLU:
         """Solve J x = b; step and it (time step, Newton iteration) name the
         system in the log."""
         if self.lu is not None:
-            x, its = self._gmres(J, b)
-            if x is not None:
+            x, nr, steps = _refine(self.lu, J, b, _REFINE_RTOL, _REFINE_MAXSTEPS)
+            if nr <= _REFINE_RTOL * np.linalg.norm(b):
                 return x
             log.debug(
                 "refactoring the fine Jacobian at time step %d, Newton "
-                "iteration %d: GMRES not converged after %d iterations",
-                step, it, its,
+                "iteration %d: refinement not converged after %d steps",
+                step, it, steps,
             )
             self.lu = None  # never two factorizations alive at once
         self.lu = _factor(J, permc_spec="MMD_AT_PLUS_A")
         return _lu_solve(self.lu, J, b)
-
-    def _gmres(self, J, b):
-        """(x, iterations) by GMRES from the kept LU's solution; x is None if
-        the relative residual is above _GMRES_RTOL after _GMRES_MAXITER
-        iterations."""
-        x = self.lu.solve(b)
-        atol = _GMRES_RTOL * np.linalg.norm(b)
-        M = spla.LinearOperator(J.shape, matvec=self.lu.solve, dtype=float)
-        its = []
-        converged = np.linalg.norm(b - J @ x) <= atol
-        while not converged and len(its) < _GMRES_MAXITER:
-            # One restart cycle per call: a cycle that meets the tolerance on
-            # the preconditioned residual but not on the true one goes on.
-            x, info = spla.gmres(
-                J, b, x0=x, rtol=0.0, atol=atol, M=M,
-                restart=_GMRES_MAXITER - len(its), maxiter=1,
-                callback=its.append, callback_type="pr_norm",
-            )
-            converged = info == 0
-        return (x if converged else None), len(its)
 
 
 @dataclass

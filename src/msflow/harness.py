@@ -37,7 +37,7 @@ CSV_HEADER = "nb,dim,t_basis,t_ass,t_solve,e_l2,e_h1,newton_total"
 
 # Part of the fine-reference cache key: bump it whenever the cache format or
 # the fine solver's arithmetic (even its last bits) changes.
-REFERENCE_VERSION = 3
+REFERENCE_VERSION = 4
 
 # key -> (type, default); None default means required-when-used
 _SCHEMA = {
@@ -132,8 +132,11 @@ class ExperimentConfig:
         if self["online.count"] > 0:
             sched = UpdateSchedule(self["online.count"], self.update_steps())
             sched.validate(self["time.steps"])
-        if self["basis.offline"] <= 0 and self["online.count"] <= 0:
-            raise ConfigError("empty coarse space: no offline and no online basis")
+        if self["basis.offline"] < 1:
+            raise ConfigError(
+                f"empty coarse space: basis.offline is {self['basis.offline']}, "
+                f"every neighborhood needs at least 1 offline basis function"
+            )
         if self["field.kind"] not in ("channels", "file", "uniform"):
             raise ConfigError(f"unknown field.kind '{self['field.kind']}'")
         if self["basis.snapshot"] not in ("v1", "v2"):
@@ -296,10 +299,10 @@ def fine_reference(config, out_dir=None, force=False):
 
     The cache is written to a temporary file and renamed into place; an
     unreadable or mismatched cache counts as a miss."""
+    mesh = config.validate()
     out_dir = Path(out_dir or config["output.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = out_dir / f"fine_ref_{config.reference_hash()}.npz"
-    mesh = config.validate()
     problem = config.build_problem(mesh.fine)
     if cache.exists() and not force:
         ref = _load_reference(cache, problem)
@@ -336,10 +339,20 @@ def _offline_space(config, problem, mesh):
     )
 
 
+def check_vtk_steps(config, steps):
+    """Raise ConfigError unless every VTK step is a state of the run,
+    0..time.steps."""
+    n = config["time.steps"]
+    for step in steps:
+        if not 0 <= step <= n:
+            raise ConfigError(f"VTK step {step} outside the computed range 0..{n}")
+
+
 def run_experiment(config, vtk_steps=(), csv_path=None):
     """One full comparison run: cached fine reference, offline space, coarse
     loop with scheduled enrichment, error metrics, CSV row and optional VTK
     snapshots."""
+    check_vtk_steps(config, vtk_steps)
     (ref_states, _, _, _), problem, mesh = fine_reference(config)
     space = _offline_space(config, problem, mesh)
     return _coarse_run(config, problem, mesh, ref_states, space, vtk_steps, csv_path)
@@ -401,8 +414,6 @@ def _coarse_run(
     _append_csv(csv_path or out_dir / "report.csv", report)
 
     for step in vtk_steps:
-        if not 0 <= step < len(result.states):
-            raise ConfigError(f"VTK step {step} outside the computed range")
         export_vtk(
             mesh.fine, result.states[step],
             out_dir / f"coarse_step{step:03d}.vtk",
@@ -474,7 +485,6 @@ def sweep(config, variants, csv_path=None):
         )
         if key not in spaces:
             spaces[key] = _offline_space(run_cfg, problem, mesh)
-        spaces[key].projection.set_online([])  # drop the last run's online block
         reports.append(_coarse_run(
             run_cfg, problem, mesh, ref_states, spaces[key], csv_path=csv_path,
         ))

@@ -19,11 +19,11 @@ import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
     _cell_gather,
+    _factor,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
     cell_average,
@@ -137,8 +137,8 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     A_ff = A[np.ix_(free, free)]
     A_fb = A[np.ix_(free, bnd)]
     try:
-        lu = spla.splu(sp.csc_matrix(A_ff))
-    except RuntimeError as exc:
+        lu = _factor(A_ff)
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"interior block of neighborhood {i} is singular: {exc}"
         ) from exc

@@ -10,12 +10,12 @@ first discarded eigenvalue) supports selective enrichment.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
+    _factor,
     _jacobian_blocks,
+    _lu_solve,
     _solve_projected,
     linear_solve,
     newton_jacobian,
@@ -134,10 +134,10 @@ def error_indicator(mesh, i, local_residual, J_global, lambda_next):
         return 0.0
     rows = nb.nodes[free]
     J_loc = J_global[np.ix_(rows, rows)]
-    J_sym = sp.csc_matrix(0.5 * (J_loc + J_loc.T))
+    J_sym = 0.5 * (J_loc + J_loc.T)
     try:
-        x = spla.splu(J_sym).solve(r)
-    except RuntimeError as exc:
+        x = _lu_solve(_factor(J_sym), J_sym, r)
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"error indicator solve failed on neighborhood {i}: {exc}"
         ) from exc

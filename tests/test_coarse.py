@@ -101,6 +101,29 @@ def test_empty_schedule_equals_offline_only(mesh4, fluid, uniform_perm4):
     assert a.dim_history == b.dim_history
 
 
+def test_every_run_starts_from_the_offline_space(mesh8, fluid):
+    """An offline-only run on a space that an enriched run used first keeps
+    none of its online columns: it equals the same run on a fresh space."""
+    from msflow.model import generate_channel_field
+    perm = generate_channel_field(mesh8.fine, seed=0, background=1.0,
+                                  channel=1e4, n_channels=4, n_inclusions=4)
+    prob = make_problem(
+        mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=3),
+        "neumann-wells", well_rate=1e8,
+    )
+
+    def offline_space():
+        return build_offline_space(mesh8, perm, fluid, prob.p0, 2)
+
+    shared = offline_space()
+    enriched = solve_gmsfem(prob, shared, UpdateSchedule(1, (1,)))
+    assert enriched.dim_history == [81, 81, 81]
+    again = solve_gmsfem(prob, shared)
+    fresh = solve_gmsfem(prob, offline_space())
+    assert again.dim_history == fresh.dim_history == [54, 54, 54]
+    assert np.array_equal(np.asarray(again.states), np.asarray(fresh.states))
+
+
 def test_online_schedule_changes_dim_history(mesh4, fluid, uniform_perm4):
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),

@@ -291,10 +291,10 @@ def test_solve_fine_nonconvergence_reports_step(mesh4, fluid, uniform_perm4):
 @pytest.mark.parametrize("cap", [0, 1])
 def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplog,
                                               monkeypatch, cap):
-    """A normal fine solve logs nothing.  With the GMRES cap lowered, each
-    refactorization is one DEBUG record on msflow.fem naming the time step,
-    the Newton iteration and the GMRES iterations spent (the cap); with cap 0
-    every system after the first refactors."""
+    """A normal fine solve logs nothing.  With the refinement cap lowered,
+    each refactorization is one DEBUG record on msflow.fem naming the time
+    step, the Newton iteration and the refinement steps spent (the cap);
+    with cap 0 every system after the first refactors."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=3),
         "neumann-wells", well_rate=1e8,
@@ -304,7 +304,7 @@ def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplo
     assert not caplog.records
 
     caplog.clear()
-    monkeypatch.setattr(fem, "_GMRES_MAXITER", cap)
+    monkeypatch.setattr(fem, "_REFINE_MAXSTEPS", cap)
     with caplog.at_level(logging.DEBUG, logger="msflow"):
         sol = solve_fine(prob)
     assert sol.newton_iters == ref.newton_iters

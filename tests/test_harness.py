@@ -389,3 +389,24 @@ def test_cli_exit_codes(tmp_path):
         f"output.dir = {tmp_path / 'out5'}\n"
     )
     assert main(["run", "--config", str(v2cfg), "--snapshot", "v2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fine-ref", "--vtk", "99"],
+    ["fine-ref", "--vtk", "-1"],
+    ["run", "--vtk", "99"],
+    ["run", "--offline", "0", "--online", "1"],
+    ["sweep", "--nb", "2+0,0+1"],
+])
+def test_cli_rejects_bad_arguments_before_solving(tmp_path, argv):
+    """VTK steps outside 0..time.steps and an empty offline basis exit 2
+    before the fine reference is solved: nothing is written."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
+        "time.steps = 2\nbasis.offline = 2\n"
+        "field.n_channels = 2\nfield.n_inclusions = 2\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(argv + ["--config", str(cfgfile)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ projected Jacobian assembled from coarse-cell blocks, the fine solver's kept
 factorization, mass balance, the partition of unity, and the coarse solver's
 identity-projection equivalence and determinism."""
 
+import logging
 import weakref
 from unittest import mock
 
@@ -338,7 +339,7 @@ def direct_solve(_kept, J, b, _step, _it):
     return fem.linear_solve(J, b)
 
 
-@pytest.mark.parametrize("cap", [fem._GMRES_MAXITER, 0])
+@pytest.mark.parametrize("cap", [fem._REFINE_MAXSTEPS, 0])
 @settings(max_examples=10)
 @given(case=grid_cases(), rate=st.sampled_from([1e4, 1e6, 1e8]))
 def test_kept_factorization_matches_direct_solve(cap, case, rate):
@@ -350,7 +351,7 @@ def test_kept_factorization_matches_direct_solve(cap, case, rate):
                              load=balanced_wells(fine, rng, rate))
     lus = TrackedFactorizations()
     with mock.patch.object(fem.spla, "splu", lus), \
-            mock.patch.object(fem, "_GMRES_MAXITER", cap):
+            mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
         sol = solve_fine(problem)
     assert lus.all_freed()  # nothing outlives the solve
     with mock.patch.object(fem._KeptLU, "solve", direct_solve):
@@ -367,7 +368,7 @@ def test_kept_factorization_matches_direct_solve(cap, case, rate):
 @given(case=grid_cases())
 def test_singular_fine_jacobian_raises(singular_from, case):
     """An exactly singular fine Jacobian raises SingularMatrixError, whether
-    it is the first (factored directly) or a later one (GMRES fails, then
+    it is the first (factored directly) or a later one (refinement fails, then
     the refactorization does), and the kept factorization is freed."""
     fine, rng, dirichlet = case
     problem = random_problem(fine, rng, dirichlet, n_steps=3,
@@ -407,6 +408,33 @@ def test_failed_fine_solve_frees_the_factorization():
             pytest.raises(NewtonConvergenceError) as failure:
         solve_fine(problem, NewtonConfig(tol=1e-300, max_iter=2, stall_ratio=1e-300))
     assert failure.value.step == 1 and lus.calls == 1
+    assert lus.all_freed()
+
+
+def test_kept_factorization_refactors_when_refinement_diverges(caplog):
+    """Refinement on the LU of 0.4 J multiplies the error by -1.5 per step,
+    so it never converges: the kept factorization is freed, J is factored
+    once, one DEBUG record names the system, and the result is the direct
+    solution."""
+    fine = FineGrid(3, 3, 3, 1.0)
+    rng = np.random.default_rng(0)
+    dirichlet = rng.choice(fine.n_nodes, 8, replace=False)
+    problem = random_problem(fine, rng, dirichlet)
+    J = newton_jacobian(problem.p0, problem.fluid, problem.perm, problem.time.dt,
+                        fine, problem.boundary)
+    b = J @ rng.standard_normal(fine.n_nodes)
+    lus = TrackedFactorizations()
+    kept = fem._KeptLU()
+    with mock.patch.object(fem.spla, "splu", lus), \
+            caplog.at_level(logging.DEBUG, logger="msflow"):
+        kept.lu = lus(sp.csc_matrix(0.4 * J))
+        x = kept.solve(J, b, 3, 2)
+    assert lus.calls == 2
+    assert [r.args for r in caplog.records] == [(3, 2, fem._REFINE_MAXSTEPS)]
+    assert caplog.records[0].levelno == logging.DEBUG
+    direct = spla.spsolve(J.tocsc(), b)
+    assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+    kept.release()
     assert lus.all_freed()
 
 
