@@ -28,7 +28,7 @@ from .model import (
     load_field_from_file,
     make_problem,
 )
-from .offline import build_offline_space
+from .offline import build_offline_space, build_offline_spaces
 from .online import UpdateSchedule, enrich_projection
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "assemble_weighted_mass",
     "assemble_weighted_stiffness",
     "build_offline_space",
+    "build_offline_spaces",
     "build_two_scale_mesh",
     "density",
     "density_derivative",

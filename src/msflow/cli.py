@@ -41,14 +41,26 @@ def _load_config(args):
     return cfg
 
 
-def _add_common(p):
+def _add_config(p):
     p.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
+    p.add_argument("--seed", type=int, metavar="N")
+
+
+def _add_snapshot(p):
     p.add_argument("--snapshot", choices=["v1", "v2"])
+
+
+def _add_out(p):
+    p.add_argument("--out", metavar="DIR")
+
+
+def _add_counts(p):
     p.add_argument("--offline", type=int, metavar="N")
     p.add_argument("--online", type=int, metavar="M")
     p.add_argument("--updates", metavar="s1,s2,...")
-    p.add_argument("--out", metavar="DIR")
-    p.add_argument("--seed", type=int, metavar="N")
+
+
+def _add_vtk(p):
     p.add_argument("--vtk", metavar="steps", default="",
                    help="comma-separated step indices to export as VTK")
 
@@ -132,14 +144,23 @@ def cmd_fine_ref(args):
 
 def cmd_check(args):
     """Quick invariant suite on small grids: partition of unity, Jacobian
-    finite differences, identity-projection equivalence."""
+    finite differences, identity-projection equivalence, driver-independent
+    offline span."""
     from .fem import newton_jacobian, newton_residual, solve_fine
     from .grid import build_two_scale_mesh
     from .model import FluidProps, PermeabilityField, TimeGrid, make_problem
-    from .offline import build_partition_of_unity
+    import scipy.linalg as la
     import scipy.sparse as sp
     from .coarse import solve_gmsfem
-    from .offline import OfflineSpace, ProjectionMatrix
+    from .offline import (
+        OfflineSpace,
+        ProjectionMatrix,
+        _cluster_starts,
+        build_partition_of_unity,
+        build_snapshot_v1,
+        compute_kappa_tilde,
+        solve_local_spectral,
+    )
 
     failures = 0
 
@@ -199,6 +220,29 @@ def cmd_check(args):
     )
     report("identity-projection equivalence", dev < 1e-10, f"max rel {dev:.2e}")
 
+    # the uniform field's symmetric patches have clusters of equal
+    # eigenvalues; the first L modes of the subset solve (LAPACK gvx) and of
+    # the full spectrum (gvd) span one space at every cut, also inside them
+    rho0 = np.ones(mesh8.fine.n_cells)
+    kt = compute_kappa_tilde(mesh8, perm8, rho0)
+    worst, cuts, inside = 0.0, 0, 0
+    for i in range(mesh8.n_neighborhoods):
+        snap = build_snapshot_v1(mesh8, i)
+        full = solve_local_spectral(mesh8, i, snap, perm8, rho0, kt)
+        part = solve_local_spectral(mesh8, i, snap, perm8, rho0, kt, n_eig=12)
+        starts = _cluster_starts(part.eigenvalues)
+        for L in range(1, part.n_complete + 1):
+            angles = la.subspace_angles(
+                full.eigenvectors[:, :L], part.eigenvectors[:, :L]
+            )
+            worst = max(worst, float(np.sin(angles.max())))
+            cuts += 1
+            inside += L not in starts
+    report(
+        "offline span is driver-independent", worst < 1e-10 and inside > 0,
+        f"max sin {worst:.2e} over {cuts} cuts, {inside} inside a cluster",
+    )
+
     return 1 if failures else 0
 
 
@@ -210,12 +254,19 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the flags it reads
     p_run = sub.add_parser("run", help="run one experiment")
-    _add_common(p_run)
+    _add_config(p_run)
+    _add_snapshot(p_run)
+    _add_counts(p_run)
+    _add_out(p_run)
+    _add_vtk(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a table of basis-count variants")
-    _add_common(p_sweep)
+    _add_config(p_sweep)
+    _add_snapshot(p_sweep)
+    _add_out(p_sweep)
     p_sweep.add_argument(
         "--nb", required=True, metavar="4+0,8+0,4+1u3",
         help="comma-separated variants: <offline>+<online>[u<updates>]",
@@ -223,12 +274,14 @@ def main(argv=None):
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen-field", help="write a synthetic permeability file")
-    _add_common(p_gen)
+    _add_config(p_gen)
     p_gen.add_argument("path", help="output file (.txt for text, else raw f64)")
     p_gen.set_defaults(func=cmd_gen_field)
 
     p_ref = sub.add_parser("fine-ref", help="fine reference solve only")
-    _add_common(p_ref)
+    _add_config(p_ref)
+    _add_out(p_ref)
+    _add_vtk(p_ref)
     p_ref.add_argument("--force", action="store_true", help="ignore the cache")
     p_ref.set_defaults(func=cmd_fine_ref)
 

@@ -28,7 +28,7 @@ from .model import (
     load_field_from_file,
     make_problem,
 )
-from .offline import build_offline_space
+from .offline import build_offline_space, build_offline_spaces
 from .online import UpdateSchedule
 
 log = logging.getLogger(__name__)
@@ -325,14 +325,9 @@ def fine_reference(config, out_dir=None, force=False):
     return (sol.states, sol.newton_iters, sol.t_ass, sol.t_solve), problem, mesh
 
 
-def _offline_space(config, problem, mesh):
-    """The offline space a config asks for, built at the initial state."""
-    return build_offline_space(
-        mesh,
-        problem.perm,
-        problem.fluid,
-        problem.p0,
-        config["basis.offline"],
+def _offline_options(config, problem):
+    """Keyword arguments of the offline build a config asks for."""
+    return dict(
         kind=config["basis.snapshot"],
         dirichlet_nodes=problem.boundary.dirichlet_nodes,
         extra_density_mass=config["basis.extra_density_mass"],
@@ -354,7 +349,10 @@ def run_experiment(config, vtk_steps=(), csv_path=None):
     snapshots."""
     check_vtk_steps(config, vtk_steps)
     (ref_states, _, _, _), problem, mesh = fine_reference(config)
-    space = _offline_space(config, problem, mesh)
+    space = build_offline_space(
+        mesh, problem.perm, problem.fluid, problem.p0, config["basis.offline"],
+        **_offline_options(config, problem),
+    )
     return _coarse_run(config, problem, mesh, ref_states, space, vtk_steps, csv_path)
 
 
@@ -441,10 +439,12 @@ def sweep(config, variants, csv_path=None):
     """Run the fine reference once plus one coarse run per variant; returns
     the list of reports.  The fine reference appears as the first CSV row.
 
-    Every variant is validated before anything runs.  Variants with the same
-    offline configuration share one offline space (built once; each run's
-    t_basis still reports its build time plus the run's online time) and the
-    fine reference, problem and mesh are loaded once."""
+    Every variant is validated before anything runs, and the fine reference,
+    problem and mesh are loaded once.  One offline pass
+    (`build_offline_spaces`: one spectral solve per neighborhood for all the
+    variants' offline counts) builds one space per offline count, and
+    variants with the same count share its space; each run's t_basis
+    reports its space's t_basis plus the run's online time."""
     run_cfgs = []
     for label in variants:
         off, on, ups = parse_variant(label)
@@ -476,16 +476,18 @@ def sweep(config, variants, csv_path=None):
     )
     _append_csv(csv_path, fine_row)
 
+    # the variants differ only in their offline and online counts, so one
+    # offline pass serves them all; it ends before the first coarse run
+    counts = sorted({run_cfg["basis.offline"] for run_cfg in run_cfgs})
+    spaces = dict(zip(counts, build_offline_spaces(
+        mesh, problem.perm, problem.fluid, problem.p0, counts,
+        **_offline_options(config, problem),
+    )))
+
     reports = [fine_row]
-    spaces = {}  # one offline space per distinct offline configuration
     for run_cfg in run_cfgs:
-        key = tuple(
-            run_cfg[k]
-            for k in ("basis.offline", "basis.snapshot", "basis.extra_density_mass")
-        )
-        if key not in spaces:
-            spaces[key] = _offline_space(run_cfg, problem, mesh)
         reports.append(_coarse_run(
-            run_cfg, problem, mesh, ref_states, spaces[key], csv_path=csv_path,
+            run_cfg, problem, mesh, ref_states, spaces[run_cfg["basis.offline"]],
+            csv_path=csv_path,
         ))
     return reports

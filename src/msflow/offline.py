@@ -6,6 +6,12 @@ boundary deltas), the local generalized spectral problem, and assembly of the
 fine-by-coarse projection matrix whose columns are the multiscale basis
 vectors.
 
+The space is a function of the local operators only: every cluster of equal
+eigenvalues gets a canonical basis of its span, so a cut inside a cluster
+selects the same modes whichever LAPACK driver or subset size computed them,
+and one spectral solve per neighborhood serves every offline count of a
+sweep (`build_offline_spaces`).
+
 The local stiffness and mass of a neighborhood are assembled on its box grid
 (`CoarseNeighborhood.box`) by the same cell-block assembler as the global
 operators, so patches of one box shape share one sparsity pattern.
@@ -101,6 +107,7 @@ class SnapshotSpace:
     kind: str  # "v1" | "v2"
     basis: np.ndarray | None  # None means the identity (v1)
     dim: int
+    nodes: np.ndarray  # local node of each snapshot coordinate
 
 
 def _local_stiffness(nb, perm, rho0_cell):
@@ -119,7 +126,10 @@ def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False)
 
 def build_snapshot_v1(mesh, i):
     nb = mesh.neighborhoods[i]
-    return SnapshotSpace(neighborhood=i, kind="v1", basis=None, dim=nb.n_local)
+    return SnapshotSpace(
+        neighborhood=i, kind="v1", basis=None, dim=nb.n_local,
+        nodes=np.arange(nb.n_local),
+    )
 
 
 def build_snapshot_v2(mesh, i, perm, rho0_cell):
@@ -146,7 +156,31 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = X
-    return SnapshotSpace(neighborhood=i, kind="v2", basis=S, dim=bnd.size)
+    return SnapshotSpace(neighborhood=i, kind="v2", basis=S, dim=bnd.size, nodes=bnd)
+
+
+# Two computed eigenvalues are copies of one exactly degenerate eigenvalue
+# when they differ by at most this fraction of the larger.  Symmetric patches
+# give such clusters, whose computed gaps are rounding (below 1e-12 relative);
+# the smallest real gaps measured on the 16^3 desk fields are 1.2e-5 (v1) and
+# 2.9e-7 (v2).  The scale is the pair itself, never the subset size, so every
+# solve of one patch finds the same clusters.
+_CLUSTER_RTOL = 1e-9
+# Probes that fix the basis of a cluster: monomials of total degree at most
+# _PROBE_DEGREE in patch coordinates, then the unit vectors.  A probe whose
+# projection onto the cluster, less its part along the vectors already
+# chosen, is shorter than _PROBE_MIN times the probe adds no direction.
+_PROBE_DEGREE = 3
+_PROBE_MIN = 1e-6
+
+
+# Pairs a build asks for beyond its largest count L: pair L + 1 feeds the
+# error indicator, and the others show whether the cluster that holds pair L
+# ends inside the subset.  The low modes of box patches come in clusters of
+# up to 4 copies, so with 4 the 16^3 desk fields (seeds 0-2, L = 4 and 8)
+# need no growth re-solve, against 28 at seed 0 with 2; a subset eigh costs
+# its tridiagonal reduction, hardly the pair count.
+_EXTRA_PAIRS = 4
 
 
 @dataclass
@@ -154,6 +188,65 @@ class SpectralDecomposition:
     neighborhood: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, in snapshot coordinates
+    # leading pairs whose eigenvalue clusters were computed whole: a cut at
+    # any L <= n_complete selects a span the local operators alone define
+    n_complete: int
+
+
+def _cluster_starts(eigenvalues):
+    """Start index of every cluster of copies of one eigenvalue in an
+    ascending array, followed by its length."""
+    lam = np.asarray(eigenvalues)
+    scale = np.maximum(np.abs(lam[:-1]), np.abs(lam[1:]))
+    split = np.flatnonzero(np.diff(lam) > _CLUSTER_RTOL * scale) + 1
+    return np.concatenate(([0], split, [lam.size]))
+
+
+def _probes(nb, snapshot):
+    """Monomials of total degree <= _PROBE_DEGREE in the patch coordinates
+    (scaled to [-1, 1] per axis) at the snapshot coordinates' nodes, as unit
+    columns in a fixed order: degree ascending, then x before y before z."""
+    box = nb.box
+    x = [
+        2.0 * c / n - 1.0
+        for c, n in zip(box.node_ijk(snapshot.nodes), (box.nx, box.ny, box.nz))
+    ]
+    cols = [
+        x[0] ** a * x[1] ** b * x[2] ** (d - a - b)
+        for d in range(_PROBE_DEGREE + 1)
+        for a in range(d, -1, -1)
+        for b in range(d - a, -1, -1)
+    ]
+    P = np.column_stack(cols)
+    return P / np.linalg.norm(P, axis=0)
+
+
+def _canonical_cluster(V, P):
+    """The M-orthonormal basis of span(V) that the probes P fix, given the
+    M-orthonormal columns V of one eigenvalue cluster.
+
+    Each probe p is projected onto span(V), with coefficients (V^T V)^-1 V^T p
+    in the basis V; the projections are M-orthonormalized in probe order,
+    then the unit vectors follow, and a probe that adds less than _PROBE_MIN
+    of its length is skipped.  V^T M V = I makes the M-inner product of
+    coefficient vectors the Euclidean one, so M is not needed, and the result
+    depends on span(V) only, not on which basis of it V is."""
+    m = V.shape[1]
+    pinv = np.linalg.pinv(V)
+    C = np.hstack([pinv @ P, pinv])  # unit vector probes: columns of pinv
+    Q = np.zeros((m, m))
+    k = 0
+    for j in range(C.shape[1]):
+        c = C[:, j]
+        for _ in range(2):  # orthogonalize twice for stability
+            c = c - Q[:, :k] @ (Q[:, :k].T @ c)
+        if np.linalg.norm(V @ c) < _PROBE_MIN:
+            continue
+        Q[:, k] = c / np.linalg.norm(c)
+        k += 1
+        if k == m:
+            return V @ Q
+    raise AssertionError("the unit vectors span every cluster")
 
 
 def solve_local_spectral(
@@ -161,11 +254,16 @@ def solve_local_spectral(
     n_eig=None,
 ):
     """Generalized eigenproblem A v = lambda M v projected to the snapshot
-    space; ascending eigenvalues, M-orthonormal vectors, deterministic sign
-    (largest-magnitude component positive).
+    space; ascending eigenvalues, M-orthonormal vectors.
 
     n_eig=None computes the full spectrum; otherwise only the n_eig lowest
-    eigenpairs (all of them if the snapshot space is smaller).
+    eigenpairs (all of them if the snapshot space is smaller), and a cluster
+    of equal eigenvalues that reaches the last computed pair may be cut
+    short: `n_complete` counts the pairs before it.  Every other cluster gets
+    a canonical basis of its span (`_canonical_cluster`), so the span of the
+    first L vectors, L <= n_complete, depends on the local operators only,
+    not on the LAPACK driver or on n_eig.  Signs follow one convention: the
+    largest-magnitude component is positive.
     """
     nb = mesh.neighborhoods[i]
     A, M = _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass)
@@ -175,7 +273,8 @@ def solve_local_spectral(
         S = snapshot.basis
         Ad = S.T @ (A @ S)
         Md = S.T @ (M @ S)
-    subset = None if n_eig is None else [0, min(n_eig, Ad.shape[0]) - 1]
+    n = Ad.shape[0]
+    subset = None if n_eig is None or n_eig >= n else [0, n_eig - 1]
     try:
         vals, vecs = la.eigh(Ad, Md, subset_by_index=subset)
     except la.LinAlgError as exc:
@@ -183,20 +282,31 @@ def solve_local_spectral(
             f"spectral mass matrix of neighborhood {i} is numerically singular "
             f"(consider snapshot regularization): {exc}"
         ) from exc
+    starts = _cluster_starts(vals)
+    n_complete = vals.size if subset is None else int(starts[-2])
+    probes = None
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if hi - lo > 1 and hi <= n_complete:
+            if probes is None:
+                probes = _probes(nb, snapshot)
+            vecs[:, lo:hi] = _canonical_cluster(vecs[:, lo:hi], probes)
     # deterministic sign convention
     lead = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
     vecs = vecs * signs[None, :]
-    return SpectralDecomposition(neighborhood=i, eigenvalues=vals, eigenvectors=vecs)
+    return SpectralDecomposition(
+        neighborhood=i, eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete
+    )
 
 
 def select_offline_basis(snapshot, spectral, n_basis):
-    """First n_basis eigenfunctions mapped back to local fine DOFs."""
-    if not 1 <= n_basis <= spectral.eigenvalues.size:
+    """First n_basis eigenfunctions mapped back to local fine DOFs; n_basis
+    may not cut a cluster that the solve did not compute whole."""
+    if not 1 <= n_basis <= spectral.n_complete:
         raise ConfigError(
             f"offline basis count {n_basis} out of range "
-            f"[1, {spectral.eigenvalues.size}]"
+            f"[1, {spectral.n_complete}]"
         )
     vecs = spectral.eigenvectors[:, :n_basis]
     if snapshot.basis is None:
@@ -290,6 +400,13 @@ class OfflineSpace:
     t_basis: float = 0.0
 
 
+# A column chi_i * psi_l whose kept rows have less than this fraction of the
+# norm of psi_l is rounding noise: a mode that vanishes on the hat's support
+# outside the Dirichlet rows (symmetric modes on small patches).  Normalized,
+# noise would look independent, so it is stored as the zero column it is.
+_ZERO_COLUMN_RTOL = 1e-10
+
+
 def _independent_columns(R):
     """Indices, ascending, of a numerically independent subset of R's
     columns: pivoted Cholesky (LAPACK dpstrf, default tolerance
@@ -328,6 +445,8 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
         for l in range(psi.shape[1]):
             v = chi * psi[:, l]
             nz = keep & (v != 0.0)
+            if np.linalg.norm(v[nz]) <= _ZERO_COLUMN_RTOL * np.linalg.norm(psi[:, l]):
+                nz[:] = False  # zero but for rounding: store the zero column
             rows.append(nb.nodes[nz])
             cols.append(np.full(int(nz.sum()), col))
             data.append(v[nz])
@@ -347,6 +466,103 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes, independent=keep)
 
 
+def build_offline_spaces(
+    mesh,
+    perm,
+    fluid,
+    p0,
+    counts,
+    kind="v1",
+    dirichlet_nodes=None,
+    extra_density_mass=False,
+):
+    """Offline spaces for several offline counts from one offline pass:
+    partition of unity, spectral coefficient, then per neighborhood one
+    snapshot space and one spectral solve for the largest count, sliced for
+    every count; one projection matrix per count.
+
+    Each entry of counts is a uniform per-neighborhood offline count (an int)
+    or a per-neighborhood list.  Returns one OfflineSpace per entry, in
+    order, each with t_basis = the shared pass time plus its own projection
+    assembly.  A solve asks for L + _EXTRA_PAIRS pairs (L the largest count
+    of the neighborhood) and asks again for twice as many while the cluster
+    of equal eigenvalues that holds pair L is not computed whole, so every
+    space equals the one a single-count build gives, up to rounding.
+    """
+    t0 = time.perf_counter()
+    fine = mesh.fine
+    if kind not in ("v1", "v2"):
+        raise ConfigError(f"unknown snapshot kind '{kind}'")
+    labels = [f"L={n}" if isinstance(n, int) else "per-neighborhood L" for n in counts]
+    counts = [
+        [n] * mesh.n_neighborhoods if isinstance(n, int) else list(n)
+        for n in counts
+    ]
+    if any(len(n) != mesh.n_neighborhoods for n in counts):
+        raise ConfigError("per-neighborhood basis count has wrong length")
+    if min(min(n) for n in counts) < 1:
+        raise ConfigError("offline basis count below 1")
+
+    rho0_cell = density(cell_average(p0, fine.cell_nodes()), fluid)
+    pou = build_partition_of_unity(mesh)
+    kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
+
+    psis, eigs = [], []
+    straddled = [0] * len(counts)
+    resolves = 0
+    for i in range(mesh.n_neighborhoods):
+        if kind == "v1":
+            snap = build_snapshot_v1(mesh, i)
+        else:
+            snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
+        L = max(n[i] for n in counts)
+        n_eig = L + _EXTRA_PAIRS
+        spec = solve_local_spectral(
+            mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=n_eig
+        )
+        while spec.n_complete < L and n_eig < snap.dim:
+            n_eig *= 2
+            resolves += 1
+            spec = solve_local_spectral(
+                mesh, i, snap, perm, rho0_cell, kt, extra_density_mass,
+                n_eig=n_eig,
+            )
+        psis.append(select_offline_basis(snap, spec, L))
+        eigs.append(spec.eigenvalues)
+        starts = _cluster_starts(spec.eigenvalues)
+        for c, n in enumerate(counts):
+            straddled[c] += n[i] < spec.eigenvalues.size and n[i] not in starts
+    log.debug(
+        "offline %s pass over %d neighborhoods: %d n_eig growth re-solves; "
+        "neighborhoods with a cluster across the cut: %s",
+        kind, mesh.n_neighborhoods, resolves,
+        ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
+    )
+    t_pass = time.perf_counter() - t0
+
+    if dirichlet_nodes is None:
+        dirichlet_nodes = np.empty(0, dtype=int)
+    spaces = []
+    for n in counts:
+        t1 = time.perf_counter()
+        projection = assemble_projection(
+            mesh, pou, [(i, psi[:, :L]) for i, (psi, L) in enumerate(zip(psis, n))],
+            dirichlet_nodes,
+        )
+        spaces.append(OfflineSpace(
+            mesh=mesh,
+            projection=projection,
+            n_basis=n,
+            lambda_next=np.array(
+                [lam[min(L, lam.size - 1)] for lam, L in zip(eigs, n)]
+            ),
+            eigenvalues=eigs,
+            kind=kind,
+            t_basis=t_pass + time.perf_counter() - t1,
+        ))
+    return spaces
+
+
 def build_offline_space(
     mesh,
     perm,
@@ -357,51 +573,13 @@ def build_offline_space(
     dirichlet_nodes=None,
     extra_density_mass=False,
 ):
-    """Full offline stage: partition of unity, spectral coefficient, one
-    spectral solve per neighborhood, projection matrix assembly.
+    """Full offline stage for one offline count: `build_offline_spaces` with
+    counts [n_basis].
 
     n_basis is the uniform per-neighborhood offline count (an int) or a
     per-neighborhood list.
     """
-    t0 = time.perf_counter()
-    fine = mesh.fine
-    if isinstance(n_basis, int):
-        n_basis = [n_basis] * mesh.n_neighborhoods
-    if len(n_basis) != mesh.n_neighborhoods:
-        raise ConfigError("per-neighborhood basis count has wrong length")
-
-    rho0_cell = density(cell_average(p0, fine.cell_nodes()), fluid)
-    pou = build_partition_of_unity(mesh)
-    kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
-
-    local_sets = []
-    lambda_next = np.empty(mesh.n_neighborhoods)
-    all_eigs = []
-    for i in range(mesh.n_neighborhoods):
-        if kind == "v1":
-            snap = build_snapshot_v1(mesh, i)
-        elif kind == "v2":
-            snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
-        else:
-            raise ConfigError(f"unknown snapshot kind '{kind}'")
-        L = n_basis[i]
-        spec = solve_local_spectral(
-            mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=L + 2
-        )
-        psi = select_offline_basis(snap, spec, L)
-        local_sets.append((i, psi))
-        lambda_next[i] = spec.eigenvalues[min(L, spec.eigenvalues.size - 1)]
-        all_eigs.append(spec.eigenvalues)
-
-    if dirichlet_nodes is None:
-        dirichlet_nodes = np.empty(0, dtype=int)
-    projection = assemble_projection(mesh, pou, local_sets, dirichlet_nodes)
-    return OfflineSpace(
-        mesh=mesh,
-        projection=projection,
-        n_basis=list(n_basis),
-        lambda_next=lambda_next,
-        eigenvalues=all_eigs,
-        kind=kind,
-        t_basis=time.perf_counter() - t0,
-    )
+    return build_offline_spaces(
+        mesh, perm, fluid, p0, [n_basis], kind=kind,
+        dirichlet_nodes=dirichlet_nodes, extra_density_mass=extra_density_mass,
+    )[0]

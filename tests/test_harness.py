@@ -1,8 +1,11 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow import harness
+from msflow import harness, offline
 from msflow.cli import main
 from msflow.errors import ConfigError, MsflowError
 from msflow.harness import (
@@ -276,19 +279,47 @@ def test_sweep_rows(tmp_path):
     assert len(csv) == 4
 
 
-def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch):
+def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
+    """Variants with one snapshot kind and mass option share one offline
+    pass: one spectral solve per neighborhood for the largest offline count
+    (L+4 pairs), plus the re-solves with more pairs that the pass logs."""
     calls = []
-    build = harness.build_offline_space
+    solve = offline.solve_local_spectral
 
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return build(*args, **kwargs)
+    def counting(mesh, i, *args, n_eig):
+        calls.append((i, n_eig))
+        return solve(mesh, i, *args, n_eig=n_eig)
 
-    monkeypatch.setattr(harness, "build_offline_space", counting)
+    monkeypatch.setattr(offline, "solve_local_spectral", counting)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
     reports = sweep(small_config(tmp_path), ["2+0", "2+1", "4+0"])
-    assert calls == [2, 4]
-    # a reused space reports its build time in every row that uses it
+    n_nb = 27
+    assert sorted(i for i, n in calls if n == 4 + 4) == list(range(n_nb))
+    resolves = re.findall(r"(\d+) n_eig growth re-solves", caplog.text)
+    assert len(resolves) == 1
+    assert len(calls) == n_nb + int(resolves[0])
+    assert all(n >= 8 for _, n in calls)
+    # a shared pass reports its time in every row whose space it built
     assert reports[1].t_basis > 0.0 and reports[2].t_basis > reports[1].t_basis
+    assert reports[3].t_basis > 0.0
+
+
+def test_lone_run_matches_its_sweep_row(tmp_path, caplog):
+    """A lone L=4 run equals the 4+0 row of a sweep that also builds L=8,
+    although the sweep's spectral solves ask for more pairs, on a uniform
+    field whose symmetric patches have clusters of equal eigenvalues across
+    the L=4 cut: same dim and Newton count, errors to 1e-8 relative."""
+    overrides = {"field.kind": "uniform", "problem.preset": "neumann-wells",
+                 "basis.offline": 4}
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    lone = run_experiment(small_config(tmp_path / "a", **overrides))
+    straddled = re.search(r"(\d+) at L=4", caplog.text)
+    assert int(straddled.group(1)) > 0
+    row = sweep(small_config(tmp_path / "b", **overrides), ["4+0", "8+0"])[1]
+    assert row.nb_label == "4+0"
+    assert (row.dim, row.newton_total) == (lone.dim, lone.newton_total)
+    assert abs(row.e_l2 - lone.e_l2) <= 1e-8 * lone.e_l2
+    assert abs(row.e_h1 - lone.e_h1) <= 1e-8 * lone.e_h1
 
 
 def _rows_without_timing(path):
@@ -325,11 +356,12 @@ def test_cli_run_and_check(tmp_path, capsys):
 
 
 def test_cli_check_passes(capsys):
-    """`msflow check`: partition of unity, Jacobian finite differences and
-    the identity-projection equivalence of the coarse solver on small grids."""
+    """`msflow check`: partition of unity, Jacobian finite differences, the
+    identity-projection equivalence of the coarse solver and the
+    driver-independent offline span on small grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3 and all(line.startswith("[PASS]") for line in out)
+    assert len(out) == 4 and all(line.startswith("[PASS]") for line in out)
 
 
 def test_cli_sweep_prints_ratio(tmp_path, capsys):
@@ -410,3 +442,34 @@ def test_cli_rejects_bad_arguments_before_solving(tmp_path, argv):
     )
     assert main(argv + ["--config", str(cfgfile)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--nb", "2+0", "--vtk", "0,2"],
+    ["sweep", "--nb", "2+0", "--offline", "6"],
+    ["sweep", "--nb", "2+0", "--updates", "1"],
+    ["gen-field", "--vtk", "99", "FIELD"],
+    ["gen-field", "--out", "OUT", "FIELD"],
+    ["fine-ref", "--online", "2"],
+    ["fine-ref", "--snapshot", "v2"],
+    ["check", "--seed", "1"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys, argv):
+    """A flag the subcommand would ignore is a usage error (exit 2) from
+    argparse, before anything runs: nothing is written."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
+        "time.steps = 2\nbasis.offline = 2\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    paths = {"FIELD": str(tmp_path / "field.bin"), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "check":
+        argv += ["--config", str(cfgfile)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "field.bin").exists()

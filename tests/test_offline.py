@@ -1,6 +1,10 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
+from msflow import offline
 from msflow.errors import ConfigError
 from msflow.grid import build_two_scale_mesh
 from msflow.model import (
@@ -11,8 +15,10 @@ from msflow.model import (
     make_problem,
 )
 from msflow.offline import (
+    _cluster_starts,
     _local_operators,
     build_offline_space,
+    build_offline_spaces,
     build_partition_of_unity,
     build_snapshot_v1,
     build_snapshot_v2,
@@ -374,10 +380,11 @@ def test_dependent_columns_left_out_of_matrix(
     mesh4, mesh8, fluid, uniform_perm4, uniform_perm8
 ):
     """On the r=2 mesh the hat-times-mode columns of neighboring patches
-    coincide and Dirichlet rows remove more: 6 of the 54 columns at L=2 with
-    mixed-bc are dependent.  dim still counts all 54 basis functions, and
-    matrix() spans the same space with 48 independent columns.  On the 8^3
-    r=4 mesh nothing is left out."""
+    coincide and Dirichlet rows remove more: 12 of the 54 columns at L=2 with
+    mixed-bc are dependent, 8 of them zero (modes of the canonical cluster
+    bases that vanish on the hat's support outside the Dirichlet rows).  dim
+    still counts all 54 basis functions, and matrix() spans the same space
+    with 42 independent columns.  On the 8^3 r=4 mesh nothing is left out."""
     def space(mesh, perm, L):
         prob = make_problem(
             mesh.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
@@ -391,9 +398,9 @@ def test_dependent_columns_left_out_of_matrix(
     full = s4.projection.offline.toarray()
     R = s4.projection.matrix().toarray()
     assert s4.projection.dim == 54 and full.shape[1] == 54
-    assert R.shape[1] == 48
-    assert np.linalg.matrix_rank(R) == 48
-    assert np.linalg.matrix_rank(np.hstack([full, R])) == 48
+    assert R.shape[1] == 42
+    assert np.linalg.matrix_rank(R) == 42
+    assert np.linalg.matrix_rank(np.hstack([full, R])) == 42
     assert s4.n_basis == [2] * mesh4.n_neighborhoods
 
     for L in (2, 4):
@@ -436,3 +443,64 @@ def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
     assert pm.gather(mesh4, d).R is pm.matrix()
     pm.drop_cache()
     assert pm._gather is None and pm._matrix is None
+
+
+def test_offline_pass_logs_clusters_and_resolves(
+    mesh8, fluid, uniform_perm8, caplog, monkeypatch
+):
+    """The uniform field's symmetric patches have clusters of equal
+    eigenvalues across the cut.  An offline pass logs one DEBUG record on
+    msflow.offline with the number of neighborhoods whose cut at each count
+    lies inside a cluster (as the full spectra count them) and the number of
+    solves repeated with more pairs (as the calls count them)."""
+    calls = []
+    solve = offline.solve_local_spectral
+
+    def counting(*args, n_eig):
+        calls.append(n_eig)
+        return solve(*args, n_eig=n_eig)
+
+    monkeypatch.setattr(offline, "solve_local_spectral", counting)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
+    build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
+    records = [r for r in caplog.records if r.name == "msflow.offline"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    m = re.search(
+        r"(\d+) n_eig growth re-solves; .*: (\d+) at L=4, (\d+) at L=8",
+        records[0].getMessage(),
+    )
+    assert int(m.group(1)) == len(calls) - mesh8.n_neighborhoods
+
+    rho0 = np.ones(mesh8.fine.n_cells)
+    kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
+    inside = {4: 0, 8: 0}
+    for i in range(mesh8.n_neighborhoods):
+        snap = build_snapshot_v1(mesh8, i)
+        starts = _cluster_starts(
+            solve(mesh8, i, snap, uniform_perm8, rho0, kt).eigenvalues
+        )
+        for L in inside:
+            inside[L] += L not in starts
+    assert inside[4] > 0 and inside[8] > 0
+    assert (int(m.group(2)), int(m.group(3))) == (inside[4], inside[8])
+
+
+def test_growth_re_solves_give_the_same_space(mesh8, fluid, uniform_perm8, caplog, monkeypatch):
+    """Asking for fewer pairs first makes the build grow its subsets where a
+    cluster of equal eigenvalues runs past them, and the spaces are the same
+    as with the default first request, column by column to 1e-10 relative
+    up to sign (the sign convention's largest component can tie between
+    mirror nodes of a symmetric patch)."""
+    p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
+    ref = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
+    monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    grown = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
+    resolves = re.search(r"(\d+) n_eig growth re-solves", caplog.text)
+    assert int(resolves.group(1)) > 0
+    for a, b in zip(ref, grown):
+        Ra, Rb = a.projection.matrix().toarray(), b.projection.matrix().toarray()
+        Rb *= np.sign((Ra * Rb).sum(axis=0))
+        assert np.abs(Ra - Rb).max() <= 1e-10 * np.abs(Ra).max()
+        assert np.allclose(a.lambda_next, b.lambda_next, rtol=1e-10, atol=0)

@@ -1,8 +1,9 @@
 """Property tests on small random grids, weights, states and Dirichlet node
 sets: the Q1 connectivity, the cell-block assembler, the Jacobian, the
 projected Jacobian assembled from coarse-cell blocks, the fine solver's kept
-factorization, mass balance, the partition of unity, and the coarse solver's
-identity-projection equivalence and determinism."""
+factorization, mass balance, the partition of unity, the driver-independent
+offline span, and the coarse solver's identity-projection equivalence and
+determinism."""
 
 import logging
 import weakref
@@ -10,12 +11,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msflow import fem
+from msflow import fem, offline
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import (
@@ -46,8 +48,14 @@ from msflow.model import (
 from msflow.offline import (
     OfflineSpace,
     ProjectionMatrix,
+    _cluster_starts,
     build_offline_space,
     build_partition_of_unity,
+    build_snapshot_v1,
+    build_snapshot_v2,
+    compute_kappa_tilde,
+    select_offline_basis,
+    solve_local_spectral,
 )
 from msflow.online import UpdateSchedule
 
@@ -475,3 +483,74 @@ def test_partition_of_unity_on_patches(r, Nx, Ny, Nz):
         assert np.all(on_patch[~nb.boundary_mask] > 0.0)
         total += chi
     assert np.abs(total - 1.0).max() <= 1e-14
+
+
+def forced_eigh(mode, rng):
+    """scipy.linalg.eigh as the offline solve calls it, with the LAPACK
+    driver forced ("gvx" subset; "gvd" or "gv" full spectrum, first pairs
+    kept), or ("rotate") the default result with the vectors of every
+    cluster of equal eigenvalues mixed by a random orthogonal matrix;
+    "full" leaves it as it is, for a solve of the whole spectrum."""
+    eigh = la.eigh
+
+    def forced(a, b, subset_by_index=None):
+        if mode == "full":  # the default driver, called with n_eig=None
+            return eigh(a, b, subset_by_index=subset_by_index)
+        if mode == "gvx":
+            return eigh(a, b, subset_by_index=subset_by_index, driver="gvx")
+        if mode == "rotate":
+            vals, vecs = eigh(a, b, subset_by_index=subset_by_index)
+            starts = _cluster_starts(vals)
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                Q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+                vecs[:, lo:hi] = vecs[:, lo:hi] @ Q
+            return vals, vecs
+        vals, vecs = eigh(a, b, driver=mode)
+        k = vals.size if subset_by_index is None else subset_by_index[1] + 1
+        return vals[:k], vecs[:, :k]
+
+    return forced
+
+
+@settings(max_examples=12)
+@given(
+    shape=st.sampled_from([
+        ("v1", 2, (1, 1, 1)), ("v1", 2, (2, 1, 3)), ("v1", 3, (2, 2, 1)),
+        ("v1", 3, (1, 2, 2)), ("v2", 2, (3, 3, 3)),
+    ]),
+    mode=st.sampled_from(["rotate", "gvx", "gvd", "gv", "full"]),
+    scale=st.sampled_from([1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_offline_span_is_driver_independent(shape, mode, scale, seed):
+    """On uniform fields, whose symmetric patches have clusters of equal
+    eigenvalues, the span of the first L offline modes of every neighborhood
+    at every settled cut L is the same, to 1e-10 in the sine of the largest
+    principal angle, whichever basis of each cluster the eigensolver returns
+    and whichever LAPACK driver or spectrum size computes it; some cut lies
+    inside a cluster."""
+    kind, r, (Nx, Ny, Nz) = shape
+    mesh = build_two_scale_mesh(r * Nx, r * Ny, r * Nz, r)
+    perm = PermeabilityField(np.full(mesh.fine.n_cells, scale))
+    rho0 = np.ones(mesh.fine.n_cells)
+    kt = compute_kappa_tilde(mesh, perm, rho0)
+    rng = np.random.default_rng(seed)
+    worst, inside = 0.0, 0
+    for i in range(mesh.n_neighborhoods):
+        if kind == "v1":
+            snap = build_snapshot_v1(mesh, i)
+        else:
+            snap = build_snapshot_v2(mesh, i, perm, rho0)
+        ref = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=10)
+        with mock.patch.object(offline.la, "eigh", forced_eigh(mode, rng)):
+            other = solve_local_spectral(
+                mesh, i, snap, perm, rho0, kt, n_eig=None if mode == "full" else 10
+            )
+        starts = _cluster_starts(ref.eigenvalues)
+        for L in range(1, min(ref.n_complete, other.n_complete) + 1):
+            a = select_offline_basis(snap, ref, L)
+            b = select_offline_basis(snap, other, L)
+            worst = max(worst, float(np.sin(la.subspace_angles(a, b).max())))
+            inside += L not in starts
+    assert inside > 0
+    assert worst <= 1e-10
