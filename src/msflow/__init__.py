@@ -10,7 +10,7 @@ from .fem import (
     newton_residual,
     solve_fine,
 )
-from .grid import build_two_scale_mesh, neighborhood_restriction
+from .grid import build_two_scale_mesh
 from .harness import (
     ExperimentConfig,
     relative_h1_error,
@@ -23,7 +23,6 @@ from .model import (
     PermeabilityField,
     TimeGrid,
     density,
-    density_derivative,
     generate_channel_field,
     load_field_from_file,
     make_problem,
@@ -45,13 +44,11 @@ __all__ = [
     "build_offline_spaces",
     "build_two_scale_mesh",
     "density",
-    "density_derivative",
     "enrich_projection",
     "generate_channel_field",
     "linear_solve",
     "load_field_from_file",
     "make_problem",
-    "neighborhood_restriction",
     "newton_jacobian",
     "newton_residual",
     "relative_h1_error",

@@ -205,13 +205,9 @@ def cmd_check(args):
     )
     ref = solve_fine(problem)
     R = sp.identity(mesh8.fine.n_nodes, format="csr")
-    pm = ProjectionMatrix(
-        mesh8.fine.n_nodes, R, [0] * mesh8.fine.n_nodes,
-        problem.boundary.dirichlet_nodes,
-    )
+    pm = ProjectionMatrix(mesh8.fine.n_nodes, R, [0] * mesh8.fine.n_nodes)
     space = OfflineSpace(
-        mesh=mesh8, projection=pm, n_basis=[],
-        lambda_next=np.ones(mesh8.n_neighborhoods),
+        mesh=mesh8, projection=pm, lambda_next=np.ones(mesh8.n_neighborhoods)
     )
     res = solve_gmsfem(problem, space)
     dev = float(

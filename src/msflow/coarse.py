@@ -5,7 +5,7 @@ nonlinearity is evaluated on fine cells).  Each time step runs the fine
 solver's damped-Newton driver (`fem._newton_step`) with the current basis
 matrix R: the fine residual is projected to R^T F, R^T J R is assembled
 from the Jacobian's cell blocks coarse cell by coarse cell (the basis's
-gather, `ProjectionMatrix.gather`), the small dense system is solved and the
+gather, `fem._cell_gather`), the small dense system is solved and the
 update prolonged.  Scheduled online enrichment replaces the online columns of
 R between steps.
 """
@@ -13,7 +13,13 @@ R between steps.
 import time
 from dataclasses import dataclass, field
 
-from .fem import FineSolution, NewtonConfig, _initial_state, _newton_step
+from .fem import (
+    FineSolution,
+    NewtonConfig,
+    _cell_gather,
+    _initial_state,
+    _newton_step,
+)
 from .online import UpdateSchedule, enrich_projection
 
 
@@ -23,10 +29,10 @@ class CoarseResult(FineSolution):
     t_basis_online: float = 0.0
 
 
-def gmsfem_step(p_prev, projection, mesh, problem, config, result, step):
+def gmsfem_step(p_prev, gather, problem, config, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
-    columns; returns the accepted fine-grid prolonged state."""
-    gather = projection.gather(mesh, problem.boundary.dirichlet_nodes)
+    columns, given as their coarse-cell gather; returns the accepted
+    fine-grid prolonged state."""
     return _newton_step(p_prev, problem, config, result, step, gather=gather)
 
 
@@ -37,6 +43,8 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     left on it is dropped on entry.  At each scheduled step the online block
     is recomputed (before the first Newton iteration) from the residual at
     the previous accepted state and replaces the previous online columns.
+    The run builds the gather of its basis when the basis changes and frees
+    it on return, so a space kept for later runs holds no solver buffers.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
@@ -44,21 +52,20 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     mesh = offline_space.mesh
     projection = offline_space.projection
     projection.set_online([])
+    dirichlet = problem.boundary.dirichlet_nodes
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
-    try:
-        for step in range(1, problem.time.n_steps + 1):
-            if schedule.n_online > 0 and step in schedule.update_steps:
-                t0 = time.perf_counter()
-                enrich_projection(
-                    projection, mesh, problem,
-                    p_state=p, p_prev=p, n_online=schedule.n_online,
-                )
-                result.t_basis_online += time.perf_counter() - t0
-            p = gmsfem_step(p, projection, mesh, problem, config, result, step)
-            result.states.append(p)
-            result.dim_history.append(projection.dim)
-    finally:
-        projection.drop_cache()  # a space kept for later runs keeps no buffers
+    gather = None
+    for step in range(1, problem.time.n_steps + 1):
+        if schedule.n_online > 0 and step in schedule.update_steps:
+            gather = None  # frees the old basis's dense R^T J R buffer
+            t0 = time.perf_counter()
+            enrich_projection(projection, mesh, problem, p, schedule.n_online)
+            result.t_basis_online += time.perf_counter() - t0
+        if gather is None:
+            gather = _cell_gather(mesh, projection.matrix(), dirichlet)
+        p = gmsfem_step(p, gather, problem, config, result, step)
+        result.states.append(p)
+        result.dim_history.append(projection.dim)
     return result

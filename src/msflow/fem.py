@@ -233,10 +233,10 @@ def _refine(lu, A, b, rtol, max_steps):
     return x, nr, steps
 
 
-def _lu_solve(lu, A, b, rtol=1e-10):
+def _lu_solve(lu, A, b):
     """Solve A x = b with the LU of A, one step of iterative refinement if the
-    residual exceeds rtol * ||b||, and a residual-norm check."""
-    x, nr, _ = _refine(lu, A, b, rtol, 1)
+    residual exceeds 1e-10 * ||b||, and a residual-norm check."""
+    x, nr, _ = _refine(lu, A, b, 1e-10, 1)
     if not nr <= 1e-6 * np.linalg.norm(b):
         raise SingularMatrixError(
             f"linear solve residual {nr:.3e} exceeds 1e-6 * ||b|| "
@@ -245,9 +245,9 @@ def _lu_solve(lu, A, b, rtol=1e-10):
     return x
 
 
-def linear_solve(A, b, rtol=1e-10):
+def linear_solve(A, b):
     """Direct sparse solve with a residual-norm check."""
-    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float), rtol)
+    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float))
 
 
 # A fine Newton system is solved by iterative refinement on a kept LU to this
@@ -352,7 +352,6 @@ class _CellGather:
     the fine cells (C, r^3), the columns (C, k) and R_K (C, (r+1)^3, k).
     """
 
-    key: tuple  # (fine grid, coarse grid, Dirichlet nodes as bytes)
     R: object  # CSR, n_fine x dim
     batches: list
     slots: np.ndarray  # slot in a flattened J_K of each box cell-block entry
@@ -394,7 +393,7 @@ def _cell_gather(mesh, R, dirichlet_nodes):
     slots = (cn[:, :, None] * m + cn[:, None, :]).ravel()
     RD = R[d]
     gram = (RD.T @ RD).tocoo()
-    return _CellGather((mesh.fine, mesh.coarse, d.tobytes()), R, batches, slots, gram)
+    return _CellGather(R, batches, slots, gram)
 
 
 def _projected_jacobian(gather, blocks):

@@ -105,23 +105,17 @@ class CoarseNeighborhood:
     `cells` likewise for the box cells.  `box` is the box as a grid of its
     own, whose `cell_nodes()` is the patch connectivity in local numbering.
 
-    Two boundary notions are kept:
-      * boundary_mask: nodes on the geometric patch boundary (any box face),
-      * constrained_mask: nodes on a box face that is NOT part of the domain
-        boundary.  Harmonic extensions and local zero-Dirichlet solves pin
-        exactly the constrained nodes; patch faces lying on the domain
-        boundary keep their natural (Neumann) role.
+    `constrained_mask` marks the nodes on a box face that is NOT part of the
+    domain boundary.  Harmonic extensions and local zero-Dirichlet solves pin
+    exactly these nodes; patch faces lying on the domain boundary keep their
+    natural (Neumann) role.
     """
 
-    index: int
     vertex: tuple
     n_coarse_cells: int
-    node_lo: tuple
-    node_hi: tuple
     box: FineGrid
     nodes: np.ndarray
     cells: np.ndarray
-    boundary_mask: np.ndarray
     constrained_mask: np.ndarray
 
     @property
@@ -132,10 +126,6 @@ class CoarseNeighborhood:
     def free_mask(self):
         """Local DOFs that participate in constrained local solves."""
         return ~self.constrained_mask
-
-    def restrict(self, v):
-        v = np.asarray(v)
-        return v[self.nodes]
 
 
 @dataclass(frozen=True)
@@ -196,27 +186,19 @@ def _build_neighborhood(fine, coarse, idx):
     cells = fine.cell_index(ci + lo[0], cj + lo[1], ck + lo[2])
 
     dims = (fine.nx, fine.ny, fine.nz)
-    boundary = np.zeros(nodes.size, dtype=bool)
     constrained = np.zeros(nodes.size, dtype=bool)
     for a in range(3):
-        on_lo = coords[a] == lo[a]
-        on_hi = coords[a] == hi[a]
-        boundary |= on_lo | on_hi
         if lo[a] > 0:
-            constrained |= on_lo
+            constrained |= coords[a] == lo[a]
         if hi[a] < dims[a]:
-            constrained |= on_hi
+            constrained |= coords[a] == hi[a]
 
     return CoarseNeighborhood(
-        index=idx,
         vertex=(I, J, K),
         n_coarse_cells=n_coarse_cells,
-        node_lo=lo,
-        node_hi=hi,
         box=box,
         nodes=nodes,
         cells=cells,
-        boundary_mask=boundary,
         constrained_mask=constrained,
     )
 
@@ -238,15 +220,3 @@ def build_two_scale_mesh(nx, ny, nz, r, h=1.0):
         _build_neighborhood(fine, coarse, i) for i in range(coarse.n_vertices)
     ]
     return TwoScaleMesh(fine=fine, coarse=coarse, neighborhoods=neighborhoods)
-
-
-def neighborhood_restriction(mesh, i, v):
-    """Restrict a fine nodal vector to neighborhood i (local ordering)."""
-    if not 0 <= i < mesh.n_neighborhoods:
-        raise ConfigError(f"invalid neighborhood id {i}")
-    v = np.asarray(v)
-    if v.shape[0] != mesh.fine.n_nodes:
-        raise ConfigError(
-            f"vector length {v.shape[0]} != fine node count {mesh.fine.n_nodes}"
-        )
-    return mesh.neighborhoods[i].restrict(v)

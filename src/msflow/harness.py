@@ -223,21 +223,22 @@ def relative_h1_error(p_ms, p_ref, stiffness):
     return float(np.sqrt(max(0.0, d @ (stiffness @ d)) / ref))
 
 
-def export_vtk(fine, nodal_field, path, name="pressure"):
-    """Legacy-VTK structured-points file with one scalar point field."""
+def export_vtk(fine, nodal_field, path):
+    """Legacy-VTK structured-points file with one scalar point field,
+    `pressure`."""
     nodal_field = np.asarray(nodal_field)
     if nodal_field.shape[0] != fine.n_nodes:
         raise MsflowError("VTK export: field length does not match the grid")
     lines = [
         "# vtk DataFile Version 3.0",
-        name,
+        "pressure",
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {fine.nx + 1} {fine.ny + 1} {fine.nz + 1}",
         "ORIGIN 0 0 0",
         f"SPACING {fine.h:.12g} {fine.h:.12g} {fine.h:.12g}",
         f"POINT_DATA {fine.n_nodes}",
-        f"SCALARS {name} double",
+        "SCALARS pressure double",
         "LOOKUP_TABLE default",
     ]
     lines.extend(f"{v:.12e}" for v in nodal_field)
@@ -294,13 +295,14 @@ def _load_reference(cache, problem):
     return list(states), list(iters), t_ass, t_solve
 
 
-def fine_reference(config, out_dir=None, force=False):
-    """Fine-grid reference solve, cached on disk by the config hash.
+def fine_reference(config, force=False):
+    """Fine-grid reference solve, cached in the output directory by the
+    config hash.
 
     The cache is written to a temporary file and renamed into place; an
     unreadable or mismatched cache counts as a miss."""
     mesh = config.validate()
-    out_dir = Path(out_dir or config["output.dir"])
+    out_dir = Path(config["output.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = out_dir / f"fine_ref_{config.reference_hash()}.npz"
     problem = config.build_problem(mesh.fine)

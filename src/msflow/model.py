@@ -41,11 +41,6 @@ def density(p, props):
     return props.rho_ref * np.exp(arg)
 
 
-def density_derivative(p, props):
-    """d rho / d p = c * rho(p)."""
-    return props.c * density(p, props)
-
-
 @dataclass(frozen=True)
 class PermeabilityField:
     values: np.ndarray
@@ -168,10 +163,6 @@ class SourceSpec:
     entries: list = field(default_factory=list)
 
     @staticmethod
-    def empty():
-        return SourceSpec(entries=[])
-
-    @staticmethod
     def corner_wells(fine: FineGrid, rate):
         """Four vertical injector columns in the corners and one balancing
         sink column in the middle; total injected rate is zero."""
@@ -216,10 +207,6 @@ class TimeGrid:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ConfigError(f"step count must be >= 0, got {self.n_steps}")
-
-    @property
-    def total_time(self):
-        return self.dt * self.n_steps
 
 
 @dataclass(frozen=True)

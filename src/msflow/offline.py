@@ -19,7 +19,7 @@ operators, so patches of one box shape share one sparsity pattern.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -28,7 +28,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
-    _cell_gather,
     _factor,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -103,8 +102,6 @@ def compute_kappa_tilde(mesh, perm, rho0_cell, pou=None):
 
 @dataclass
 class SnapshotSpace:
-    neighborhood: int
-    kind: str  # "v1" | "v2"
     basis: np.ndarray | None  # None means the identity (v1)
     dim: int
     nodes: np.ndarray  # local node of each snapshot coordinate
@@ -126,10 +123,7 @@ def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False)
 
 def build_snapshot_v1(mesh, i):
     nb = mesh.neighborhoods[i]
-    return SnapshotSpace(
-        neighborhood=i, kind="v1", basis=None, dim=nb.n_local,
-        nodes=np.arange(nb.n_local),
-    )
+    return SnapshotSpace(basis=None, dim=nb.n_local, nodes=np.arange(nb.n_local))
 
 
 def build_snapshot_v2(mesh, i, perm, rho0_cell):
@@ -156,7 +150,7 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = X
-    return SnapshotSpace(neighborhood=i, kind="v2", basis=S, dim=bnd.size, nodes=bnd)
+    return SnapshotSpace(basis=S, dim=bnd.size, nodes=bnd)
 
 
 # Two computed eigenvalues are copies of one exactly degenerate eigenvalue
@@ -185,7 +179,6 @@ _EXTRA_PAIRS = 4
 
 @dataclass
 class SpectralDecomposition:
-    neighborhood: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, in snapshot coordinates
     # leading pairs whose eigenvalue clusters were computed whole: a cut at
@@ -296,7 +289,7 @@ def solve_local_spectral(
     signs[signs == 0] = 1.0
     vecs = vecs * signs[None, :]
     return SpectralDecomposition(
-        neighborhood=i, eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete
+        eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete
     )
 
 
@@ -324,21 +317,20 @@ class ProjectionMatrix:
 
     dim counts every basis function.  independent, if given, lists the
     offline columns that span the offline space; the others are linear
-    combinations of them and matrix() leaves them out.  matrix() and the
-    coarse-cell gather of the projected assembly are built on first use and
-    dropped by set_online and by a coarse solve when it ends.
+    combinations of them and matrix() leaves them out.  col_nb gives the
+    neighborhood of every column of `offline`, dependent ones included, so
+    it is indexed like `offline`, not like matrix(); the online columns carry
+    their own.
     """
 
-    def __init__(self, n_fine, offline, col_nb, dirichlet_nodes, independent=None):
+    def __init__(self, n_fine, offline, col_nb, independent=None):
         self.n_fine = n_fine
         self.offline = offline.tocsr()
         self.col_nb = list(col_nb)  # neighborhood id per offline column
-        self.dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=int)
         self.online_cols = []  # list of (neighborhood id, fine vector) pairs
         self._basis = (
             self.offline if independent is None else self.offline[:, independent]
         )
-        self.drop_cache()
 
     @property
     def n_offline(self):
@@ -359,44 +351,21 @@ class ProjectionMatrix:
             if v.shape[0] != self.n_fine:
                 raise ConfigError("online column has wrong length")
         self.online_cols = list(cols)
-        self.drop_cache()
 
     def matrix(self):
         """The basis the coarse solves use: the independent offline columns,
         then the online columns."""
-        if self._matrix is None:
-            if not self.online_cols:
-                self._matrix = self._basis
-            else:
-                dense = np.column_stack([v for _, v in self.online_cols])
-                self._matrix = sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
-        return self._matrix
-
-    def gather(self, mesh, dirichlet_nodes):
-        """matrix() split by the coarse cells of mesh, with the rows of the
-        given Dirichlet nodes reduced as the Jacobian reduces them, for
-        `fem._solve_projected`."""
-        d = np.asarray(dirichlet_nodes, dtype=np.int64)
-        key = (mesh.fine, mesh.coarse, d.tobytes())
-        if self._gather is None or self._gather.key != key:
-            self._gather = _cell_gather(mesh, self.matrix(), d)
-        return self._gather
-
-    def drop_cache(self):
-        """Free the memoized matrix() and the gather with its dense buffer;
-        both are rebuilt on next use."""
-        self._matrix = None
-        self._gather = None
+        if not self.online_cols:
+            return self._basis
+        dense = np.column_stack([v for _, v in self.online_cols])
+        return sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
 
 
 @dataclass
 class OfflineSpace:
     mesh: object
     projection: ProjectionMatrix
-    n_basis: list  # offline count per neighborhood
     lambda_next: np.ndarray  # lambda_{L_i+1} per neighborhood (error indicator)
-    eigenvalues: list = field(repr=False, default_factory=list)
-    kind: str = "v1"
     t_basis: float = 0.0
 
 
@@ -458,12 +427,12 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     ).tocsr()
     keep = _independent_columns(R)
     if keep.size == col:
-        return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes)
+        return ProjectionMatrix(n_fine, R, col_nb)
     log.info(
         "left %d of %d offline basis columns out of the coarse solves as "
         "linearly dependent", col - keep.size, col,
     )
-    return ProjectionMatrix(n_fine, R, col_nb, dirichlet_nodes, independent=keep)
+    return ProjectionMatrix(n_fine, R, col_nb, independent=keep)
 
 
 def build_offline_spaces(
@@ -552,12 +521,9 @@ def build_offline_spaces(
         spaces.append(OfflineSpace(
             mesh=mesh,
             projection=projection,
-            n_basis=n,
             lambda_next=np.array(
                 [lam[min(L, lam.size - 1)] for lam, L in zip(eigs, n)]
             ),
-            eigenvalues=eigs,
-            kind=kind,
             t_basis=t_pass + time.perf_counter() - t1,
         ))
     return spaces

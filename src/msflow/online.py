@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
-    _factor,
+    _cell_gather,
     _jacobian_blocks,
-    _lu_solve,
     _solve_projected,
     linear_solve,
     newton_jacobian,
@@ -62,7 +61,6 @@ class UpdateSchedule:
 
 @dataclass
 class LocalResidual:
-    neighborhood: int
     values: np.ndarray  # over all local DOFs of the patch
     free_local: np.ndarray  # local indices taking part in the solve
 
@@ -89,7 +87,6 @@ def compute_local_residual(mesh, i, F_global, dirichlet_nodes=None):
     if F_global.shape[0] != mesh.fine.n_nodes:
         raise ConfigError("global residual has wrong length")
     return LocalResidual(
-        neighborhood=i,
         values=-F_global[nb.nodes],
         free_local=_free_local_dofs(mesh, i, dirichlet_nodes),
     )
@@ -99,14 +96,14 @@ def solve_online_vector(mesh, i, local_residual, J_global):
     """Solve the Jacobian-restricted local problem with the localized residual
     as load; extend by zero and normalize in the local energy norm.
 
-    Returns (fine vector, raw local solution) or (None, None) when the local
-    residual vanishes (nothing to enrich).
+    Returns the fine vector, or None when the local residual vanishes
+    (nothing to enrich).
     """
     nb = mesh.neighborhoods[i]
     free = local_residual.free_local
     r = local_residual.values[free]
     if free.size == 0 or np.linalg.norm(r) == 0.0:
-        return None, None
+        return None
     rows = nb.nodes[free]
     J_loc = J_global[np.ix_(rows, rows)]
     try:
@@ -118,10 +115,10 @@ def solve_online_vector(mesh, i, local_residual, J_global):
     J_sym = 0.5 * (J_loc + J_loc.T)
     energy = float(x @ (J_sym @ x))
     if energy <= 0:
-        return None, None
+        return None
     v = np.zeros(mesh.fine.n_nodes)
     v[rows] = x / np.sqrt(energy)
-    return v, x
+    return v
 
 
 def error_indicator(mesh, i, local_residual, J_global, lambda_next):
@@ -136,7 +133,7 @@ def error_indicator(mesh, i, local_residual, J_global, lambda_next):
     J_loc = J_global[np.ix_(rows, rows)]
     J_sym = 0.5 * (J_loc + J_loc.T)
     try:
-        x = _lu_solve(_factor(J_sym), J_sym, r)
+        x = linear_solve(J_sym, r)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"error indicator solve failed on neighborhood {i}: {exc}"
@@ -145,17 +142,13 @@ def error_indicator(mesh, i, local_residual, J_global, lambda_next):
 
 
 def enrich_projection(
-    projection,
-    mesh,
-    problem,
-    p_state,
-    p_prev,
-    n_online,
-    top_k=None,
-    lambda_next=None,
+    projection, mesh, problem, p_state, n_online, top_k=None, lambda_next=None
 ):
     """Compute the online block at the current state and install it in place
     of any previous online columns.
+
+    The residual is the coming time step's at its initial guess: p_state is
+    both the previous state and the trial state.
 
     For n_online >= 2 the construction is iterative: after each round the
     trial state is corrected by one projected Newton step in the temporarily
@@ -173,7 +166,7 @@ def enrich_projection(
     p = p_state.copy()
     for round_ in range(n_online):
         F = newton_residual(
-            p, p_prev, problem.fluid, problem.perm, problem.time.dt,
+            p, p_state, problem.fluid, problem.perm, problem.time.dt,
             problem.load, fine, problem.boundary,
         )
         J = newton_jacobian(
@@ -197,14 +190,14 @@ def enrich_projection(
         round_cols = []
         for i in chosen:
             lr = compute_local_residual(mesh, i, F, dirichlet)
-            v, _ = solve_online_vector(mesh, i, lr, J)
+            v = solve_online_vector(mesh, i, lr, J)
             if v is not None:
                 round_cols.append((i, v))
         new_cols.extend(round_cols)
         if round_ + 1 < n_online and round_cols:
             # correct the trial state in the temporarily enriched space
             projection.set_online(new_cols)
-            gather = projection.gather(mesh, dirichlet)
+            gather = _cell_gather(mesh, projection.matrix(), dirichlet)
             blocks = _jacobian_blocks(
                 p, problem.fluid, problem.perm, problem.time.dt, fine
             )

@@ -166,9 +166,8 @@ def test_identity_projection_equivalence():
                         "mixed-bc")
     ref = solve_fine(prob)
     n = mesh.fine.n_nodes
-    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n,
-                          prob.boundary.dirichlet_nodes)
-    space = OfflineSpace(mesh=mesh, projection=pm, n_basis=[],
+    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n)
+    space = OfflineSpace(mesh=mesh, projection=pm,
                          lambda_next=np.ones(mesh.n_neighborhoods))
     res = solve_gmsfem(prob, space)
     dev = np.abs(np.asarray(res.states) - np.asarray(ref.states)).max()
@@ -203,17 +202,13 @@ def test_partition_of_unity_and_conformity(desk, mixed_runs):
     assert np.abs(total - 1.0).max() <= 1e-14
 
     space, _ = mixed_runs["4+1u1"]
-    R = space.projection.matrix().tocsc()
-    col_nb = (
-        space.projection.col_nb
-        + [i for i, _ in space.projection.online_cols]
-    )
+    pm = space.projection
+    # col_nb indexes the offline columns, dependent ones included
+    offline = pm.offline.toarray()
+    columns = list(zip(pm.col_nb, offline.T)) + pm.online_cols
     dirichlet = desk["mixed"].boundary.dirichlet_nodes
-    for col in range(R.shape[1]):
-        nb = mesh.neighborhoods[col_nb[col]]
-        vals = np.zeros(mesh.fine.n_nodes)
-        sl = slice(R.indptr[col], R.indptr[col + 1])
-        vals[R.indices[sl]] = R.data[sl]
+    for i, vals in columns:
+        nb = mesh.neighborhoods[i]
         assert np.all(vals[nb.nodes[nb.constrained_mask]] == 0.0)
         assert np.all(vals[dirichlet] == 0.0)
         member = np.zeros(mesh.fine.n_nodes, dtype=bool)

@@ -1,9 +1,12 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from msflow import coarse
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
@@ -12,14 +15,11 @@ from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
 from msflow.online import UpdateSchedule, enrich_projection
 
 
-def _identity_space(mesh, dirichlet_nodes):
+def _identity_space(mesh):
     n = mesh.fine.n_nodes
-    pm = ProjectionMatrix(
-        n, sp.identity(n, format="csr"), [0] * n, dirichlet_nodes
-    )
+    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n)
     return OfflineSpace(
-        mesh=mesh, projection=pm, n_basis=[],
-        lambda_next=np.ones(mesh.n_neighborhoods),
+        mesh=mesh, projection=pm, lambda_next=np.ones(mesh.n_neighborhoods)
     )
 
 
@@ -29,33 +29,33 @@ def test_identity_projection_matches_fine(mesh4, fluid, uniform_perm4):
         "mixed-bc",
     )
     ref = solve_fine(prob)
-    res = solve_gmsfem(
-        prob, _identity_space(mesh4, prob.boundary.dirichlet_nodes)
-    )
+    res = solve_gmsfem(prob, _identity_space(mesh4))
     dev = np.abs(np.asarray(res.states) - np.asarray(ref.states)).max()
     assert dev <= 1e-10 * np.abs(np.asarray(ref.states)).max()
 
 
-def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4):
-    """The coarse-cell gather and its dense buffer live only while a solve
-    runs, so a space kept for later runs holds no solver buffers."""
+def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4, monkeypatch):
+    """A coarse solve builds the coarse-cell gather of its basis once per
+    basis and frees it with its dense buffer, so a space kept for later runs
+    holds no solver buffers."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
         "neumann-wells", well_rate=1e8,
     )
     space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
-    built = []
-    gather = space.projection.gather
+    built = []  # (weak reference, dimension) per gather
+    gather = coarse._cell_gather
 
-    def recording_gather(*args):
-        built.append(gather(*args))
-        return built[-1]
+    def recording_gather(mesh, R, dirichlet):
+        g = gather(mesh, R, dirichlet)
+        built.append((weakref.ref(g), g.dim))
+        return g
 
-    space.projection.gather = recording_gather
+    monkeypatch.setattr(coarse, "_cell_gather", recording_gather)
     solve_gmsfem(prob, space, UpdateSchedule(1, (2,)))
-    assert len({id(g) for g in built}) == 2  # offline basis, then enriched
-    assert all(g.buf is not None for g in built)
-    assert space.projection._gather is None
+    assert len(built) == 2 and built[0][1] < built[1][1]  # offline, enriched
+    gc.collect()
+    assert all(ref() is None for ref, _ in built)
 
 
 def test_constant_steady_state_zero_iterations(mesh4, fluid, uniform_perm4):
@@ -211,13 +211,8 @@ def _space_with_zero_column(mesh, space):
     projected Jacobian exactly singular."""
     pm = space.projection
     offline = sp.hstack([pm.offline, sp.csr_matrix((pm.n_fine, 1))])
-    bad = ProjectionMatrix(
-        pm.n_fine, offline, pm.col_nb + [0], pm.dirichlet_nodes
-    )
-    return OfflineSpace(
-        mesh=mesh, projection=bad, n_basis=space.n_basis,
-        lambda_next=space.lambda_next,
-    )
+    bad = ProjectionMatrix(pm.n_fine, offline, pm.col_nb + [0])
+    return OfflineSpace(mesh=mesh, projection=bad, lambda_next=space.lambda_next)
 
 
 def test_singular_projected_system_raises(mesh4, fluid, uniform_perm4):
@@ -244,8 +239,7 @@ def test_singular_online_corrector_raises(mesh4, fluid, uniform_perm4):
     )
     with pytest.raises(SingularMatrixError, match="projected Newton system"):
         enrich_projection(
-            space.projection, mesh4, prob, p_state=prob.p0, p_prev=prob.p0,
-            n_online=2,
+            space.projection, mesh4, prob, p_state=prob.p0, n_online=2
         )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msflow.errors import ConfigError
-from msflow.grid import build_two_scale_mesh, neighborhood_restriction
+from msflow.grid import build_two_scale_mesh
 
 
 def test_counts_8_cubed_r4(mesh8):
@@ -74,35 +74,6 @@ def test_interior_neighborhood_extent(mesh8):
     assert center.cells.size == 8**3
 
 
-def test_restriction_all_ones(mesh8):
-    v = np.ones(mesh8.fine.n_nodes)
-    loc = neighborhood_restriction(mesh8, 0, v)
-    assert np.array_equal(loc, np.ones(mesh8.neighborhoods[0].n_local))
-
-
-def test_restrict_extend_round_trip(mesh8):
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(mesh8.fine.n_nodes)
-    for i in (0, 13, 26):
-        nb = mesh8.neighborhoods[i]
-        loc = nb.restrict(v)
-        back = np.zeros(mesh8.fine.n_nodes)
-        back[nb.nodes] = loc
-        # brute-force membership oracle
-        member = np.zeros(mesh8.fine.n_nodes, dtype=bool)
-        member[nb.nodes] = True
-        assert np.array_equal(back[member], v[member])
-        assert np.all(back[~member] == 0.0)
-        assert np.array_equal(nb.restrict(back), loc)
-
-
-def test_restriction_invalid_inputs(mesh8):
-    with pytest.raises(ConfigError):
-        neighborhood_restriction(mesh8, 27, np.ones(mesh8.fine.n_nodes))
-    with pytest.raises(ConfigError):
-        neighborhood_restriction(mesh8, 0, np.ones(5))
-
-
 def test_neighborhoods_cover_all_nodes(mesh8):
     count = np.zeros(mesh8.fine.n_nodes, dtype=int)
     for nb in mesh8.neighborhoods:
@@ -128,23 +99,23 @@ def build_support_mask(pou, i):
 
 
 def test_boundary_classification_brute_force(mesh8):
-    """A patch node is geometric-boundary iff it touches the patch box faces;
-    it is constrained only where that face is not on the domain boundary."""
+    """A patch is the box of fine nodes within one coarse cell of its vertex;
+    a patch node is constrained iff it lies on a box face that is not on the
+    domain boundary."""
     fine = mesh8.fine
+    r = mesh8.coarse.r
+    dims = (fine.nx, fine.ny, fine.nz)
+    all_ijk = fine.node_ijk(np.arange(fine.n_nodes))
     for i in (0, 4, 13):
         nb = mesh8.neighborhoods[i]
-        gi, gj, gk = fine.node_ijk(nb.nodes)
-        lo, hi = nb.node_lo, nb.node_hi
-        on_face = (
-            (gi == lo[0]) | (gi == hi[0])
-            | (gj == lo[1]) | (gj == hi[1])
-            | (gk == lo[2]) | (gk == hi[2])
+        lo = [max(0, (v - 1) * r) for v in nb.vertex]
+        hi = [min(n, (v + 1) * r) for v, n in zip(nb.vertex, dims)]
+        in_box = np.all(
+            [(l <= g) & (g <= h) for l, g, h in zip(lo, all_ijk, hi)], axis=0
         )
-        assert np.array_equal(nb.boundary_mask, on_face)
+        assert np.array_equal(np.sort(nb.nodes), np.flatnonzero(in_box))
         constrained = np.zeros(nb.n_local, dtype=bool)
-        for axis, (g, n) in enumerate(
-            zip((gi, gj, gk), (fine.nx, fine.ny, fine.nz))
-        ):
+        for axis, (g, n) in enumerate(zip(fine.node_ijk(nb.nodes), dims)):
             if lo[axis] > 0:
                 constrained |= g == lo[axis]
             if hi[axis] < n:
@@ -156,8 +127,13 @@ def test_boundary_classification_brute_force(mesh8):
 def test_corner_patch_domain_faces_are_unconstrained(mesh8):
     """Patch faces on the domain boundary keep their natural role."""
     nb = mesh8.neighborhoods[0]  # corner patch: 3 faces on the domain boundary
-    assert nb.constrained_mask.sum() < nb.boundary_mask.sum()
+    bi, bj, bk = nb.box.node_ijk(np.arange(nb.n_local))
+    on_face = (
+        (bi == 0) | (bi == nb.box.nx) | (bj == 0) | (bj == nb.box.ny)
+        | (bk == 0) | (bk == nb.box.nz)
+    )
+    assert nb.constrained_mask.sum() < on_face.sum()
     # the domain corner node is on the geometric patch boundary, not constrained
     corner_local = int(np.flatnonzero(nb.nodes == 0)[0])
-    assert nb.boundary_mask[corner_local]
+    assert on_face[corner_local]
     assert not nb.constrained_mask[corner_local]

@@ -11,7 +11,6 @@ from msflow.model import (
     TimeGrid,
     build_source_vector,
     density,
-    density_derivative,
     generate_channel_field,
     load_field_from_file,
     make_problem,
@@ -46,23 +45,6 @@ def test_density_monotone_positive(fluid):
 def test_density_overflow_guard(fluid):
     with pytest.raises(NumericRangeError):
         density(fluid.p_ref + 800.0 / fluid.c, fluid)
-
-
-def test_density_derivative_reference(fluid):
-    assert density_derivative(fluid.p_ref, fluid) == pytest.approx(
-        fluid.c * fluid.rho_ref, rel=1e-15
-    )
-
-
-def test_density_derivative_finite_difference(fluid):
-    p = 2.1e7
-    delta = 1.0
-    fd = (density(p + delta, fluid) - density(p - delta, fluid)) / (2 * delta)
-    assert density_derivative(p, fluid) == pytest.approx(fd, rel=1e-9)
-
-
-def test_density_derivative_monotone(fluid):
-    assert density_derivative(1.9e7, fluid) < density_derivative(2.2e7, fluid)
 
 
 def test_fluid_props_validation():
@@ -139,7 +121,7 @@ def test_field_file_unreadable(mesh4, tmp_path):
 
 
 def test_source_vector_empty(mesh4):
-    load = build_source_vector(mesh4.fine, SourceSpec.empty())
+    load = build_source_vector(mesh4.fine, SourceSpec())
     assert np.all(load == 0.0)
 
 
@@ -209,4 +191,3 @@ def test_time_grid_validation():
         TimeGrid(dt=0.0, n_steps=1)
     with pytest.raises(ConfigError):
         TimeGrid(dt=1.0, n_steps=-1)
-    assert TimeGrid(dt=0.5, n_steps=4).total_time == 2.0

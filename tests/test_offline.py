@@ -243,23 +243,34 @@ def test_v2_within_v1_span(mesh8, uniform_perm8):
     assert snap2.basis.shape == (v1_dim, snap2.dim)
 
 
-def test_projection_assembly_properties(mesh8, fluid, uniform_perm8):
+def test_projection_assembly_properties(
+    mesh4, mesh8, fluid, uniform_perm4, uniform_perm8
+):
+    """Every basis column, dependent offline ones included, is supported in
+    the patch that col_nb names and vanishes on its constrained boundary.
+    col_nb indexes the columns of `offline`: on the 4^3 r=2 mixed-bc space
+    matrix() leaves 12 of the 54 out, so its columns are not col_nb's."""
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
-    space = build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
-    R = space.projection.matrix()
-    assert space.projection.dim == 2 * mesh8.n_neighborhoods
-    # column support within the owning neighborhood
-    Rc = R.tocsc()
-    for col in (0, 5, 2 * mesh8.n_neighborhoods - 1):
-        nb = mesh8.neighborhoods[space.projection.col_nb[col]]
-        rows = Rc.indices[Rc.indptr[col]:Rc.indptr[col + 1]]
-        member = np.zeros(mesh8.fine.n_nodes, dtype=bool)
-        member[nb.nodes] = True
-        assert np.all(member[rows])
-        # conforming: zero on the constrained patch boundary
-        vals = np.zeros(mesh8.fine.n_nodes)
-        vals[rows] = Rc.data[Rc.indptr[col]:Rc.indptr[col + 1]]
-        assert np.all(vals[nb.nodes[nb.constrained_mask]] == 0.0)
+    space8 = build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
+    assert space8.projection.dim == 2 * mesh8.n_neighborhoods
+    prob4 = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
+    )
+    space4 = build_offline_space(
+        mesh4, uniform_perm4, fluid, prob4.p0, 2,
+        dirichlet_nodes=prob4.boundary.dirichlet_nodes,
+    )
+    assert space4.projection.matrix().shape[1] < space4.projection.n_offline
+    for mesh, space in ((mesh8, space8), (mesh4, space4)):
+        pm = space.projection
+        assert len(pm.col_nb) == pm.n_offline
+        for i, vals in zip(pm.col_nb, pm.offline.toarray().T):
+            nb = mesh.neighborhoods[i]
+            member = np.zeros(mesh.fine.n_nodes, dtype=bool)
+            member[nb.nodes] = True
+            assert np.all(vals[~member] == 0.0)
+            # conforming: zero on the constrained patch boundary
+            assert np.all(vals[nb.nodes[nb.constrained_mask]] == 0.0)
 
 
 def test_projection_dirichlet_rows_zero(mesh8, fluid, uniform_perm8):
@@ -290,15 +301,15 @@ def test_first_basis_is_hat_for_uniform_field(mesh8, fluid, uniform_perm8):
 
 def test_extra_density_mass_flag(mesh8, fluid, uniform_perm8):
     # constant rho0: the doubled density weight rescales all eigenvalues by
-    # exactly 1/rho0
+    # exactly 1/rho0, the first discarded ones included
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref + 1e6)
     rho0 = density(fluid.p_ref + 1e6, fluid)
     a = build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
     b = build_offline_space(
         mesh8, uniform_perm8, fluid, p0, 2, extra_density_mass=True
     )
-    for ea, eb in zip(a.eigenvalues, b.eigenvalues):
-        assert np.allclose(eb, ea / rho0, rtol=1e-10)
+    assert np.all(a.lambda_next > 0)
+    assert np.allclose(b.lambda_next, a.lambda_next / rho0, rtol=1e-10)
 
 
 def test_offline_space_metadata(mesh8, fluid, uniform_perm8):
@@ -306,7 +317,6 @@ def test_offline_space_metadata(mesh8, fluid, uniform_perm8):
     space = build_offline_space(mesh8, uniform_perm8, fluid, p0, 3)
     assert space.lambda_next.shape == (mesh8.n_neighborhoods,)
     assert np.all(space.lambda_next >= 0)
-    assert space.n_basis == [3] * mesh8.n_neighborhoods
     R = space.projection.matrix()
     ev = np.linalg.eigvalsh((R.T @ R).toarray())
     assert ev[0] > 1e-10 * ev[-1]
@@ -401,7 +411,6 @@ def test_dependent_columns_left_out_of_matrix(
     assert R.shape[1] == 42
     assert np.linalg.matrix_rank(R) == 42
     assert np.linalg.matrix_rank(np.hstack([full, R])) == 42
-    assert s4.n_basis == [2] * mesh4.n_neighborhoods
 
     for L in (2, 4):
         s8 = space(mesh8, uniform_perm8, L)
@@ -410,10 +419,10 @@ def test_dependent_columns_left_out_of_matrix(
 
 
 def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
-    """matrix() and the coarse-cell gather are memoized until the next
-    set_online, so a space shared by several runs never solves with the basis
-    of an earlier online block; a gather for another Dirichlet set is
-    rebuilt."""
+    """matrix() follows set_online: the online columns come after the
+    offline basis, and replacing the online block by an empty one gives the
+    offline basis back, so a space shared by several runs never solves with
+    the basis of an earlier online block."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
     )
@@ -422,9 +431,6 @@ def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
         mesh4, uniform_perm4, fluid, prob.p0, 2, dirichlet_nodes=d
     ).projection
     R0 = pm.matrix()
-    assert pm.matrix() is R0
-    g0 = pm.gather(mesh4, d)
-    assert pm.gather(mesh4, d) is g0 and g0.R is R0
 
     nb = mesh4.neighborhoods[13]
     v = np.zeros(mesh4.fine.n_nodes)
@@ -432,17 +438,12 @@ def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
     v[d] = 0.0
     pm.set_online([(13, v)])
     R1 = pm.matrix()
-    assert R1 is not R0 and R1.shape[1] == R0.shape[1] + 1
+    assert R1.shape[1] == R0.shape[1] + 1 and pm.dim == pm.n_offline + 1
+    assert (R1[:, :-1] != R0).nnz == 0
     assert np.array_equal(R1[:, -1].toarray().ravel(), v)
-    g1 = pm.gather(mesh4, d)
-    assert g1 is not g0 and g1.R is R1
-    assert pm.gather(mesh4, d[:3]) is not g1
 
     pm.set_online([])
-    assert pm.matrix() is not R1 and pm.matrix().shape == R0.shape
-    assert pm.gather(mesh4, d).R is pm.matrix()
-    pm.drop_cache()
-    assert pm._gather is None and pm._matrix is None
+    assert pm.matrix() is R0 and pm.dim == pm.n_offline
 
 
 def test_offline_pass_logs_clusters_and_resolves(
