@@ -15,6 +15,14 @@ sweep (`build_offline_spaces`).
 The local stiffness and mass of a neighborhood are assembled on its box grid
 (`CoarseNeighborhood.box`) by the same cell-block assembler as the global
 operators, so patches of one box shape share one sparsity pattern.
+
+The dense products of the v2 path (S^T A S, S^T M S and S V) are computed
+with scipy's `dgemm`, not numpy's `@`.  numpy and scipy wheels each bundle
+their own OpenBLAS with its own thread pool, and `eigh`, the SuperLU solves
+and `dpstrf` run on scipy's.  A threaded numpy product between two of them
+leaves two pools contending for the same cores: on 2 vCPUs the 16^3 v2 pass
+took 4.7-6.1 s with `@` and 1.9-2.7 s with `dgemm`, with the same space.  So
+keep these products on `dgemm`.
 """
 
 import logging
@@ -25,6 +33,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
@@ -242,6 +251,20 @@ def _canonical_cluster(V, P):
     raise AssertionError("the unit vectors span every cluster")
 
 
+def _signs(vecs, P):
+    """+1 or -1 per column v of vecs: the sign of p^T v for the first probe p
+    (column of P) with |p^T v| > _PROBE_MIN ||v||, else of the first
+    component v_k with |v_k| > _PROBE_MIN ||v||.
+
+    Rounding cannot flip it, unlike the sign of the largest component, on
+    which mirror nodes of a symmetric patch tie: a probe either clearly
+    passes the threshold or is zero but for rounding."""
+    tol = _PROBE_MIN * np.linalg.norm(vecs, axis=0)
+    C = np.vstack([dgemm(1.0, P.T, vecs), vecs])  # probes, then components
+    first = np.argmax(np.abs(C) > tol, axis=0)
+    return np.sign(C[first, np.arange(C.shape[1])])
+
+
 def solve_local_spectral(
     mesh, i, snapshot, perm, rho0_cell, kappa_tilde, extra_density_mass=False,
     n_eig=None,
@@ -255,17 +278,18 @@ def solve_local_spectral(
     short: `n_complete` counts the pairs before it.  Every other cluster gets
     a canonical basis of its span (`_canonical_cluster`), so the span of the
     first L vectors, L <= n_complete, depends on the local operators only,
-    not on the LAPACK driver or on n_eig.  Signs follow one convention: the
-    largest-magnitude component is positive.
+    not on the LAPACK driver or on n_eig.  Signs follow `_signs`.
     """
     nb = mesh.neighborhoods[i]
     A, M = _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass)
     if snapshot.basis is None:
         Ad, Md = A.toarray(), M.toarray()
     else:
+        # S^T (A S) by scipy's dgemm (module docstring); the transposes of the
+        # C-ordered S and A S are the Fortran-ordered views BLAS reads as is
         S = snapshot.basis
-        Ad = S.T @ (A @ S)
-        Md = S.T @ (M @ S)
+        Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
+        Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
     n = Ad.shape[0]
     subset = None if n_eig is None or n_eig >= n else [0, n_eig - 1]
     try:
@@ -277,17 +301,11 @@ def solve_local_spectral(
         ) from exc
     starts = _cluster_starts(vals)
     n_complete = vals.size if subset is None else int(starts[-2])
-    probes = None
+    probes = _probes(nb, snapshot)
     for lo, hi in zip(starts[:-1], starts[1:]):
         if hi - lo > 1 and hi <= n_complete:
-            if probes is None:
-                probes = _probes(nb, snapshot)
             vecs[:, lo:hi] = _canonical_cluster(vecs[:, lo:hi], probes)
-    # deterministic sign convention
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs[None, :]
+    vecs *= _signs(vecs, probes)
     return SpectralDecomposition(
         eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete
     )
@@ -304,7 +322,8 @@ def select_offline_basis(snapshot, spectral, n_basis):
     vecs = spectral.eigenvectors[:, :n_basis]
     if snapshot.basis is None:
         return vecs
-    return snapshot.basis @ vecs
+    # S V by scipy's dgemm (module docstring), S read through its transpose
+    return dgemm(1.0, snapshot.basis.T, vecs, trans_a=True)
 
 
 class ProjectionMatrix:
@@ -479,11 +498,15 @@ def build_offline_spaces(
     psis, eigs = [], []
     straddled = [0] * len(counts)
     resolves = 0
+    t_snap = t_eig = 0.0
     for i in range(mesh.n_neighborhoods):
+        t1 = time.perf_counter()
         if kind == "v1":
             snap = build_snapshot_v1(mesh, i)
         else:
             snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
+        t2 = time.perf_counter()
+        t_snap += t2 - t1
         L = max(n[i] for n in counts)
         n_eig = L + _EXTRA_PAIRS
         spec = solve_local_spectral(
@@ -496,15 +519,17 @@ def build_offline_spaces(
                 mesh, i, snap, perm, rho0_cell, kt, extra_density_mass,
                 n_eig=n_eig,
             )
+        t_eig += time.perf_counter() - t2
         psis.append(select_offline_basis(snap, spec, L))
         eigs.append(spec.eigenvalues)
         starts = _cluster_starts(spec.eigenvalues)
         for c, n in enumerate(counts):
             straddled[c] += n[i] < spec.eigenvalues.size and n[i] not in starts
     log.debug(
-        "offline %s pass over %d neighborhoods: %d n_eig growth re-solves; "
+        "offline %s pass over %d neighborhoods: snapshot builds %.3f s, "
+        "spectral solves %.3f s; %d n_eig growth re-solves; "
         "neighborhoods with a cluster across the cut: %s",
-        kind, mesh.n_neighborhoods, resolves,
+        kind, mesh.n_neighborhoods, t_snap, t_eig, resolves,
         ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
     )
     t_pass = time.perf_counter() - t0

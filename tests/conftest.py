@@ -23,6 +23,12 @@ def mesh4():
 
 
 @pytest.fixture(scope="session")
+def mesh6():
+    """Smallest mesh with v2 snapshots: 6^3 fine, 3^3 coarse (r=2)."""
+    return build_two_scale_mesh(6, 6, 6, r=2)
+
+
+@pytest.fixture(scope="session")
 def fluid():
     return FluidProps()
 

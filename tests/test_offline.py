@@ -199,10 +199,20 @@ def test_spectral_kappa_scale_invariance(mesh8):
     assert np.abs(vals[1.0] - vals[100.0]).max() <= 1e-10 * denom
 
 
+def assert_probe_signs(nb, snap, V):
+    """Every column v of V follows the sign convention: p^T v > 0 for the
+    first probe p with |p^T v| > _PROBE_MIN ||v||, else v_k > 0 for the first
+    such component."""
+    P = offline._probes(nb, snap)
+    for v in V.T:
+        tol = offline._PROBE_MIN * np.linalg.norm(v)
+        lead = next(c for c in [*(P.T @ v), *v] if abs(c) > tol)
+        assert lead > 0
+
+
 def test_spectral_sign_convention_deterministic(spectral13):
-    _, _, _, _, _, spec = spectral13
-    lead = np.argmax(np.abs(spec.eigenvectors), axis=0)
-    assert np.all(spec.eigenvectors[lead, np.arange(lead.size)] > 0)
+    mesh, _, _, _, snap, spec = spectral13
+    assert_probe_signs(mesh.neighborhoods[13], snap, spec.eigenvectors)
 
 
 def test_eigenvalue_decay_on_contrast_field(mesh8):
@@ -361,8 +371,7 @@ def test_partial_spectrum_matches_full_oracle(desk_patch, kind):
         M = snap.basis.T @ (M @ snap.basis)
     V, W = full.eigenvectors[:, :k], part.eigenvectors
     assert np.abs(W.T @ (M @ W) - np.eye(k)).max() <= 1e-8
-    lead = np.argmax(np.abs(W), axis=0)
-    assert np.all(W[lead, np.arange(k)] > 0)
+    assert_probe_signs(nb, snap, W)
 
     checked = 0
     for L in range(1, k):
@@ -490,9 +499,8 @@ def test_offline_pass_logs_clusters_and_resolves(
 def test_growth_re_solves_give_the_same_space(mesh8, fluid, uniform_perm8, caplog, monkeypatch):
     """Asking for fewer pairs first makes the build grow its subsets where a
     cluster of equal eigenvalues runs past them, and the spaces are the same
-    as with the default first request, column by column to 1e-10 relative
-    up to sign (the sign convention's largest component can tie between
-    mirror nodes of a symmetric patch)."""
+    as with the default first request, column by column to 1e-10 relative,
+    signs included."""
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
     ref = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
     monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
@@ -502,6 +510,86 @@ def test_growth_re_solves_give_the_same_space(mesh8, fluid, uniform_perm8, caplo
     assert int(resolves.group(1)) > 0
     for a, b in zip(ref, grown):
         Ra, Rb = a.projection.matrix().toarray(), b.projection.matrix().toarray()
-        Rb *= np.sign((Ra * Rb).sum(axis=0))
         assert np.abs(Ra - Rb).max() <= 1e-10 * np.abs(Ra).max()
         assert np.allclose(a.lambda_next, b.lambda_next, rtol=1e-10, atol=0)
+
+
+@pytest.fixture(scope="module")
+def uniform6(mesh6, fluid):
+    """Uniform field and initial state on the 6^3 r=2 mesh: its v2 patches
+    are symmetric, with clusters of equal eigenvalues and mirror-node ties."""
+    perm = PermeabilityField(np.ones(mesh6.fine.n_cells))
+    p0 = np.full(mesh6.fine.n_nodes, fluid.p_ref)
+    return perm, p0
+
+
+def einsum_dgemm(alpha, a, b, trans_a=False, trans_b=False):
+    """scipy.linalg.blas.dgemm's result, computed by numpy's einsum loop.
+
+    numpy's `@` calls the same OpenBLAS kernel as dgemm and rounds the same
+    at these sizes; einsum sums in another order."""
+    return alpha * np.einsum(
+        "ik,kj->ij", a.T if trans_a else a, b.T if trans_b else b
+    )
+
+
+def test_space_does_not_depend_on_the_product_kernel(
+    mesh6, fluid, uniform6, monkeypatch
+):
+    """Computing the v2 products by another kernel moves their rounding; the
+    offline columns stay the same to 1e-10 relative, signs included, on
+    patches whose mirror nodes tie."""
+    perm, p0 = uniform6
+    ref = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
+    monkeypatch.setattr(offline, "dgemm", einsum_dgemm)
+    other = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
+    Ra = ref.projection.offline.toarray()
+    Rb = other.projection.offline.toarray()
+    assert not np.array_equal(Ra, Rb)  # the rounding did move
+    assert np.abs(Ra - Rb).max() <= 1e-10 * np.abs(Ra).max()
+
+
+def test_v2_kernel_matches_dense_reference(mesh6, uniform6):
+    """On every neighborhood the pairs solve the projected problem
+    S^T A S v = lambda S^T M S v formed densely by numpy, to 1e-10 relative
+    residual, with V^T S^T M S V = I, and the offline basis is S V[:, :L]."""
+    perm, _ = uniform6
+    rho0 = np.ones(mesh6.fine.n_cells)
+    kt = compute_kappa_tilde(mesh6, perm, rho0)
+    L = 4
+    for i, nb in enumerate(mesh6.neighborhoods):
+        snap = build_snapshot_v2(mesh6, i, perm, rho0)
+        spec = solve_local_spectral(mesh6, i, snap, perm, rho0, kt, n_eig=L + 4)
+        A, M = _local_operators(nb, perm, rho0, kt)
+        S = snap.basis
+        Ad, Md = S.T @ (A @ S), S.T @ (M @ S)
+        lam, V = spec.eigenvalues, spec.eigenvectors
+        scale = (np.linalg.norm(Ad, 2) + np.abs(lam) * np.linalg.norm(Md, 2)) * (
+            np.linalg.norm(V, axis=0)
+        )
+        residual = np.linalg.norm(Ad @ V - (Md @ V) * lam, axis=0)
+        assert np.all(residual <= 1e-10 * scale)
+        assert np.abs(V.T @ Md @ V - np.eye(lam.size)).max() <= 1e-10
+        psi = select_offline_basis(snap, spec, L)
+        ref = S @ V[:, :L]
+        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["v1", "v2"])
+def test_offline_pass_logs_its_time_split(
+    kind, mesh6, mesh8, fluid, caplog
+):
+    """The offline pass's DEBUG record reports the seconds spent building
+    snapshot spaces and solving spectral problems, summed over the pass."""
+    mesh = mesh8 if kind == "v1" else mesh6
+    perm = PermeabilityField(np.ones(mesh.fine.n_cells))
+    p0 = np.full(mesh.fine.n_nodes, fluid.p_ref)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    build_offline_space(mesh, perm, fluid, p0, 2, kind=kind)
+    (record,) = [r for r in caplog.records if r.name == "msflow.offline"]
+    m = re.search(
+        r"snapshot builds ([0-9.]+) s, spectral solves ([0-9.]+) s",
+        record.getMessage(),
+    )
+    assert m is not None
+    assert float(m.group(1)) >= 0.0 and float(m.group(2)) >= 0.0
