@@ -3,11 +3,10 @@
 The coarse state is kept as its fine-grid prolongation (the density
 nonlinearity is evaluated on fine cells).  Each time step runs the fine
 solver's damped-Newton driver (`fem._newton_step`) with the current basis
-matrix R: the fine residual is projected to R^T F, R^T J R is assembled
-from the Jacobian's cell blocks coarse cell by coarse cell (the basis's
-gather, `fem._cell_gather`), the small dense system is solved and the
-update prolonged.  Scheduled online enrichment replaces the online columns of
-R between steps.
+matrix R: the fine residual is projected to R^T F, R^T J R is solved with
+the sparse LU kept for the basis (`fem._KeptLU`, assembled from the basis's
+coarse-cell gather only to be factored) and the update is prolonged.
+Scheduled online enrichment replaces the online columns of R between steps.
 """
 
 import time
@@ -18,6 +17,7 @@ from .fem import (
     NewtonConfig,
     _cell_gather,
     _initial_state,
+    _KeptLU,
     _newton_step,
 )
 from .online import UpdateSchedule, enrich_projection
@@ -29,11 +29,11 @@ class CoarseResult(FineSolution):
     t_basis_online: float = 0.0
 
 
-def gmsfem_step(p_prev, gather, problem, config, result, step):
+def gmsfem_step(p_prev, kept, problem, config, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
-    columns, given as their coarse-cell gather; returns the accepted
-    fine-grid prolonged state."""
-    return _newton_step(p_prev, problem, config, result, step, gather=gather)
+    columns, given as the `_KeptLU` of their coarse-cell gather; returns the
+    accepted fine-grid prolonged state."""
+    return _newton_step(p_prev, problem, config, result, step, kept)
 
 
 def solve_gmsfem(problem, offline_space, schedule=None, config=None):
@@ -43,8 +43,8 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     left on it is dropped on entry.  At each scheduled step the online block
     is recomputed (before the first Newton iteration) from the residual at
     the previous accepted state and replaces the previous online columns.
-    The run builds the gather of its basis when the basis changes and frees
-    it on return, so a space kept for later runs holds no solver buffers.
+    The run builds the gather and the kept LU of its basis when the basis
+    changes and frees them on return, so a kept space holds no solver state.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
@@ -56,16 +56,16 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
-    gather = None
+    kept = None
     for step in range(1, problem.time.n_steps + 1):
         if schedule.n_online > 0 and step in schedule.update_steps:
-            gather = None  # frees the old basis's dense R^T J R buffer
+            kept = None  # frees the old basis's gather and LU
             t0 = time.perf_counter()
             enrich_projection(projection, mesh, problem, p, schedule.n_online)
             result.t_basis_online += time.perf_counter() - t0
-        if gather is None:
-            gather = _cell_gather(mesh, projection.matrix(), dirichlet)
-        p = gmsfem_step(p, gather, problem, config, result, step)
+        if kept is None:
+            kept = _KeptLU(_cell_gather(mesh, projection.matrix(), dirichlet))
+        p = gmsfem_step(p, kept, problem, config, result, step)
         result.states.append(p)
         result.dim_history.append(projection.dim)
     return result

@@ -7,21 +7,21 @@ sparse solver, and the damped-Newton time step shared by the fine and the
 coarse solver: the fine solve is the case R = identity of the Galerkin-projected
 step (see `_newton_step`).
 
-The fine Newton systems of one `solve_fine` call share one sparse LU
-(`_KeptLU`, MMD ordering on A^T + A): the first Jacobian is factored, every
-later system is solved by iterative refinement on that LU (`_refine`, the
-loop `linear_solve` runs for one step) to a relative residual of
-_REFINE_RTOL, and a system that _REFINE_MAXSTEPS steps do not solve factors
-its own Jacobian, which is kept instead.
+Every Newton system is solved with the sparse LU kept for its basis
+(`_KeptLU`): the first system is factored, every later one is solved by
+iterative refinement on that LU (`_refine`, the loop `linear_solve` runs for
+one step) to a relative residual of _REFINE_RTOL, and a system that
+_REFINE_MAXSTEPS steps do not solve is factored, and its LU kept instead.
+The coarse solver's projected Jacobian R^T J R (`_ProjectedJacobian`) is
+never formed from the sparse J: refinement applies it through the Jacobian's
+cell blocks, and only a factorization assembles it, coarse cell by coarse
+cell, from the cell blocks and the rows of R on that cell (`_CellGather`).
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
 `assemble_cells`: per-cell 8x8 blocks are scattered into a CSR pattern that is
 built once per (grid, Dirichlet node set) with the Dirichlet rows and columns
-reduced to the diagonal.  The coarse solver's projected Jacobian R^T J R is
-not formed from the sparse J: `_projected_jacobian` sums, coarse cell by
-coarse cell, the Jacobian's cell blocks against the rows of R on that cell
-(`_CellGather`).
+reduced to the diagonal.
 """
 
 import functools
@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -250,40 +249,53 @@ def linear_solve(A, b):
     return _lu_solve(_factor(A), A, np.asarray(b, dtype=float))
 
 
-# A fine Newton system is solved by iterative refinement on a kept LU to this
+# A Newton system is solved by iterative refinement on a kept LU to this
 # relative residual; one that has not converged after _REFINE_MAXSTEPS steps
-# is solved by factoring its own Jacobian, which is kept instead.
+# is solved by factoring its own matrix, whose LU is kept instead.
 _REFINE_RTOL = 1e-12
 _REFINE_MAXSTEPS = 20
 
 
 class _KeptLU:
-    """The sparse LU of one fine Jacobian (MMD ordering on A^T + A), kept
-    through a `solve_fine` call; the later Newton systems are solved by
-    iterative refinement on it.  With c small the Jacobian barely moves over
-    a run, so a few refinement steps replace a factorization."""
+    """The sparse LU kept for the Newton systems of one basis: the fine
+    Jacobians of a `solve_fine` call (no gather) or the projected systems
+    R^T J R of one coarse basis, given by its `_CellGather`.  With c small the
+    Jacobian barely moves over a run, so a few refinement steps replace a
+    factorization."""
 
-    def __init__(self):
+    def __init__(self, gather=None):
+        self.gather = gather
         self.lu = None
 
     def release(self):
         self.lu = None
 
-    def solve(self, J, b, step, it):
-        """Solve J x = b; step and it (time step, Newton iteration) name the
-        system in the log."""
+    def solve(self, J, b, step=0, it=0):
+        """Solve J x = b.  J is a sparse matrix or a `_ProjectedJacobian`;
+        refinement only applies it, and it is assembled (`tocsc`) only to be
+        factored.  step and it (time step, Newton iteration) name a
+        refactored system in the log."""
+        if self.gather is None:
+            system, ordering = "fine Jacobian", "MMD_AT_PLUS_A"
+        else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
+            system, ordering = "projected Newton system", "MMD_ATA"
         if self.lu is not None:
             x, nr, steps = _refine(self.lu, J, b, _REFINE_RTOL, _REFINE_MAXSTEPS)
             if nr <= _REFINE_RTOL * np.linalg.norm(b):
                 return x
             log.debug(
-                "refactoring the fine Jacobian at time step %d, Newton "
-                "iteration %d: refinement not converged after %d steps",
+                f"refactoring the {system} at time step %d, Newton iteration "
+                "%d: refinement not converged after %d steps",
                 step, it, steps,
             )
             self.lu = None  # never two factorizations alive at once
-        self.lu = _factor(J, permc_spec="MMD_AT_PLUS_A")
-        return _lu_solve(self.lu, J, b)
+        try:
+            self.lu = _factor(J.tocsc(), permc_spec=ordering)
+            return _lu_solve(self.lu, J, b)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"{system} of dimension {b.size} is singular: {exc}"
+            ) from exc
 
 
 @dataclass
@@ -327,9 +339,6 @@ def _initial_state(problem):
     return p
 
 
-# Projected systems up to this dimension are solved dense, larger ones by
-# sparse LU.
-_DENSE_MAX = 4000
 # Coarse cells per batch of the projected assembly: about this many entries
 # of their dense (r+1)^3 x (r+1)^3 Jacobians at a time.
 _BATCH_ENTRIES = 1 << 17
@@ -355,8 +364,8 @@ class _CellGather:
     R: object  # CSR, n_fine x dim
     batches: list
     slots: np.ndarray  # slot in a flattened J_K of each box cell-block entry
-    dirichlet_gram: object  # R_D^T R_D as COO
-    buf: np.ndarray = None  # the dense R^T J R, reused across iterations
+    cell_nodes: np.ndarray  # the fine grid's connectivity
+    dirichlet: np.ndarray  # the Dirichlet nodes
 
     @property
     def dim(self):
@@ -391,75 +400,70 @@ def _cell_gather(mesh, R, dirichlet_nodes):
 
     cn = box.cell_nodes()
     slots = (cn[:, :, None] * m + cn[:, None, :]).ravel()
-    RD = R[d]
-    gram = (RD.T @ RD).tocoo()
-    return _CellGather(R, batches, slots, gram)
+    return _CellGather(R, batches, slots, mesh.fine.cell_nodes(), d)
 
 
-def _projected_jacobian(gather, blocks):
-    """R^T J R from the Jacobian's cell blocks (n_cells, 8, 8): the gather's
-    dense buffer, overwritten, up to _DENSE_MAX unknowns, CSR above."""
-    n = gather.dim
-    parts = []  # (rows, cols, values) of the terms of R^T J R
-    for cells, cols, RK in gather.batches:
-        C, m, k = RK.shape
-        slots = (np.arange(C)[:, None] * (m * m) + gather.slots).ravel()
-        JK = np.bincount(slots, weights=blocks[cells].ravel(), minlength=C * m * m)
-        JcK = RK.transpose(0, 2, 1) @ (JK.reshape(C, m, m) @ RK)
-        parts.append((cols[:, :, None], cols[:, None, :], JcK))
-    g = gather.dirichlet_gram
-    parts.append((g.row, g.col, g.data))
-    if n > _DENSE_MAX:
-        coo = [
-            (np.broadcast_to(r, v.shape).ravel(), np.broadcast_to(c, v.shape).ravel(),
-             v.ravel())
-            for r, c, v in parts
-        ]
-        i, j, v = (np.concatenate(a) for a in zip(*coo))
-        Jc = sp.csr_matrix((v, (i, j)), shape=(n, n))
-        Jc.eliminate_zeros()
-        return Jc
-    if gather.buf is None:
-        gather.buf = np.zeros((n, n), order="F")
-    else:
-        gather.buf.fill(0.0)
-    flat = gather.buf.reshape(-1, order="F")  # a view: the buffer is F-ordered
-    for r, c, v in parts:
-        np.add.at(flat, (r + c * n).ravel(), v.ravel())
-    return gather.buf
+@dataclass(eq=False, repr=False)
+class _ProjectedJacobian:
+    """R^T J R of a gather's basis at one state, given by the Jacobian's cell
+    blocks (n_cells, 8, 8): `@` applies it without forming it, `tocsc()`
+    assembles it."""
+
+    gather: _CellGather
+    blocks: np.ndarray
+
+    def __matmul__(self, x):
+        """R^T J R x: v = R x, J v from the cell blocks on v with its
+        Dirichlet entries zeroed, (J v)_d = v_d, then R^T."""
+        g = self.gather
+        v = g.R @ x
+        w = v.copy()
+        w[g.dirichlet] = 0.0
+        Jw = np.einsum("cab,cb->ca", self.blocks, w[g.cell_nodes])
+        Jv = np.bincount(g.cell_nodes.ravel(), weights=Jw.ravel(), minlength=v.size)
+        Jv[g.dirichlet] = v[g.dirichlet]
+        return g.R.T @ Jv
+
+    def tocsc(self):
+        """R^T J R as a CSC matrix, summed from the coarse-cell products into
+        triplet arrays written in place (the peak memory of a coarse run)."""
+        g = self.gather
+        RD = g.R[g.dirichlet]
+        gram = (RD.T @ RD).tocoo()  # the Dirichlet term R_D^T R_D, summed last
+        n_terms = gram.nnz + sum(c.size * c.shape[1] for _, c, _ in g.batches)
+        rows, cols = np.empty((2, n_terms), dtype=np.int32)
+        vals = np.empty(n_terms)
+        at = 0
+        for cells, cols_K, RK in g.batches:
+            C, m, k = RK.shape
+            slots = (np.arange(C)[:, None] * (m * m) + g.slots).ravel()
+            JK = np.bincount(slots, weights=self.blocks[cells].ravel(),
+                             minlength=C * m * m)
+            part = slice(at, at + C * k * k)
+            vals[part] = (RK.transpose(0, 2, 1) @ (JK.reshape(C, m, m) @ RK)).ravel()
+            rows[part] = np.broadcast_to(cols_K[:, :, None], (C, k, k)).ravel()
+            cols[part] = np.broadcast_to(cols_K[:, None, :], (C, k, k)).ravel()
+            at = part.stop
+        rows[at:], cols[at:], vals[at:] = gram.row, gram.col, gram.data
+        return sp.csc_matrix((vals, (rows, cols)), shape=(g.dim, g.dim))
 
 
-def _solve_projected(gather, blocks, rhs):
-    """Solve the Galerkin-projected system (R^T J R) x = rhs, with R^T J R
-    assembled from the Jacobian's cell blocks: dense LU (LAPACK gesv, in
-    place) up to _DENSE_MAX unknowns, sparse LU above."""
-    Jc = _projected_jacobian(gather, blocks)
-    if sp.issparse(Jc):
-        return linear_solve(Jc, rhs)
-    _, _, x, info = lapack.dgesv(Jc, rhs, overwrite_a=True, overwrite_b=True)
-    if info > 0:
-        raise SingularMatrixError(
-            f"projected Newton system of dimension {Jc.shape[0]} is singular: "
-            f"zero pivot at {info}"
-        )
-    return x
-
-
-def _newton_step(p_prev, problem, config, sol, step, gather=None, fine_lu=None):
+def _newton_step(p_prev, problem, config, sol, step, kept):
     """One backward-Euler step by damped Newton; returns the accepted state.
 
-    gather=None solves the fine system with the `_KeptLU` fine_lu.  Given
-    the `_CellGather` of a basis matrix R, the residual and the Jacobian's
-    cell blocks are still computed on the fine grid, each Newton system is
-    Galerkin-projected (R^T J R, R^T F) and the update is prolonged with R;
-    convergence, damping and the stall guard then act on ||R^T F||.  The
-    residual at the accepted line-search point is the next iteration's.
-    Appends the iteration count to sol.newton_iters and the assembly (every
-    residual, line-search trials included, and every Jacobian or its cell
-    blocks) and solve (projection included) wall time to
-    sol.t_ass/sol.t_solve.
+    Each Newton system is solved with the `_KeptLU` kept; without a gather
+    it is the fine system.  Given the `_CellGather` of a basis matrix R, the
+    residual and the Jacobian's cell blocks are still computed on the fine
+    grid, each Newton system is Galerkin-projected (R^T J R, R^T F) and the
+    update is prolonged with R; convergence, damping and the stall guard then
+    act on ||R^T F||.  The residual at the accepted line-search point is the
+    next iteration's.  Appends the iteration count to sol.newton_iters and
+    the assembly (every residual, line-search trials included, and every
+    Jacobian or its cell blocks) and solve (projection and refinement
+    included) wall time to sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
+    gather = kept.gather
     R = None if gather is None else gather.R
 
     def residual(p):
@@ -481,21 +485,14 @@ def _newton_step(p_prev, problem, config, sol, step, gather=None, fine_lu=None):
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
+        state = (p, problem.fluid, problem.perm, problem.time.dt, fine)
         if gather is None:
-            J = newton_jacobian(
-                p, problem.fluid, problem.perm, problem.time.dt, fine,
-                problem.boundary,
-            )
+            J = newton_jacobian(*state, problem.boundary)
         else:
-            blocks = _jacobian_blocks(
-                p, problem.fluid, problem.perm, problem.time.dt, fine
-            )
+            J = _ProjectedJacobian(gather, _jacobian_blocks(*state))
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
-        if gather is None:
-            delta = fine_lu.solve(J, -F, step, iters + 1)
-        else:
-            delta = _solve_projected(gather, blocks, -Fc)
+        delta = kept.solve(J, -Fc, step, iters + 1)
         sol.t_solve += time.perf_counter() - t0
         if R is not None:
             delta = R @ delta  # prolong the coarse update
@@ -533,11 +530,11 @@ def solve_fine(problem, config=None):
     config = config or NewtonConfig()
     p = _initial_state(problem)
     sol = FineSolution(states=[p])
-    fine_lu = _KeptLU()
+    kept = _KeptLU()
     try:
         for step in range(1, problem.time.n_steps + 1):
-            p = _newton_step(p, problem, config, sol, step, fine_lu=fine_lu)
+            p = _newton_step(p, problem, config, sol, step, kept)
             sol.states.append(p)
     finally:
-        fine_lu.release()
+        kept.release()
     return sol

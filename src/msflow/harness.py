@@ -355,14 +355,25 @@ def run_experiment(config, vtk_steps=(), csv_path=None):
         mesh, problem.perm, problem.fluid, problem.p0, config["basis.offline"],
         **_offline_options(config, problem),
     )
-    return _coarse_run(config, problem, mesh, ref_states, space, vtk_steps, csv_path)
+    norms = _error_operators(config, problem, mesh)
+    return _coarse_run(config, problem, mesh, ref_states, space, norms, vtk_steps,
+                       csv_path)
+
+
+def _error_operators(config, problem, mesh):
+    """(mass, stiffness) of the error norms: the unit-weight mass and the
+    stiffness weighted by kappa/mu, or by one with error.plain_h1."""
+    ones = np.ones(mesh.fine.n_cells)
+    h1_w = ones if config["error.plain_h1"] else problem.perm.values / problem.fluid.mu
+    return (assemble_weighted_mass(mesh.fine, ones),
+            assemble_weighted_stiffness(mesh.fine, h1_w))
 
 
 def _coarse_run(
-    config, problem, mesh, ref_states, space, vtk_steps=(), csv_path=None
+    config, problem, mesh, ref_states, space, norms, vtk_steps=(), csv_path=None
 ):
-    """The coarse loop of one run on a given offline space, its error metrics,
-    CSV row and VTK snapshots."""
+    """The coarse loop of one run on a given offline space, its error metrics
+    with the `_error_operators` norms, CSV row and VTK snapshots."""
     out_dir = Path(config["output.dir"])
     n_online = config["online.count"]
     schedule = (
@@ -371,14 +382,7 @@ def _coarse_run(
         else UpdateSchedule.none()
     )
     result = solve_gmsfem(problem, space, schedule, config.newton())
-
-    mass = assemble_weighted_mass(mesh.fine, np.ones(mesh.fine.n_cells))
-    h1_w = (
-        np.ones(mesh.fine.n_cells)
-        if config["error.plain_h1"]
-        else problem.perm.values / problem.fluid.mu
-    )
-    stiff = assemble_weighted_stiffness(mesh.fine, h1_w)
+    mass, stiff = norms
 
     e_l2 = relative_l2_error(result.final, ref_states[-1], mass)
     e_h1 = relative_h1_error(result.final, ref_states[-1], stiff)
@@ -479,17 +483,18 @@ def sweep(config, variants, csv_path=None):
     _append_csv(csv_path, fine_row)
 
     # the variants differ only in their offline and online counts, so one
-    # offline pass serves them all; it ends before the first coarse run
+    # offline pass and one pair of error-norm operators serve them all
     counts = sorted({run_cfg["basis.offline"] for run_cfg in run_cfgs})
     spaces = dict(zip(counts, build_offline_spaces(
         mesh, problem.perm, problem.fluid, problem.p0, counts,
         **_offline_options(config, problem),
     )))
+    norms = _error_operators(config, problem, mesh)
 
     reports = [fine_row]
     for run_cfg in run_cfgs:
         reports.append(_coarse_run(
             run_cfg, problem, mesh, ref_states, spaces[run_cfg["basis.offline"]],
-            csv_path=csv_path,
+            norms, csv_path=csv_path,
         ))
     return reports

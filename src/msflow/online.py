@@ -15,7 +15,8 @@ from .errors import ConfigError, SingularMatrixError
 from .fem import (
     _cell_gather,
     _jacobian_blocks,
-    _solve_projected,
+    _KeptLU,
+    _ProjectedJacobian,
     linear_solve,
     newton_jacobian,
     newton_residual,
@@ -112,8 +113,7 @@ def solve_online_vector(mesh, i, local_residual, J_global):
         raise SingularMatrixError(
             f"online solve failed on neighborhood {i}: {exc}"
         ) from exc
-    J_sym = 0.5 * (J_loc + J_loc.T)
-    energy = float(x @ (J_sym @ x))
+    energy = float(x @ (J_loc @ x))  # x . J_sym x without forming J_sym
     if energy <= 0:
         return None
     v = np.zeros(mesh.fine.n_nodes)
@@ -198,10 +198,9 @@ def enrich_projection(
             # correct the trial state in the temporarily enriched space
             projection.set_online(new_cols)
             gather = _cell_gather(mesh, projection.matrix(), dirichlet)
-            blocks = _jacobian_blocks(
-                p, problem.fluid, problem.perm, problem.time.dt, fine
-            )
-            p = p + gather.R @ _solve_projected(gather, blocks, -(gather.R.T @ F))
+            blocks = _jacobian_blocks(p, problem.fluid, problem.perm, problem.time.dt, fine)
+            J_c = _ProjectedJacobian(gather, blocks)
+            p = p + gather.R @ _KeptLU(gather).solve(J_c, -(gather.R.T @ F))
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])

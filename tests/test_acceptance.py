@@ -42,7 +42,7 @@ from msflow.offline import (
     OfflineSpace,
     ProjectionMatrix,
     _local_operators,
-    build_offline_space,
+    build_offline_spaces,
     build_partition_of_unity,
     build_snapshot_v1,
     build_snapshot_v2,
@@ -76,48 +76,39 @@ def desk():
     }
 
 
-def _coarse_run(desk, problem, n_offline, n_online=0, update_steps=()):
-    space = build_offline_space(
-        desk["mesh"], desk["perm"], desk["fluid"], problem.p0, n_offline,
+def _offline_spaces(desk, problem, counts):
+    """One offline pass for problem, one space per offline count."""
+    return build_offline_spaces(
+        desk["mesh"], desk["perm"], desk["fluid"], problem.p0, counts,
         dirichlet_nodes=problem.boundary.dirichlet_nodes,
     )
-    schedule = (
-        UpdateSchedule(n_online, tuple(update_steps))
-        if n_online > 0 else UpdateSchedule.none()
-    )
-    result = solve_gmsfem(problem, space, schedule)
-    return space, result
 
 
 @pytest.fixture(scope="module")
 def mixed_runs(desk):
     """Coarse runs on the mixed-boundary regime keyed by basis layout."""
-    runs = {}
-    for L in (2, 8):
-        runs[f"{L}+0"] = _coarse_run(desk, desk["mixed"], L)
-    space4 = build_offline_space(
-        desk["mesh"], desk["perm"], desk["fluid"], desk["mixed"].p0, 4,
-        dirichlet_nodes=desk["mixed"].boundary.dirichlet_nodes,
-    )
+    mixed = desk["mixed"]
+    space2, space4, space8 = _offline_spaces(desk, mixed, [2, 4, 8])
     # the offline block is immutable; online runs replace the online block at
     # their first scheduled step, so the space can be reused across layouts
-    runs["4+0"] = (space4, solve_gmsfem(desk["mixed"], space4))
-    runs["4+1u1"] = (
-        space4, solve_gmsfem(desk["mixed"], space4, UpdateSchedule(1, (1,)))
-    )
-    runs["4+1u3"] = (
-        space4,
-        solve_gmsfem(desk["mixed"], space4, UpdateSchedule(1, (1, 7, 14))),
-    )
-    return runs
+    return {
+        "2+0": (space2, solve_gmsfem(mixed, space2)),
+        "8+0": (space8, solve_gmsfem(mixed, space8)),
+        "4+0": (space4, solve_gmsfem(mixed, space4)),
+        "4+1u1": (space4, solve_gmsfem(mixed, space4, UpdateSchedule(1, (1,)))),
+        "4+1u3": (
+            space4, solve_gmsfem(mixed, space4, UpdateSchedule(1, (1, 7, 14)))
+        ),
+    }
 
 
 @pytest.fixture(scope="module")
 def wells_runs(desk):
+    wells = desk["wells"]
+    space4, space3 = _offline_spaces(desk, wells, [4, 3])
     return {
-        "4+0": _coarse_run(desk, desk["wells"], 4),
-        "3+1": _coarse_run(desk, desk["wells"], 3, n_online=1,
-                           update_steps=(1,)),
+        "4+0": (space4, solve_gmsfem(wells, space4)),
+        "3+1": (space3, solve_gmsfem(wells, space3, UpdateSchedule(1, (1,)))),
     }
 
 

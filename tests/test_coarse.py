@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow import coarse
+from msflow import coarse, fem
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
@@ -36,8 +36,8 @@ def test_identity_projection_matches_fine(mesh4, fluid, uniform_perm4):
 
 def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4, monkeypatch):
     """A coarse solve builds the coarse-cell gather of its basis once per
-    basis and frees it with its dense buffer, so a space kept for later runs
-    holds no solver buffers."""
+    basis and frees it with the basis's kept LU, so a space kept for later
+    runs holds no solver state."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
         "neumann-wells", well_rate=1e8,
@@ -56,6 +56,40 @@ def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4, monkeypatch)
     assert len(built) == 2 and built[0][1] < built[1][1]  # offline, enriched
     gc.collect()
     assert all(ref() is None for ref, _ in built)
+
+
+def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,
+                                               caplog, monkeypatch):
+    """A normal coarse solve logs nothing at DEBUG.  With the refinement cap
+    at 0 every projected system after its basis's first refactors, and each
+    refactorization is one DEBUG record on msflow.fem naming the time step
+    and the Newton iteration."""
+    prob = make_problem(
+        mesh8.fine, fluid, uniform_perm8, TimeGrid(dt=2.5e-5, n_steps=3),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh8, uniform_perm8, fluid, prob.p0, 2)
+    schedule = UpdateSchedule(1, (2,))
+    with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
+        ref = solve_gmsfem(prob, space, schedule)
+    assert not caplog.records
+
+    caplog.clear()
+    monkeypatch.setattr(fem, "_REFINE_MAXSTEPS", 0)
+    with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
+        res = solve_gmsfem(prob, space, schedule)
+    assert res.newton_iters == ref.newton_iters
+    systems = [
+        [(step, it, 0) for it in range(1, res.newton_iters[step - 1] + 1)]
+        for step in range(1, 4)
+    ]
+    # step 1 is the offline basis, steps 2-3 the enriched one
+    later = systems[0][1:] + (systems[1] + systems[2])[1:]
+    assert len(later) >= 3
+    assert [r.args for r in caplog.records] == later
+    for r in caplog.records:
+        assert r.levelno == logging.DEBUG
+        assert "refactoring the projected Newton system" in r.getMessage()
 
 
 def test_constant_steady_state_zero_iterations(mesh4, fluid, uniform_perm4):

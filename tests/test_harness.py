@@ -304,6 +304,37 @@ def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
     assert reports[3].t_basis > 0.0
 
 
+@pytest.mark.parametrize("variants", [None, ["2+0", "2+1", "4+0"]])
+def test_error_operators_built_once_before_the_coarse_runs(tmp_path, monkeypatch,
+                                                           variants):
+    """A lone run and a sweep assemble the error-norm mass and stiffness
+    once, before the first coarse run, and every variant uses them."""
+    events = []
+
+    def recording(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("assemble_weighted_mass", "assemble_weighted_stiffness",
+                 "solve_gmsfem"):
+        recording(name)
+    cfg = small_config(tmp_path)
+    if variants is None:
+        run_experiment(cfg)
+    else:
+        sweep(cfg, variants)
+    runs = 1 if variants is None else len(variants)
+    assert events == (
+        ["assemble_weighted_mass", "assemble_weighted_stiffness"]
+        + ["solve_gmsfem"] * runs
+    )
+
+
 def test_lone_run_matches_its_sweep_row(tmp_path, caplog):
     """A lone L=4 run equals the 4+0 row of a sweep that also builds L=8,
     although the sweep's spectral solves ask for more pairs, on a uniform

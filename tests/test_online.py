@@ -189,12 +189,13 @@ def test_enrich_multi_vector_rounds(mesh8, wells8, space8, monkeypatch):
     proj.set_online([])
     corrections = []
 
-    def recording_solve(gather, blocks, rhs):
-        x = fem._solve_projected(gather, blocks, rhs)
-        corrections.append((gather.R.copy(), x))
-        return x
+    class RecordingLU(fem._KeptLU):
+        def solve(self, J, b, *args):
+            x = super().solve(J, b, *args)
+            corrections.append((self.gather.R.copy(), x))
+            return x
 
-    monkeypatch.setattr(online, "_solve_projected", recording_solve)
+    monkeypatch.setattr(online, "_KeptLU", RecordingLU)
     added = enrich_projection(
         proj, mesh8, prob, p_state=prob.p0, n_online=2
     )

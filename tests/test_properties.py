@@ -24,7 +24,7 @@ from msflow.fem import (
     NewtonConfig,
     _cell_gather,
     _jacobian_blocks,
-    _projected_jacobian,
+    _ProjectedJacobian,
     assemble_cells,
     assemble_weighted_mass,
     assemble_weighted_stiffness,
@@ -44,6 +44,8 @@ from msflow.model import (
     TimeGrid,
     build_source_vector,
     density,
+    generate_channel_field,
+    make_problem,
 )
 from msflow.offline import (
     OfflineSpace,
@@ -252,16 +254,14 @@ def test_projected_jacobian_matches_triple_product(kind, case):
     oracle = (R.T @ (J @ R)).toarray()
     tol = 1e-12 * np.abs(oracle).max()
 
-    gather = _cell_gather(mesh, R, dirichlet)
-    dense = _projected_jacobian(gather, blocks).copy()
-    assert np.abs(dense - oracle).max() <= tol
-    # the dense buffer is reused and overwritten, not accumulated into
-    again = _projected_jacobian(gather, blocks)
-    assert again is gather.buf and np.array_equal(again, dense)
-    with mock.patch.object(fem, "_DENSE_MAX", 0):
-        Jc = _projected_jacobian(gather, blocks)
-    assert sp.issparse(Jc)
-    assert np.abs(Jc.toarray() - oracle).max() <= tol
+    Jc = _ProjectedJacobian(_cell_gather(mesh, R, dirichlet), blocks)
+    A = Jc.tocsc()
+    assert A.format == "csc"
+    assert np.abs(A.toarray() - oracle).max() <= tol
+    # the matrix-free product, Dirichlet term included, against R^T J R x
+    for x in (rng.standard_normal(R.shape[1]), np.ones(R.shape[1])):
+        y = R.T @ (J @ (R @ x))
+        assert np.abs(Jc @ x - y).max() <= 1e-12 * (np.abs(oracle) @ np.abs(x)).max()
 
 
 def identity_space(mesh):
@@ -323,16 +323,18 @@ class _Factorization:
 
 class TrackedFactorizations:
     """Stands in for `spla.splu` (the one found at construction): counts the
-    calls and checks at each one that every earlier factorization has been
-    freed."""
+    calls, records their column orderings and checks at each one that every
+    earlier factorization has been freed."""
 
     def __init__(self):
         self.splu = spla.splu
         self.calls = 0
+        self.orderings = []  # permc_spec of each call
         self.made = []  # weak references to the factorizations returned
 
     def __call__(self, A, **kwargs):
         self.calls += 1
+        self.orderings.append(kwargs.get("permc_spec"))
         assert self.all_freed(), "two sparse factorizations alive at once"
         lu = _Factorization(self.splu(A, **kwargs))
         self.made.append(weakref.ref(lu))
@@ -367,6 +369,38 @@ def test_kept_factorization_matches_direct_solve(cap, case, rate):
     assert sol.newton_iters == ref.newton_iters
     systems = sum(ref.newton_iters)
     assert lus.calls == (min(systems, 1) if cap else systems)
+    states, ref_states = np.asarray(sol.states), np.asarray(ref.states)
+    assert np.abs(states - ref_states).max() <= 1e-10 * np.abs(ref_states).max()
+
+
+@pytest.mark.parametrize("online", [0, 1, 2])
+def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
+    """solve_gmsfem with one kept LU per basis takes the same Newton
+    iterations to the same states as with a factorization of every
+    projected system (cap 0).  The default factors once per basis (the
+    offline basis, then one per online update; the online local solves are
+    the factorizations with the default column ordering), and every LU is
+    freed by the time the run returns."""
+    perm = generate_channel_field(mesh8.fine, seed=1, background=1.0,
+                                  channel=1e4, n_channels=4, n_inclusions=4)
+    problem = make_problem(mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=4),
+                           "neumann-wells", well_rate=1e8)
+    space = build_offline_space(mesh8, perm, fluid, problem.p0, 3)
+    schedule = UpdateSchedule(online, (1, 3)) if online else UpdateSchedule.none()
+    runs = {}
+    for cap in (fem._REFINE_MAXSTEPS, 0):
+        lus = TrackedFactorizations()
+        with mock.patch.object(fem.spla, "splu", lus), \
+                mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
+            result = solve_gmsfem(problem, space, schedule)
+        assert lus.all_freed()
+        runs[cap] = result, sum(spec is not None for spec in lus.orderings)
+    (sol, kept), (ref, refactored) = runs[fem._REFINE_MAXSTEPS], runs[0]
+    assert sol.newton_iters == ref.newton_iters
+    bases = len(schedule.update_steps) if online else 1
+    correctors = bases if online == 2 else 0  # one per update, between rounds
+    assert kept == bases + correctors
+    assert refactored == sum(ref.newton_iters) + correctors
     states, ref_states = np.asarray(sol.states), np.asarray(ref.states)
     assert np.abs(states - ref_states).max() <= 1e-10 * np.abs(ref_states).max()
 
