@@ -11,7 +11,12 @@ Every Newton system is solved with the sparse LU kept for its basis
 (`_KeptLU`): the first system is factored, every later one is solved by
 iterative refinement on that LU (`_refine`, the loop `linear_solve` runs for
 one step) to a relative residual of _REFINE_RTOL, and a system that
-_REFINE_MAXSTEPS steps do not solve is factored, and its LU kept instead.
+_REFINE_MAXSTEPS steps do not solve, or whose residual stops falling first,
+is factored, and its LU kept instead.  Operators on a box grid (the fine
+Jacobian here, the online local systems and the v2 interior blocks
+elsewhere) are factored in the grid's nested dissection order
+(`FineGrid.dissection()`) with no further column ordering; projected systems
+use SuperLU's `MMD_ATA`.
 The coarse solver's projected Jacobian R^T J R (`_ProjectedJacobian`) is
 never formed from the sparse J: refinement applies it through the Jacobian's
 cell blocks, and only a factorization assembles it, coarse cell by coarse
@@ -205,8 +210,10 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     )
 
 
-def _factor(A, permc_spec=None):
-    """Sparse LU of A (SuperLU, COLAMD column ordering by default)."""
+def _factor(A, permc_spec):
+    """Sparse LU of A (SuperLU) with the column ordering permc_spec:
+    "NATURAL" for an operator on a box grid given in the grid's
+    `dissection()` order, "MMD_ATA" for a projected system."""
     try:
         return spla.splu(sp.csc_matrix(A), permc_spec=permc_spec)
     except RuntimeError as exc:
@@ -215,8 +222,10 @@ def _factor(A, permc_spec=None):
 
 def _refine(lu, A, b, rtol, max_steps):
     """Iterative refinement on lu, the LU of A or of a nearby matrix:
-    x = LU^-1 b, then x += LU^-1 (b - A x) until ||b - A x|| <= rtol ||b||
-    or max_steps steps.  Returns x, ||b - A x|| and the steps taken."""
+    x = LU^-1 b, then x += LU^-1 (b - A x) until ||b - A x|| <= rtol ||b||,
+    max_steps steps, or the first step that does not lower ||b - A x||
+    (the residual has reached its rounding floor, or refinement diverges).
+    Returns x, ||b - A x|| and the steps taken."""
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse solve produced non-finite entries")
@@ -227,8 +236,10 @@ def _refine(lu, A, b, rtol, max_steps):
     while nr > rtol * nb and steps < max_steps:
         x = x + lu.solve(res)
         res = b - A @ x
-        nr = np.linalg.norm(res)
+        last, nr = nr, np.linalg.norm(res)
         steps += 1
+        if not nr < last:
+            break
     return x, nr, steps
 
 
@@ -245,26 +256,44 @@ def _lu_solve(lu, A, b):
 
 
 def linear_solve(A, b):
-    """Direct sparse solve with a residual-norm check."""
-    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float))
+    """Direct sparse solve with a residual-norm check.  A is factored in the
+    order it is given (no fill-reducing column ordering): callers give a
+    grid operator in its grid's `dissection()` order."""
+    return _lu_solve(_factor(A, "NATURAL"), A, np.asarray(b, dtype=float))
 
 
 # A Newton system is solved by iterative refinement on a kept LU to this
-# relative residual; one that has not converged after _REFINE_MAXSTEPS steps
-# is solved by factoring its own matrix, whose LU is kept instead.
+# relative residual; one that has not converged after _REFINE_MAXSTEPS steps,
+# or whose residual stops falling first, is solved by factoring its own
+# matrix, whose LU is kept instead.
 _REFINE_RTOL = 1e-12
 _REFINE_MAXSTEPS = 20
 
 
+@dataclass(eq=False, repr=False)
+class _ReorderedLU:
+    """The LU of A[order][:, order] as a solver of A x = b."""
+
+    lu: object
+    order: np.ndarray
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
 class _KeptLU:
     """The sparse LU kept for the Newton systems of one basis: the fine
-    Jacobians of a `solve_fine` call (no gather) or the projected systems
-    R^T J R of one coarse basis, given by its `_CellGather`.  With c small the
-    Jacobian barely moves over a run, so a few refinement steps replace a
+    Jacobians of a `solve_fine` call, factored in the node order `order` (the
+    fine grid's `dissection()`), or the projected systems R^T J R of one
+    coarse basis, given by its `_CellGather`.  With c small the Jacobian
+    barely moves over a run, so a few refinement steps replace a
     factorization."""
 
-    def __init__(self, gather=None):
+    def __init__(self, gather=None, order=None):
         self.gather = gather
+        self.order = order
         self.lu = None
 
     def release(self):
@@ -275,10 +304,7 @@ class _KeptLU:
         refinement only applies it, and it is assembled (`tocsc`) only to be
         factored.  step and it (time step, Newton iteration) name a
         refactored system in the log."""
-        if self.gather is None:
-            system, ordering = "fine Jacobian", "MMD_AT_PLUS_A"
-        else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
-            system, ordering = "projected Newton system", "MMD_ATA"
+        system = "fine Jacobian" if self.gather is None else "projected Newton system"
         if self.lu is not None:
             x, nr, steps = _refine(self.lu, J, b, _REFINE_RTOL, _REFINE_MAXSTEPS)
             if nr <= _REFINE_RTOL * np.linalg.norm(b):
@@ -290,7 +316,12 @@ class _KeptLU:
             )
             self.lu = None  # never two factorizations alive at once
         try:
-            self.lu = _factor(J.tocsc(), permc_spec=ordering)
+            A = J.tocsc()
+            if self.gather is None:
+                o = self.order
+                self.lu = _ReorderedLU(_factor(A[:, o][o], "NATURAL"), o)
+            else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
+                self.lu = _factor(A, "MMD_ATA")
             return _lu_solve(self.lu, J, b)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
@@ -530,7 +561,7 @@ def solve_fine(problem, config=None):
     config = config or NewtonConfig()
     p = _initial_state(problem)
     sol = FineSolution(states=[p])
-    kept = _KeptLU()
+    kept = _KeptLU(order=problem.fine.dissection())
     try:
         for step in range(1, problem.time.n_steps + 1):
             p = _newton_step(p, problem, config, sol, step, kept)

@@ -11,6 +11,9 @@ once per grid and shared read-only, and a neighborhood's local numbering
 is the connectivity of its own box grid (`CoarseNeighborhood.box`), so the
 patches of one mesh share a handful of patterns; the coarse cells likewise
 share one r x r x r box grid (`TwoScaleMesh.coarse_cells`).
+`FineGrid.dissection()`, the grid's nested dissection node order, is built
+the same way; every grid-shaped sparse LU (the fine Jacobian, the online
+local solves, the v2 interior blocks) factors in the order of its grid.
 """
 
 import functools
@@ -67,6 +70,15 @@ class FineGrid:
         built once per grid and read-only."""
         return _cell_nodes(self)
 
+    def dissection(self):
+        """The node indices in geometric nested dissection order: the
+        longest axis (the first of equals) is split at its middle node
+        plane, and a box lists its lower half, its upper half, then the
+        separator plane, each in the same order, down to single nodes.
+        Every sparse LU of an operator on this grid factors in this order;
+        built once per grid and read-only."""
+        return _dissection(self)
+
 
 @functools.lru_cache(maxsize=64)
 def _cell_nodes(grid):
@@ -76,6 +88,31 @@ def _cell_nodes(grid):
     cn = base[:, None] + offsets[None, :]
     cn.setflags(write=False)
     return cn
+
+
+@functools.lru_cache(maxsize=64)
+def _dissection(grid):
+    orders = {}  # box shape (nodes per axis) -> its node coordinates in order
+
+    def dissect(shape):
+        if shape not in orders:
+            a = int(np.argmax(shape))
+            if shape[a] == 1:
+                orders[shape] = np.zeros((1, 3), dtype=np.int64)
+            else:
+                mid = (shape[a] - 1) // 2
+                parts = []
+                for start, size in ((0, mid), (mid + 1, shape[a] - mid - 1), (mid, 1)):
+                    if size:
+                        part = dissect(shape[:a] + (size,) + shape[a + 1:]).copy()
+                        part[:, a] += start
+                        parts.append(part)
+                orders[shape] = np.concatenate(parts)
+        return orders[shape]
+
+    order = grid.node_index(*dissect((grid.nx + 1, grid.ny + 1, grid.nz + 1)).T)
+    order.setflags(write=False)
+    return order
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ CSV_HEADER = "nb,dim,t_basis,t_ass,t_solve,e_l2,e_h1,newton_total"
 
 # Part of the fine-reference cache key: bump it whenever the cache format or
 # the fine solver's arithmetic (even its last bits) changes.
-REFERENCE_VERSION = 4
+REFERENCE_VERSION = 5
 
 # key -> (type, default); None default means required-when-used
 _SCHEMA = {
@@ -314,7 +314,7 @@ def fine_reference(config, force=False):
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh,
                 states=np.asarray(sol.states),
                 newton_iters=np.asarray(sol.newton_iters),

@@ -146,11 +146,12 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
             f"neighborhood {i} has no constrained boundary nodes, so it has "
             f"no v2 snapshots (v2 needs at least 3 coarse cells per axis)"
         )
-    free = np.flatnonzero(nb.free_mask)
+    order = nb.box.dissection()
+    free = order[nb.free_mask[order]]
     A_ff = A[np.ix_(free, free)]
     A_fb = A[np.ix_(free, bnd)]
     try:
-        lu = _factor(A_ff)
+        lu = _factor(A_ff, "NATURAL")
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"interior block of neighborhood {i} is singular: {exc}"

@@ -68,14 +68,17 @@ class LocalResidual:
 
 def _free_local_dofs(mesh, i, dirichlet_nodes):
     """Local DOFs for the zero-Dirichlet online solve: patch nodes off the
-    constrained patch boundary and off the global Dirichlet set."""
+    constrained patch boundary and off the global Dirichlet set, in the
+    patch box's `dissection()` order, the order their local systems are
+    factored in."""
     nb = mesh.neighborhoods[i]
     mask = nb.free_mask.copy()
     if dirichlet_nodes is not None and len(dirichlet_nodes):
         dmask = np.zeros(mesh.fine.n_nodes, dtype=bool)
         dmask[dirichlet_nodes] = True
         mask &= ~dmask[nb.nodes]
-    return np.flatnonzero(mask)
+    order = nb.box.dissection()
+    return order[mask[order]]
 
 
 def compute_local_residual(mesh, i, F_global, dirichlet_nodes=None):

@@ -202,7 +202,7 @@ def test_fine_reference_written_through_temp_file(tmp_path, monkeypatch):
         fh.write(b"PK partial")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness.np, "savez_compressed", interrupted)
+    monkeypatch.setattr(harness.np, "savez", interrupted)
     with pytest.raises(KeyboardInterrupt):
         fine_reference(cfg)
     assert list((tmp_path / "out").iterdir()) == []

@@ -2,8 +2,8 @@
 sets: the Q1 connectivity, the cell-block assembler, the Jacobian, the
 projected Jacobian assembled from coarse-cell blocks, the fine solver's kept
 factorization, mass balance, the partition of unity, the driver-independent
-offline span, and the coarse solver's identity-projection equivalence and
-determinism."""
+offline span, the nested dissection node order, and the coarse solver's
+identity-projection equivalence and determinism."""
 
 import logging
 import weakref
@@ -173,6 +173,66 @@ def test_memoized_connectivity_is_read_only(nx, ny, nz):
     assert FineGrid(nx, ny, nz, 1.0).cell_nodes() is cn
     with pytest.raises(ValueError):
         cn[0, 0] = 1
+
+
+def dissection_oracle(grid):
+    """Nested dissection by plain recursion over node boxes [lo, hi)."""
+    order = []
+
+    def visit(lo, hi):
+        n = [b - a for a, b in zip(lo, hi)]
+        if min(n) == 0:
+            return
+        a = int(np.argmax(n))
+        if n[a] == 1:
+            order.append(grid.node_index(*lo))
+            return
+        mid = lo[a] + (n[a] - 1) // 2
+
+        def at(t, v):
+            return t[:a] + (v,) + t[a + 1:]
+
+        visit(lo, at(hi, mid))
+        visit(at(lo, mid + 1), hi)
+        visit(at(lo, mid), at(hi, mid + 1))
+
+    visit((0, 0, 0), (grid.nx + 1, grid.ny + 1, grid.nz + 1))
+    return np.array(order)
+
+
+@settings(max_examples=10)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_dissection_is_a_memoized_permutation(r, Nx, Ny, Nz):
+    """On a fine grid and the box grid of every neighborhood shape, the
+    dissection is a read-only permutation of the nodes, equal to the plain
+    recursion, and one object per grid."""
+    mesh = build_two_scale_mesh(r * Nx, r * Ny, r * Nz, r)
+    for grid in {mesh.fine} | {nb.box for nb in mesh.neighborhoods}:
+        order = grid.dissection()
+        assert np.array_equal(np.sort(order), np.arange(grid.n_nodes))
+        assert np.array_equal(order, dissection_oracle(grid))
+        assert FineGrid(grid.nx, grid.ny, grid.nz, grid.h).dissection() is order
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+
+@pytest.mark.parametrize("preset", ["neumann-wells", "mixed-bc"])
+@settings(max_examples=10)
+@given(case=grid_cases())
+def test_dissection_ordered_solve_matches_minimum_degree(preset, case):
+    """A kept LU factored in the dissection order solves a fine Jacobian
+    (the mixed-bc one with its Dirichlet rows) as a direct solve on the
+    minimum-degree ordering does, to 1e-12."""
+    fine, rng, _ = case
+    perm = PermeabilityField(rng.uniform(1.0, 1e3, fine.n_cells))
+    problem = make_problem(fine, FluidProps(), perm, TimeGrid(dt=2.5e-5, n_steps=1),
+                           preset, well_rate=1e8)
+    p = problem.p0 * (1.0 + 1e-3 * rng.standard_normal(fine.n_nodes))
+    J = newton_jacobian(p, problem.fluid, perm, problem.time.dt, fine, problem.boundary)
+    b = rng.standard_normal(fine.n_nodes)
+    x = fem._KeptLU(order=fine.dissection()).solve(J, b)
+    ref = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @st.composite
@@ -378,9 +438,10 @@ def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
     """solve_gmsfem with one kept LU per basis takes the same Newton
     iterations to the same states as with a factorization of every
     projected system (cap 0).  The default factors once per basis (the
-    offline basis, then one per online update; the online local solves are
-    the factorizations with the default column ordering), and every LU is
-    freed by the time the run returns."""
+    offline basis, then one per online update; the projected systems are
+    the factorizations with the `MMD_ATA` column ordering, the online local
+    solves use "NATURAL"), and every LU is freed by the time the run
+    returns."""
     perm = generate_channel_field(mesh8.fine, seed=1, background=1.0,
                                   channel=1e4, n_channels=4, n_inclusions=4)
     problem = make_problem(mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=4),
@@ -394,7 +455,7 @@ def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
                 mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
             result = solve_gmsfem(problem, space, schedule)
         assert lus.all_freed()
-        runs[cap] = result, sum(spec is not None for spec in lus.orderings)
+        runs[cap] = result, sum(spec == "MMD_ATA" for spec in lus.orderings)
     (sol, kept), (ref, refactored) = runs[fem._REFINE_MAXSTEPS], runs[0]
     assert sol.newton_iters == ref.newton_iters
     bases = len(schedule.update_steps) if online else 1
@@ -455,9 +516,9 @@ def test_failed_fine_solve_frees_the_factorization():
 
 def test_kept_factorization_refactors_when_refinement_diverges(caplog):
     """Refinement on the LU of 0.4 J multiplies the error by -1.5 per step,
-    so it never converges: the kept factorization is freed, J is factored
-    once, one DEBUG record names the system, and the result is the direct
-    solution."""
+    so its first step raises the residual: the kept factorization is freed
+    after that one step, J is factored once, one DEBUG record names the
+    system, and the result is the direct solution."""
     fine = FineGrid(3, 3, 3, 1.0)
     rng = np.random.default_rng(0)
     dirichlet = rng.choice(fine.n_nodes, 8, replace=False)
@@ -466,16 +527,61 @@ def test_kept_factorization_refactors_when_refinement_diverges(caplog):
                         fine, problem.boundary)
     b = J @ rng.standard_normal(fine.n_nodes)
     lus = TrackedFactorizations()
-    kept = fem._KeptLU()
+    kept = fem._KeptLU(order=fine.dissection())
     with mock.patch.object(fem.spla, "splu", lus), \
             caplog.at_level(logging.DEBUG, logger="msflow"):
         kept.lu = lus(sp.csc_matrix(0.4 * J))
         x = kept.solve(J, b, 3, 2)
     assert lus.calls == 2
-    assert [r.args for r in caplog.records] == [(3, 2, fem._REFINE_MAXSTEPS)]
+    assert [r.args for r in caplog.records] == [(3, 2, 1)]
     assert caplog.records[0].levelno == logging.DEBUG
     direct = spla.spsolve(J.tocsc(), b)
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+    kept.release()
+    assert lus.all_freed()
+
+
+class NoisyProduct:
+    """J whose product carries a fresh relative error of 1e-9, as a badly
+    conditioned or nearly dependent system does: refinement reaches that
+    floor, then its residual wanders there."""
+
+    def __init__(self, J, rng):
+        self.J, self.rng = J, rng
+
+    def __matmul__(self, x):
+        y = self.J @ x
+        return y + 1e-9 * np.abs(y).max() * self.rng.uniform(-1.0, 1.0, y.size)
+
+    def tocsc(self):
+        return self.J.tocsc()
+
+
+def test_kept_factorization_refactors_when_refinement_stagnates(caplog):
+    """Refinement on the LU of 0.9 J divides the error by -9 per step until
+    the residual reaches the floor of the noisy product, above the
+    tolerance.  It stops at the first step that does not lower the residual,
+    well before _REFINE_MAXSTEPS: one DEBUG record names the steps spent, J
+    is factored, and the result is the direct solution to the floor."""
+    fine = FineGrid(3, 3, 3, 1.0)
+    rng = np.random.default_rng(1)
+    problem = random_problem(fine, rng, rng.choice(fine.n_nodes, 8, replace=False))
+    J = newton_jacobian(problem.p0, problem.fluid, problem.perm, problem.time.dt,
+                        fine, problem.boundary)
+    b = J @ rng.standard_normal(fine.n_nodes)
+    lus = TrackedFactorizations()
+    kept = fem._KeptLU(order=fine.dissection())
+    with mock.patch.object(fem.spla, "splu", lus), \
+            caplog.at_level(logging.DEBUG, logger="msflow"):
+        kept.lu = lus(sp.csc_matrix(0.9 * J))
+        x = kept.solve(NoisyProduct(J, rng), b, 3, 2)
+    assert lus.calls == 2
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    step, it, steps = record.args
+    assert (step, it) == (3, 2) and 4 <= steps < fem._REFINE_MAXSTEPS
+    direct = spla.spsolve(J.tocsc(), b)
+    assert np.linalg.norm(x - direct) <= 1e-7 * np.linalg.norm(direct)
     kept.release()
     assert lus.all_freed()
 
