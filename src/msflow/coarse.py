@@ -3,9 +3,10 @@
 The coarse state is kept as its fine-grid prolongation (the density
 nonlinearity is evaluated on fine cells).  Each time step runs the fine
 solver's damped-Newton driver (`fem._newton_step`) with the current basis
-matrix R: the fine residual is projected to R^T F, R^T J R is solved with
-the sparse LU kept for the basis (`fem._KeptLU`, assembled from the basis's
-coarse-cell gather only to be factored) and the update is prolonged.
+matrix R: the fine residual and the sparse fine Jacobian are projected to
+R^T F and R^T J R, which is solved with the sparse LU kept for the basis
+(`fem._KeptLU`, R^T J R formed only to be factored), and the update is
+prolonged.
 Scheduled online enrichment replaces the online columns of R between steps.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from .fem import (
     FineSolution,
     NewtonConfig,
-    _cell_gather,
     _initial_state,
     _KeptLU,
     _newton_step,
@@ -31,8 +31,8 @@ class CoarseResult(FineSolution):
 
 def gmsfem_step(p_prev, kept, problem, config, result, step):
     """One backward-Euler step solved by Newton in the span of the basis
-    columns, given as the `_KeptLU` of their coarse-cell gather; returns the
-    accepted fine-grid prolonged state."""
+    columns, given as the `_KeptLU` of their matrix; returns the accepted
+    fine-grid prolonged state."""
     return _newton_step(p_prev, problem, config, result, step, kept)
 
 
@@ -43,8 +43,8 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     left on it is dropped on entry.  At each scheduled step the online block
     is recomputed (before the first Newton iteration) from the residual at
     the previous accepted state and replaces the previous online columns.
-    The run builds the gather and the kept LU of its basis when the basis
-    changes and frees them on return, so a kept space holds no solver state.
+    The run builds the kept LU of its basis when the basis changes and frees
+    it on return, so a kept space holds no solver state.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
@@ -52,19 +52,18 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     mesh = offline_space.mesh
     projection = offline_space.projection
     projection.set_online([])
-    dirichlet = problem.boundary.dirichlet_nodes
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
     kept = None
     for step in range(1, problem.time.n_steps + 1):
         if schedule.n_online > 0 and step in schedule.update_steps:
-            kept = None  # frees the old basis's gather and LU
+            kept = None  # frees the old basis's LU
             t0 = time.perf_counter()
             enrich_projection(projection, mesh, problem, p, schedule.n_online)
             result.t_basis_online += time.perf_counter() - t0
         if kept is None:
-            kept = _KeptLU(_cell_gather(mesh, projection.matrix(), dirichlet))
+            kept = _KeptLU(projection.matrix())
         p = gmsfem_step(p, kept, problem, config, result, step)
         result.states.append(p)
         result.dim_history.append(projection.dim)

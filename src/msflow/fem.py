@@ -17,10 +17,10 @@ Jacobian here, the online local systems and the v2 interior blocks
 elsewhere) are factored in the grid's nested dissection order
 (`FineGrid.dissection()`) with no further column ordering; projected systems
 use SuperLU's `MMD_ATA`.
-The coarse solver's projected Jacobian R^T J R (`_ProjectedJacobian`) is
-never formed from the sparse J: refinement applies it through the Jacobian's
-cell blocks, and only a factorization assembles it, coarse cell by coarse
-cell, from the cell blocks and the rows of R on that cell (`_CellGather`).
+Every Newton iteration, fine or coarse, assembles the one sparse Jacobian J
+(`newton_jacobian`); a coarse system is its Galerkin projection R^T J R
+(`_Galerkin`), which refinement applies as R^T (J (R x)) and which is formed
+only when it is factored, once per basis in a normal run.
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
@@ -38,7 +38,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AssemblyError, NewtonConvergenceError, SingularMatrixError
+from .errors import (
+    AssemblyError,
+    ConfigError,
+    NewtonConvergenceError,
+    SingularMatrixError,
+)
 from .model import density
 
 log = logging.getLogger(__name__)
@@ -177,9 +182,11 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     return F
 
 
-def _jacobian_blocks(p, fluid, perm, dt, fine):
-    """Per-cell 8x8 blocks, (n_cells, 8, 8) in `cell_nodes()` order, of the
-    derivative of `newton_residual` before the Dirichlet elimination."""
+def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
+    """Exact derivative of `newton_residual` with respect to the state.
+
+    Dirichlet rows and columns are eliminated to the identity.
+    """
     p = np.asarray(p, dtype=float)
     Ke, _ = element_matrices(fine.h)
 
@@ -196,17 +203,12 @@ def _jacobian_blocks(p, fluid, perm, dt, fine):
     # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
     kp = np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
     blocks += ((fluid.c / 8.0) * flux_w[:, None] * kp)[:, :, None]
-    return blocks
-
-
-def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
-    """Exact derivative of `newton_residual` with respect to the state.
-
-    Dirichlet rows and columns are eliminated to the identity.
-    """
+    # free the per-cell temporaries before the assembly allocates: kept alive,
+    # they double the minor page faults of a cold 16^3 fine solve (42k
+    # against 12-25k) through glibc's heap trimming
+    del p_loc, p_mean, rho_c, flux_w, kp
     return assemble_cells(
-        fine, _jacobian_blocks(p, fluid, perm, dt, fine),
-        None if boundary is None else boundary.dirichlet_nodes,
+        fine, blocks, None if boundary is None else boundary.dirichlet_nodes
     )
 
 
@@ -287,12 +289,11 @@ class _KeptLU:
     """The sparse LU kept for the Newton systems of one basis: the fine
     Jacobians of a `solve_fine` call, factored in the node order `order` (the
     fine grid's `dissection()`), or the projected systems R^T J R of one
-    coarse basis, given by its `_CellGather`.  With c small the Jacobian
-    barely moves over a run, so a few refinement steps replace a
-    factorization."""
+    coarse basis matrix R.  With c small the Jacobian barely moves over a
+    run, so a few refinement steps replace a factorization."""
 
-    def __init__(self, gather=None, order=None):
-        self.gather = gather
+    def __init__(self, R=None, order=None):
+        self.R = R
         self.order = order
         self.lu = None
 
@@ -300,11 +301,11 @@ class _KeptLU:
         self.lu = None
 
     def solve(self, J, b, step=0, it=0):
-        """Solve J x = b.  J is a sparse matrix or a `_ProjectedJacobian`;
-        refinement only applies it, and it is assembled (`tocsc`) only to be
-        factored.  step and it (time step, Newton iteration) name a
-        refactored system in the log."""
-        system = "fine Jacobian" if self.gather is None else "projected Newton system"
+        """Solve J x = b.  J is a sparse matrix or a `_Galerkin`; refinement
+        only applies it, and it is formed (`tocsc`) only to be factored.
+        step and it (time step, Newton iteration) name a refactored system
+        in the log."""
+        system = "fine Jacobian" if self.R is None else "projected Newton system"
         if self.lu is not None:
             x, nr, steps = _refine(self.lu, J, b, _REFINE_RTOL, _REFINE_MAXSTEPS)
             if nr <= _REFINE_RTOL * np.linalg.norm(b):
@@ -317,7 +318,7 @@ class _KeptLU:
             self.lu = None  # never two factorizations alive at once
         try:
             A = J.tocsc()
-            if self.gather is None:
+            if self.R is None:
                 o = self.order
                 self.lu = _ReorderedLU(_factor(A[:, o][o], "NATURAL"), o)
             else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
@@ -346,8 +347,12 @@ class NewtonConfig:
     stall_ratio: float = 1e-3
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or not 0 < self.damping <= 1:
-            raise AssemblyError("invalid Newton configuration")
+        if not self.tol > 0:
+            raise ConfigError(f"newton.tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"newton.max_iter must be >= 1, got {self.max_iter}")
+        if not 0 < self.damping <= 1:
+            raise ConfigError(f"newton.damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass
@@ -370,132 +375,38 @@ def _initial_state(problem):
     return p
 
 
-# Coarse cells per batch of the projected assembly: about this many entries
-# of their dense (r+1)^3 x (r+1)^3 Jacobians at a time.
-_BATCH_ENTRIES = 1 << 17
-
-
 @dataclass(eq=False, repr=False)
-class _CellGather:
-    """A basis matrix R split by coarse cell, for assembling R^T J R from the
-    Jacobian's cell blocks.
+class _Galerkin:
+    """R^T J R, the Galerkin projection of the Jacobian J on the columns of
+    R: `@` applies it without forming it, `tocsc()` forms it (only to be
+    factored)."""
 
-    The r^3 fine cells of coarse cell K touch only its (r+1)^3 nodes, so
-    with J_K the unreduced Jacobian of K and R_K the rows of R at K's nodes
-    (the rows of Dirichlet nodes zeroed) restricted to the columns that are
-    nonzero there,
-
-        R^T J R = sum_K R_K^T J_K R_K + R_D^T R_D,
-
-    where R_D is R on the Dirichlet rows, which J reduces to the identity.
-    The coarse cells are batched by their column count k; each batch holds
-    the fine cells (C, r^3), the columns (C, k) and R_K (C, (r+1)^3, k).
-    """
-
-    R: object  # CSR, n_fine x dim
-    batches: list
-    slots: np.ndarray  # slot in a flattened J_K of each box cell-block entry
-    cell_nodes: np.ndarray  # the fine grid's connectivity
-    dirichlet: np.ndarray  # the Dirichlet nodes
-
-    @property
-    def dim(self):
-        return self.R.shape[1]
-
-
-def _cell_gather(mesh, R, dirichlet_nodes):
-    """The `_CellGather` of R on mesh, derived from the sparsity of R."""
-    box, nodes, cells = mesh.coarse_cells()
-    n_coarse, m = nodes.shape
-    d = np.asarray(dirichlet_nodes, dtype=np.int64)
-    R = R.tocsr()
-    free = np.ones(R.shape[0], dtype=bool)
-    free[d] = False
-
-    by_k = {}  # column count -> [(coarse cell, its columns, its R_K)]
-    for K in range(n_coarse):
-        sub = R[nodes[K]]
-        row = np.repeat(np.arange(m), np.diff(sub.indptr))
-        nz = free[nodes[K]][row] & (sub.data != 0.0)
-        cols, pos = np.unique(sub.indices[nz], return_inverse=True)
-        if cols.size:
-            RK = np.zeros((m, cols.size))
-            RK[row[nz], pos] = sub.data[nz]
-            by_k.setdefault(cols.size, []).append((K, cols, RK))
-    per_batch = max(1, _BATCH_ENTRIES // (m * m))
-    batches = []
-    for group in by_k.values():
-        for b in range(0, len(group), per_batch):
-            K, cols, RK = zip(*group[b:b + per_batch])
-            batches.append((cells[list(K)], np.stack(cols), np.stack(RK)))
-
-    cn = box.cell_nodes()
-    slots = (cn[:, :, None] * m + cn[:, None, :]).ravel()
-    return _CellGather(R, batches, slots, mesh.fine.cell_nodes(), d)
-
-
-@dataclass(eq=False, repr=False)
-class _ProjectedJacobian:
-    """R^T J R of a gather's basis at one state, given by the Jacobian's cell
-    blocks (n_cells, 8, 8): `@` applies it without forming it, `tocsc()`
-    assembles it."""
-
-    gather: _CellGather
-    blocks: np.ndarray
+    R: object
+    J: object
 
     def __matmul__(self, x):
-        """R^T J R x: v = R x, J v from the cell blocks on v with its
-        Dirichlet entries zeroed, (J v)_d = v_d, then R^T."""
-        g = self.gather
-        v = g.R @ x
-        w = v.copy()
-        w[g.dirichlet] = 0.0
-        Jw = np.einsum("cab,cb->ca", self.blocks, w[g.cell_nodes])
-        Jv = np.bincount(g.cell_nodes.ravel(), weights=Jw.ravel(), minlength=v.size)
-        Jv[g.dirichlet] = v[g.dirichlet]
-        return g.R.T @ Jv
+        return self.R.T @ (self.J @ (self.R @ x))
 
     def tocsc(self):
-        """R^T J R as a CSC matrix, summed from the coarse-cell products into
-        triplet arrays written in place (the peak memory of a coarse run)."""
-        g = self.gather
-        RD = g.R[g.dirichlet]
-        gram = (RD.T @ RD).tocoo()  # the Dirichlet term R_D^T R_D, summed last
-        n_terms = gram.nnz + sum(c.size * c.shape[1] for _, c, _ in g.batches)
-        rows, cols = np.empty((2, n_terms), dtype=np.int32)
-        vals = np.empty(n_terms)
-        at = 0
-        for cells, cols_K, RK in g.batches:
-            C, m, k = RK.shape
-            slots = (np.arange(C)[:, None] * (m * m) + g.slots).ravel()
-            JK = np.bincount(slots, weights=self.blocks[cells].ravel(),
-                             minlength=C * m * m)
-            part = slice(at, at + C * k * k)
-            vals[part] = (RK.transpose(0, 2, 1) @ (JK.reshape(C, m, m) @ RK)).ravel()
-            rows[part] = np.broadcast_to(cols_K[:, :, None], (C, k, k)).ravel()
-            cols[part] = np.broadcast_to(cols_K[:, None, :], (C, k, k)).ravel()
-            at = part.stop
-        rows[at:], cols[at:], vals[at:] = gram.row, gram.col, gram.data
-        return sp.csc_matrix((vals, (rows, cols)), shape=(g.dim, g.dim))
+        return (self.R.T @ (self.J @ self.R)).tocsc()
 
 
 def _newton_step(p_prev, problem, config, sol, step, kept):
     """One backward-Euler step by damped Newton; returns the accepted state.
 
-    Each Newton system is solved with the `_KeptLU` kept; without a gather
-    it is the fine system.  Given the `_CellGather` of a basis matrix R, the
-    residual and the Jacobian's cell blocks are still computed on the fine
-    grid, each Newton system is Galerkin-projected (R^T J R, R^T F) and the
-    update is prolonged with R; convergence, damping and the stall guard then
-    act on ||R^T F||.  The residual at the accepted line-search point is the
-    next iteration's.  Appends the iteration count to sol.newton_iters and
-    the assembly (every residual, line-search trials included, and every
-    Jacobian or its cell blocks) and solve (projection and refinement
+    Each Newton system is solved with the `_KeptLU` kept; without a basis
+    matrix it is the fine system.  Given the basis matrix R of the kept LU,
+    the residual and the Jacobian are still assembled on the fine grid, each
+    Newton system is Galerkin-projected (`_Galerkin`: R^T J R, and R^T F)
+    and the update is prolonged with R; convergence, damping and the stall
+    guard then act on ||R^T F||.  The residual at the accepted line-search
+    point is the next iteration's.  Appends the iteration count to
+    sol.newton_iters and the assembly (every residual, line-search trials
+    included, and every Jacobian) and solve (projection and refinement
     included) wall time to sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
-    gather = kept.gather
-    R = None if gather is None else gather.R
+    R = kept.R
 
     def residual(p):
         """Fine residual at p, its projection and the projection's norm."""
@@ -516,14 +427,14 @@ def _newton_step(p_prev, problem, config, sol, step, kept):
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
-        state = (p, problem.fluid, problem.perm, problem.time.dt, fine)
-        if gather is None:
-            J = newton_jacobian(*state, problem.boundary)
-        else:
-            J = _ProjectedJacobian(gather, _jacobian_blocks(*state))
+        J = newton_jacobian(
+            p, problem.fluid, problem.perm, problem.time.dt, fine,
+            problem.boundary,
+        )
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
-        delta = kept.solve(J, -Fc, step, iters + 1)
+        A = J if R is None else _Galerkin(R, J)
+        delta = kept.solve(A, -Fc, step, iters + 1)
         sol.t_solve += time.perf_counter() - t0
         if R is not None:
             delta = R @ delta  # prolong the coarse update

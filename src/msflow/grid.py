@@ -9,8 +9,7 @@ Node and cell orderings are lexicographic with x fastest.  This module is the
 one place where Q1 connectivity is built: `FineGrid.cell_nodes()` is computed
 once per grid and shared read-only, and a neighborhood's local numbering
 is the connectivity of its own box grid (`CoarseNeighborhood.box`), so the
-patches of one mesh share a handful of patterns; the coarse cells likewise
-share one r x r x r box grid (`TwoScaleMesh.coarse_cells`).
+patches of one mesh share a handful of patterns.
 `FineGrid.dissection()`, the grid's nested dissection node order, is built
 the same way; every grid-shaped sparse LU (the fine Jacobian, the online
 local solves, the v2 interior blocks) factors in the order of its grid.
@@ -174,31 +173,6 @@ class TwoScaleMesh:
     @property
     def n_neighborhoods(self):
         return len(self.neighborhoods)
-
-    def coarse_cells(self):
-        """(box, nodes, cells): a coarse cell as a grid of r^3 fine cells of
-        its own, whose `cell_nodes()` is the local numbering, and per coarse
-        cell (x fastest) its (r+1)^3 global fine nodes and r^3 global fine
-        cells in box order; built once per mesh and read-only."""
-        return _coarse_cells(self.fine, self.coarse)
-
-
-@functools.lru_cache(maxsize=16)
-def _coarse_cells(fine, coarse):
-    r = coarse.r
-    box = FineGrid(r, r, r, fine.h)
-    k = np.arange(coarse.Nx * coarse.Ny * coarse.Nz)
-    lo = [
-        r * a[:, None]
-        for a in (k % coarse.Nx, (k // coarse.Nx) % coarse.Ny, k // (coarse.Nx * coarse.Ny))
-    ]
-    local_nodes = box.node_ijk(np.arange(box.n_nodes))
-    local_cells = box.cell_ijk(np.arange(box.n_cells))
-    nodes = fine.node_index(*(o + a for o, a in zip(lo, local_nodes)))
-    cells = fine.cell_index(*(o + a for o, a in zip(lo, local_cells)))
-    nodes.setflags(write=False)
-    cells.setflags(write=False)
-    return box, nodes, cells
 
 
 def _build_neighborhood(fine, coarse, idx):

@@ -96,6 +96,8 @@ class ExperimentConfig:
                 self.values[key] = typ(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
+        if typ is float and not np.isfinite(self.values[key]):
+            raise ConfigError(f"non-finite value for '{key}': {raw!r}")
 
     @staticmethod
     def default():
@@ -129,6 +131,7 @@ class ExperimentConfig:
 
     def validate(self):
         mesh = self.build_mesh()  # raises on divisibility problems
+        self.newton()  # raises on invalid Newton controls
         if self["online.count"] > 0:
             sched = UpdateSchedule(self["online.count"], self.update_steps())
             sched.validate(self["time.steps"])

@@ -13,10 +13,8 @@ import numpy as np
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
-    _cell_gather,
-    _jacobian_blocks,
+    _Galerkin,
     _KeptLU,
-    _ProjectedJacobian,
     linear_solve,
     newton_jacobian,
     newton_residual,
@@ -198,12 +196,11 @@ def enrich_projection(
                 round_cols.append((i, v))
         new_cols.extend(round_cols)
         if round_ + 1 < n_online and round_cols:
-            # correct the trial state in the temporarily enriched space
+            # correct the trial state in the temporarily enriched space, on
+            # the round's Jacobian (assembled at p)
             projection.set_online(new_cols)
-            gather = _cell_gather(mesh, projection.matrix(), dirichlet)
-            blocks = _jacobian_blocks(p, problem.fluid, problem.perm, problem.time.dt, fine)
-            J_c = _ProjectedJacobian(gather, blocks)
-            p = p + gather.R @ _KeptLU(gather).solve(J_c, -(gather.R.T @ F))
+            R = projection.matrix()
+            p = p + R @ _KeptLU(R).solve(_Galerkin(R, J), -(R.T @ F))
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow import coarse, fem
+from msflow import coarse, fem, online
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
@@ -34,28 +34,53 @@ def test_identity_projection_matches_fine(mesh4, fluid, uniform_perm4):
     assert dev <= 1e-10 * np.abs(np.asarray(ref.states)).max()
 
 
-def test_coarse_solve_frees_its_gather(mesh4, fluid, uniform_perm4, monkeypatch):
-    """A coarse solve builds the coarse-cell gather of its basis once per
-    basis and frees it with the basis's kept LU, so a space kept for later
-    runs holds no solver state."""
+def test_coarse_solve_frees_its_kept_lu(mesh4, fluid, uniform_perm4, monkeypatch):
+    """A coarse solve builds the kept LU of its basis once per basis and
+    frees it, so a space kept for later runs holds no solver state."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
         "neumann-wells", well_rate=1e8,
     )
     space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
-    built = []  # (weak reference, dimension) per gather
-    gather = coarse._cell_gather
+    built = []  # (weak reference, dimension) per kept LU
+    kept_lu = coarse._KeptLU
 
-    def recording_gather(mesh, R, dirichlet):
-        g = gather(mesh, R, dirichlet)
-        built.append((weakref.ref(g), g.dim))
-        return g
+    def recording_kept_lu(R):
+        kept = kept_lu(R)
+        built.append((weakref.ref(kept), R.shape[1]))
+        return kept
 
-    monkeypatch.setattr(coarse, "_cell_gather", recording_gather)
+    monkeypatch.setattr(coarse, "_KeptLU", recording_kept_lu)
     solve_gmsfem(prob, space, UpdateSchedule(1, (2,)))
     assert len(built) == 2 and built[0][1] < built[1][1]  # offline, enriched
     gc.collect()
     assert all(ref() is None for ref, _ in built)
+
+
+def test_coarse_newton_uses_the_one_sparse_jacobian(mesh8, fluid, uniform_perm8,
+                                                   monkeypatch):
+    """Every coarse Newton iteration and every online round assembles the
+    sparse fine Jacobian (`fem.newton_jacobian`) once: the projected systems
+    and the online corrector have no assembly path of their own."""
+    prob = make_problem(
+        mesh8.fine, fluid, uniform_perm8, TimeGrid(dt=2.5e-5, n_steps=3),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh8, uniform_perm8, fluid, prob.p0, 2)
+    calls = []
+    jacobian = fem.newton_jacobian
+
+    def counting_jacobian(*args, **kwargs):
+        calls.append(None)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "newton_jacobian", counting_jacobian)
+    monkeypatch.setattr(online, "newton_jacobian", counting_jacobian)
+    schedule = UpdateSchedule(2, (1, 3))
+    res = solve_gmsfem(prob, space, schedule)
+    rounds = schedule.n_online * len(schedule.update_steps)
+    assert sum(res.newton_iters) > 0
+    assert len(calls) == sum(res.newton_iters) + rounds
 
 
 def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,

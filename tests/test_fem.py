@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from msflow import fem
 from msflow.errors import (
     AssemblyError,
+    ConfigError,
     NewtonConvergenceError,
     SingularMatrixError,
 )
@@ -233,11 +234,16 @@ def test_linear_solve_singular():
 
 
 def test_newton_config_validation():
-    with pytest.raises(AssemblyError):
+    """An invalid Newton control is a configuration error naming its key."""
+    with pytest.raises(ConfigError, match="newton.tol"):
         NewtonConfig(tol=-1.0)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(ConfigError, match="newton.tol"):
+        NewtonConfig(tol=float("nan"))
+    with pytest.raises(ConfigError, match="newton.damping"):
         NewtonConfig(damping=1.5)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(ConfigError, match="newton.damping"):
+        NewtonConfig(damping=0.0)
+    with pytest.raises(ConfigError, match="newton.max_iter"):
         NewtonConfig(max_iter=0)
 
 

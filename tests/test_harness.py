@@ -475,6 +475,32 @@ def test_cli_rejects_bad_arguments_before_solving(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("newton.tol", "nan"),
+    ("field.channel", "nan"),
+    ("time.dt", "nan"),
+    ("mesh.h", "inf"),
+    ("fluid.c", "inf"),
+    ("newton.tol", "-1"),
+    ("newton.damping", "0"),
+    ("newton.max_iter", "0"),
+])
+def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, value):
+    """A non-finite float value or an invalid Newton control is a
+    configuration error (exit 2) that names its key, raised before the fine
+    reference is solved: nothing is written."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        "time.steps = 1\nbasis.offline = 2\n"
+        f"{key} = {value}\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--nb", "2+0", "--vtk", "0,2"],
     ["sweep", "--nb", "2+0", "--offline", "6"],

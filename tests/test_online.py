@@ -219,7 +219,7 @@ def test_enrich_multi_vector_rounds(mesh8, wells8, space8, monkeypatch):
     class RecordingLU(fem._KeptLU):
         def solve(self, J, b, *args):
             x = super().solve(J, b, *args)
-            corrections.append((self.gather.R.copy(), x))
+            corrections.append((self.R.copy(), x))
             return x
 
     monkeypatch.setattr(online, "_KeptLU", RecordingLU)
