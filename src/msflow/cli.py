@@ -17,7 +17,7 @@ import numpy as np
 from . import harness
 from .errors import ConfigError, FieldFileError, MsflowError, NewtonConvergenceError
 from .harness import ExperimentConfig
-from .model import generate_channel_field, save_field_to_file
+from .model import save_field_to_file
 
 
 def _load_config(args):
@@ -104,15 +104,7 @@ def cmd_sweep(args):
 
 def cmd_gen_field(args):
     cfg = _load_config(args)
-    mesh = cfg.build_mesh()
-    field = generate_channel_field(
-        mesh.fine,
-        seed=cfg["seed"],
-        background=cfg["field.background"],
-        channel=cfg["field.channel"],
-        n_channels=cfg["field.n_channels"],
-        n_inclusions=cfg["field.n_inclusions"],
-    )
+    field = cfg.channel_field(cfg.build_mesh().fine)
     try:
         save_field_to_file(field, args.path)
     except OSError as exc:

@@ -120,21 +120,25 @@ class ExperimentConfig:
             cfg.set(key.strip(), raw.strip())
         return cfg
 
-    def update_steps(self):
-        raw = self["online.updates"].strip()
-        if not raw:
-            return ()
+    def schedule(self):
+        """The run's online schedule: online.count vectors per neighborhood
+        (none for 0), recomputed at the online.updates steps, each checked
+        against the time grid."""
+        n_online, raw = self["online.count"], self["online.updates"].strip()
+        if n_online < 0:
+            raise ConfigError(f"online.count must be >= 0, got {n_online}")
         try:
-            return tuple(int(s) for s in raw.split(","))
+            steps = tuple(int(s) for s in raw.split(",")) if n_online and raw else ()
         except ValueError as exc:
             raise ConfigError(f"bad online.updates list: {raw!r}") from exc
+        schedule = UpdateSchedule(n_online, steps)
+        schedule.validate(self["time.steps"])
+        return schedule
 
     def validate(self):
         mesh = self.build_mesh()  # raises on divisibility problems
         self.newton()  # raises on invalid Newton controls
-        if self["online.count"] > 0:
-            sched = UpdateSchedule(self["online.count"], self.update_steps())
-            sched.validate(self["time.steps"])
+        self.schedule()
         if self["basis.offline"] < 1:
             raise ConfigError(
                 f"empty coarse space: basis.offline is {self['basis.offline']}, "
@@ -155,13 +159,18 @@ class ExperimentConfig:
     def build_field(self, fine):
         kind = self["field.kind"]
         if kind == "uniform":
-            return PermeabilityField(
-                np.full(fine.n_cells, self["field.background"])
-            )
+            value = self["field.background"]
+            if value <= 0:
+                raise ConfigError(f"field.background must be positive, got {value}")
+            return PermeabilityField(np.full(fine.n_cells, value))
         if kind == "file":
             if not self["field.path"]:
                 raise ConfigError("field.kind = file requires field.path")
             return load_field_from_file(self["field.path"], fine)
+        return self.channel_field(fine)
+
+    def channel_field(self, fine):
+        """The synthetic channel field of the field.* keys and the seed."""
         return generate_channel_field(
             fine,
             seed=self["seed"],
@@ -194,36 +203,23 @@ class ExperimentConfig:
             damping=self["newton.damping"],
         )
 
-    def reference_hash(self):
-        """Hash of the reference version and every sub-config the fine
-        reference depends on."""
-        keys = [
-            k for k in sorted(_SCHEMA)
-            if k.split(".")[0] in ("mesh", "field", "problem", "fluid", "time", "newton")
-            or k == "seed"
-        ]
-        payload = "\n".join(
-            [f"version={REFERENCE_VERSION}"] + [f"{k}={self.values[k]!r}" for k in keys]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+def _relative_error(p_ms, p_ref, op, what):
+    d = np.asarray(p_ms) - np.asarray(p_ref)
+    ref = float(np.asarray(p_ref) @ (op @ p_ref))
+    if ref <= 0:
+        raise MsflowError(f"zero reference {what}")
+    return float(np.sqrt(max(0.0, d @ (op @ d)) / ref))
 
 
 def relative_l2_error(p_ms, p_ref, mass):
     """||p_ms - p_ref||_M / ||p_ref||_M."""
-    d = np.asarray(p_ms) - np.asarray(p_ref)
-    ref = float(np.asarray(p_ref) @ (mass @ p_ref))
-    if ref <= 0:
-        raise MsflowError("zero reference norm in L2 error")
-    return float(np.sqrt(max(0.0, d @ (mass @ d)) / ref))
+    return _relative_error(p_ms, p_ref, mass, "norm in L2 error")
 
 
 def relative_h1_error(p_ms, p_ref, stiffness):
     """Energy-seminorm relative error with the given weighted stiffness."""
-    d = np.asarray(p_ms) - np.asarray(p_ref)
-    ref = float(np.asarray(p_ref) @ (stiffness @ p_ref))
-    if ref <= 0:
-        raise MsflowError("zero reference seminorm in H1 error")
-    return float(np.sqrt(max(0.0, d @ (stiffness @ d)) / ref))
+    return _relative_error(p_ms, p_ref, stiffness, "seminorm in H1 error")
 
 
 def export_vtk(fine, nodal_field, path):
@@ -298,17 +294,32 @@ def _load_reference(cache, problem):
     return list(states), list(iters), t_ass, t_solve
 
 
-def fine_reference(config, force=False):
-    """Fine-grid reference solve, cached in the output directory by the
-    config hash.
+def _reference_key(problem, newton):
+    """The fine-reference cache key: sha256 of everything the fine solve
+    reads (grid, fluid, time grid, permeability, Dirichlet nodes and values,
+    load and initial state), the Newton controls and REFERENCE_VERSION."""
+    bc = problem.boundary
+    digest = hashlib.sha256(repr(
+        (REFERENCE_VERSION, problem.fine, problem.fluid, problem.time, newton)
+    ).encode())
+    for a in (problem.perm.values, bc.dirichlet_nodes, bc.dirichlet_values,
+              problem.load, problem.p0):
+        digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return digest.hexdigest()[:16]
 
-    The cache is written to a temporary file and renamed into place; an
-    unreadable or mismatched cache counts as a miss."""
+
+def fine_reference(config, force=False):
+    """Fine-grid reference solve, cached in the output directory under
+    `_reference_key` of the problem it solves.
+
+    The config is checked and the problem built before the output directory
+    is created.  The cache is written to a temporary file and renamed into
+    place; an unreadable or mismatched cache counts as a miss."""
     mesh = config.validate()
+    problem = config.build_problem(mesh.fine)
     out_dir = Path(config["output.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = out_dir / f"fine_ref_{config.reference_hash()}.npz"
-    problem = config.build_problem(mesh.fine)
+    cache = out_dir / f"fine_ref_{_reference_key(problem, config.newton())}.npz"
     if cache.exists() and not force:
         ref = _load_reference(cache, problem)
         if ref is not None:
@@ -350,17 +361,19 @@ def check_vtk_steps(config, steps):
 
 def run_experiment(config, vtk_steps=(), csv_path=None):
     """One full comparison run: cached fine reference, offline space, coarse
-    loop with scheduled enrichment, error metrics, CSV row and optional VTK
+    loop with the config's online schedule, error metrics, CSV row, per-step
+    errors in errors_per_step.csv (error.all_steps) and optional VTK
     snapshots."""
     check_vtk_steps(config, vtk_steps)
+    offline, schedule = config["basis.offline"], config.schedule()
     (ref_states, _, _, _), problem, mesh = fine_reference(config)
     space = build_offline_space(
-        mesh, problem.perm, problem.fluid, problem.p0, config["basis.offline"],
+        mesh, problem.perm, problem.fluid, problem.p0, offline,
         **_offline_options(config, problem),
     )
     norms = _error_operators(config, problem, mesh)
-    return _coarse_run(config, problem, mesh, ref_states, space, norms, vtk_steps,
-                       csv_path)
+    return _coarse_run(config, offline, schedule, problem, mesh, ref_states, space,
+                       norms, vtk_steps, csv_path)
 
 
 def _error_operators(config, problem, mesh):
@@ -373,17 +386,14 @@ def _error_operators(config, problem, mesh):
 
 
 def _coarse_run(
-    config, problem, mesh, ref_states, space, norms, vtk_steps=(), csv_path=None
+    config, offline, schedule, problem, mesh, ref_states, space, norms,
+    vtk_steps=(), csv_path=None, steps_path=None,
 ):
-    """The coarse loop of one run on a given offline space, its error metrics
-    with the `_error_operators` norms, CSV row and VTK snapshots."""
+    """The coarse loop of one run, planned as `offline` bases per
+    neighborhood (the given offline space) and the online `schedule`; its
+    error metrics with the `_error_operators` norms, CSV row, per-step errors
+    (error.all_steps) and VTK snapshots."""
     out_dir = Path(config["output.dir"])
-    n_online = config["online.count"]
-    schedule = (
-        UpdateSchedule(n_online, config.update_steps())
-        if n_online > 0
-        else UpdateSchedule.none()
-    )
     result = solve_gmsfem(problem, space, schedule, config.newton())
     mass, stiff = norms
 
@@ -392,22 +402,17 @@ def _coarse_run(
 
     if config["error.all_steps"]:
         rows = [
-            (
-                n,
-                relative_l2_error(result.states[n], ref_states[n], mass),
-                relative_h1_error(result.states[n], ref_states[n], stiff),
-            )
+            f"{n},{relative_l2_error(result.states[n], ref_states[n], mass):.17g},"
+            f"{relative_h1_error(result.states[n], ref_states[n], stiff):.17g}\n"
             for n in range(1, len(result.states))
         ]
-        with (out_dir / "errors_per_step.csv").open("w") as fh:
-            fh.write("step,e_l2,e_h1\n")
-            for n, el2, eh1 in rows:
-                fh.write(f"{n},{el2:.17g},{eh1:.17g}\n")
+        Path(steps_path or out_dir / "errors_per_step.csv").write_text(
+            "step,e_l2,e_h1\n" + "".join(rows)
+        )
 
-    label = f"{config['basis.offline']}+{n_online}"
-    n_updates = len(schedule.update_steps) if n_online else 0
-    if n_online and n_updates > 1:
-        label += f"({n_updates} updates)"
+    label = f"{offline}+{schedule.n_online}"
+    if len(schedule.update_steps) > 1:
+        label += f"({len(schedule.update_steps)} updates)"
     report = ExperimentReport(
         nb_label=label,
         dim=space.projection.dim,
@@ -421,52 +426,50 @@ def _coarse_run(
     _append_csv(csv_path or out_dir / "report.csv", report)
 
     for step in vtk_steps:
-        export_vtk(
-            mesh.fine, result.states[step],
-            out_dir / f"coarse_step{step:03d}.vtk",
-        )
-        export_vtk(
-            mesh.fine, ref_states[step],
-            out_dir / f"fine_step{step:03d}.vtk",
-        )
+        for kind, states in (("coarse", result.states), ("fine", ref_states)):
+            export_vtk(mesh.fine, states[step], out_dir / f"{kind}_step{step:03d}.vtk")
     return report
 
 
 def parse_variant(label):
-    """Parse a sweep variant 'x+y' or 'x+yu<k>' (k update steps)."""
+    """Parse a sweep variant 'x+y' or 'x+yu<k>' (k update steps) into
+    (offline, online, updates); a ConfigError names the variant unless
+    x >= 1, y >= 0 and k >= 1."""
+    off, _, rest = label.partition("+")
+    on, u, ups = rest.partition("u")
     try:
-        off, _, rest = label.partition("+")
-        if "u" in rest:
-            on, _, ups = rest.partition("u")
-            return int(off), int(on), int(ups)
-        return int(off), int(rest), (1 if int(rest) > 0 else 0)
+        off, on = int(off), int(on)
+        ups = int(ups) if u else int(on > 0)
     except ValueError as exc:
         raise ConfigError(f"bad sweep variant '{label}'") from exc
+    if off < 1 or on < 0 or (u and ups < 1):
+        raise ConfigError(
+            f"bad sweep variant '{label}': needs offline >= 1, online >= 0 "
+            f"and updates >= 1"
+        )
+    return off, on, ups
 
 
 def sweep(config, variants, csv_path=None):
     """Run the fine reference once plus one coarse run per variant; returns
-    the list of reports.  The fine reference appears as the first CSV row.
+    the list of reports.  The fine reference appears as the first CSV row,
+    and with error.all_steps each variant's per-step errors go to
+    errors_per_step_<variant>.csv.
 
-    Every variant is validated before anything runs, and the fine reference,
-    problem and mesh are loaded once.  One offline pass
-    (`build_offline_spaces`: one spectral solve per neighborhood for all the
-    variants' offline counts) builds one space per offline count, and
-    variants with the same count share its space; each run's t_basis
-    reports its space's t_basis plus the run's online time."""
-    run_cfgs = []
+    Every variant's plan (offline count, online schedule) is built before
+    anything runs, and the fine reference, problem and mesh are loaded once.
+    One offline pass (`build_offline_spaces`: one spectral solve per
+    neighborhood for all the variants' offline counts) builds one space per
+    offline count, and variants with the same count share its space; each
+    run's t_basis reports its space's t_basis plus the run's online time."""
+    plans = []
     for label in variants:
-        off, on, ups = parse_variant(label)
-        run_cfg = ExperimentConfig(dict(config.values))
-        run_cfg.values["basis.offline"] = off
-        run_cfg.values["online.count"] = on
-        if on > 0:
-            sched = UpdateSchedule.evenly_spaced(on, ups, config["time.steps"])
-            run_cfg.values["online.updates"] = ",".join(
-                str(s) for s in sched.update_steps
-            )
-        run_cfg.validate()
-        run_cfgs.append(run_cfg)
+        offline, n_online, n_updates = parse_variant(label)
+        schedule = (
+            UpdateSchedule.evenly_spaced(n_online, n_updates, config["time.steps"])
+            if n_online else UpdateSchedule.none()
+        )
+        plans.append((label, offline, schedule))
 
     (ref_states, ref_iters, ref_t_ass, ref_t_solve), problem, mesh = fine_reference(
         config
@@ -485,9 +488,9 @@ def sweep(config, variants, csv_path=None):
     )
     _append_csv(csv_path, fine_row)
 
-    # the variants differ only in their offline and online counts, so one
-    # offline pass and one pair of error-norm operators serve them all
-    counts = sorted({run_cfg["basis.offline"] for run_cfg in run_cfgs})
+    # the variants differ only in their plans, so one offline pass and one
+    # pair of error-norm operators serve them all
+    counts = sorted({offline for _, offline, _ in plans})
     spaces = dict(zip(counts, build_offline_spaces(
         mesh, problem.perm, problem.fluid, problem.p0, counts,
         **_offline_options(config, problem),
@@ -495,9 +498,10 @@ def sweep(config, variants, csv_path=None):
     norms = _error_operators(config, problem, mesh)
 
     reports = [fine_row]
-    for run_cfg in run_cfgs:
+    for label, offline, schedule in plans:
         reports.append(_coarse_run(
-            run_cfg, problem, mesh, ref_states, spaces[run_cfg["basis.offline"]],
+            config, offline, schedule, problem, mesh, ref_states, spaces[offline],
             norms, csv_path=csv_path,
+            steps_path=out_dir / f"errors_per_step_{label}.csv",
         ))
     return reports

@@ -69,6 +69,8 @@ def generate_channel_field(
 
     Deterministic function of the seed.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if background <= 0 or channel <= 0:
         raise ConfigError("background and channel permeability must be positive")
     if n_channels > 0 and (fine.ny < 3 or fine.nz < 3):

@@ -8,10 +8,16 @@ updates, Newton robustness, coarse-space DOF reduction, and bit-deterministic
 outputs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import msflow
 from msflow.coarse import solve_gmsfem
 from msflow.fem import (
     assemble_weighted_mass,
@@ -25,6 +31,7 @@ from msflow.grid import build_two_scale_mesh
 from msflow.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    fine_reference,
     relative_h1_error,
     relative_l2_error,
     run_experiment,
@@ -339,3 +346,34 @@ def test_deterministic_outputs(tmp_path):
     a = one("a")
     b = one("b")
     assert a == b
+
+
+def test_sweep_bits_do_not_depend_on_the_process(tmp_path):
+    """A `msflow sweep` in a fresh process and the same sweep in this process,
+    after a forced fine reference of another field, write identical CSV rows
+    (timing columns aside) on the 8^3 wells problem."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
+        "time.steps = 3\nbasis.offline = 2\nproblem.preset = neumann-wells\n"
+        f"output.dir = {tmp_path / 'cli'}\n"
+    )
+    src = str(Path(msflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    subprocess.run(
+        [sys.executable, "-m", "msflow.cli", "sweep", "--config", str(cfgfile),
+         "--nb", "2+0,2+1u2"],
+        env=env, check=True, capture_output=True,
+    )
+    other = ExperimentConfig.from_file(cfgfile)
+    other.set("seed", 1)
+    other.set("output.dir", str(tmp_path / "other"))
+    fine_reference(other, force=True)
+    cfg = ExperimentConfig.from_file(cfgfile)
+    cfg.set("output.dir", str(tmp_path / "api"))
+    sweep(cfg, ["2+0", "2+1u2"])
+    cli = _strip_timing((tmp_path / "cli" / "sweep.csv").read_text())
+    assert cli.count("\n") == 3
+    assert cli == _strip_timing((tmp_path / "api" / "sweep.csv").read_text())

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from msflow import harness, offline
 from msflow.cli import main
 from msflow.errors import ConfigError, MsflowError
+from msflow.model import PermeabilityField, save_field_to_file
 from msflow.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -50,13 +51,14 @@ def test_config_file_parsing(tmp_path):
         "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
         "basis.snapshot = v2\n"
         "error.plain_h1 = true\n"
+        "online.count = 1\n"
         "online.updates = 1,7,14\n"
     )
     cfg = ExperimentConfig.from_file(path)
     assert cfg["mesh.nx"] == 8
     assert cfg["basis.snapshot"] == "v2"
     assert cfg["error.plain_h1"] is True
-    assert cfg.update_steps() == (1, 7, 14)
+    assert cfg.schedule().update_steps == (1, 7, 14)
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -99,16 +101,30 @@ def test_config_validation_rules(tmp_path):
     cfg = small_config(tmp_path, **{"online.count": 1, "online.updates": "99"})
     with pytest.raises(ConfigError):
         cfg.validate()
+    cfg = small_config(tmp_path, **{"online.count": -1})
+    with pytest.raises(ConfigError, match="online.count"):
+        cfg.validate()
+
+
+def _reference_key(cfg):
+    problem = cfg.build_problem(cfg.build_mesh().fine)
+    return harness._reference_key(problem, cfg.newton())
 
 
 def test_reference_hash_sensitivity(tmp_path):
+    """The fine-reference cache key follows the problem the fine solve reads:
+    the field seed changes it; the output directory, the basis keys, the
+    coarse ratio and an unread field path do not."""
     a = small_config(tmp_path)
     b = small_config(tmp_path, seed=1)
     c = small_config(tmp_path, **{"output.dir": str(tmp_path / "elsewhere")})
-    d = small_config(tmp_path, **{"basis.offline": 4})
-    assert a.reference_hash() != b.reference_hash()
-    assert a.reference_hash() == c.reference_hash()  # output dir irrelevant
-    assert a.reference_hash() == d.reference_hash()  # basis irrelevant
+    d = small_config(tmp_path, **{"basis.offline": 4, "basis.snapshot": "v2",
+                                  "basis.extra_density_mass": True})
+    e = small_config(tmp_path, **{"mesh.ratio": 2, "field.path": "unread.bin"})
+    assert _reference_key(a) != _reference_key(b)
+    assert _reference_key(a) == _reference_key(c)  # output dir irrelevant
+    assert _reference_key(a) == _reference_key(d)  # basis irrelevant
+    assert _reference_key(a) == _reference_key(e)  # the fine solve reads neither
 
 
 def _mass2():
@@ -161,8 +177,12 @@ def test_parse_variant():
     assert parse_variant("4+0") == (4, 0, 0)
     assert parse_variant("4+1") == (4, 1, 1)
     assert parse_variant("4+1u3") == (4, 1, 3)
+    assert parse_variant("4+0u3") == (4, 0, 3)
     with pytest.raises(ConfigError):
         parse_variant("four+one")
+    for bad in ("0+1", "2+-1", "2+1u0", "2+1u"):
+        with pytest.raises(ConfigError, match=re.escape(f"'{bad}'")):
+            parse_variant(bad)
 
 
 def test_csv_row_format():
@@ -189,9 +209,24 @@ def test_fine_reference_caching(tmp_path):
 
 def test_reference_hash_includes_version(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)
-    before = cfg.reference_hash()
+    before = _reference_key(cfg)
     monkeypatch.setattr(harness, "REFERENCE_VERSION", harness.REFERENCE_VERSION + 1)
-    assert cfg.reference_hash() != before
+    assert _reference_key(cfg) != before
+
+
+def test_rewritten_field_file_is_solved_again(tmp_path):
+    """With field.kind = file the cache key follows the file's values:
+    rewriting the file in place makes the next run solve a new reference."""
+    path = tmp_path / "field.bin"
+    cfg = small_config(tmp_path, **{"field.kind": "file", "field.path": str(path)})
+    fine = cfg.build_mesh().fine
+    save_field_to_file(PermeabilityField(np.ones(fine.n_cells)), path)
+    (first, _, _, _), _, _ = fine_reference(cfg)
+    save_field_to_file(cfg.channel_field(fine), path)
+    (second, _, _, _), problem, _ = fine_reference(cfg)
+    assert len(list((tmp_path / "out").glob("fine_ref_*.npz"))) == 2
+    assert np.array_equal(problem.perm.values, cfg.channel_field(fine).values)
+    assert not np.array_equal(np.asarray(first), np.asarray(second))
 
 
 def test_fine_reference_written_through_temp_file(tmp_path, monkeypatch):
@@ -212,7 +247,7 @@ def test_fine_reference_written_through_temp_file(tmp_path, monkeypatch):
 def test_bad_fine_reference_cache_is_a_miss(tmp_path, caplog, damage):
     cfg = small_config(tmp_path)
     (states, _, _, _), _, _ = fine_reference(cfg)
-    cache = tmp_path / "out" / f"fine_ref_{cfg.reference_hash()}.npz"
+    (cache,) = (tmp_path / "out").glob("fine_ref_*.npz")
     if damage == "truncated":
         cache.write_bytes(cache.read_bytes()[:100])
     else:
@@ -277,6 +312,22 @@ def test_sweep_rows(tmp_path):
     csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert csv[0] == CSV_HEADER
     assert len(csv) == 4
+
+
+def test_sweep_writes_each_variants_per_step_errors(tmp_path):
+    """With error.all_steps every sweep variant writes its own per-step file,
+    named by the variant as given, whose last row is its CSV row's errors."""
+    cfg = small_config(tmp_path, **{"error.all_steps": True})
+    reports = sweep(cfg, ["2+0", "2+1u2"])
+    for label, report in zip(["2+0", "2+1u2"], reports[1:]):
+        rows = (tmp_path / "out" / f"errors_per_step_{label}.csv").read_text()
+        rows = rows.splitlines()
+        assert rows[0] == "step,e_l2,e_h1"
+        assert len(rows) == 1 + cfg["time.steps"]
+        assert rows[-1].split(",")[1:] == [
+            f"{report.e_l2:.17g}", f"{report.e_h1:.17g}"
+        ]
+    assert not (tmp_path / "out" / "errors_per_step.csv").exists()
 
 
 def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
@@ -499,6 +550,33 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     assert main(["run", "--config", str(cfgfile)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, lines, name", [
+    (["run", "--seed", "-1"], "", "seed"),
+    (["gen-field", "--seed", "-1", "FIELD"], "", "seed"),
+    (["run"], "field.kind = uniform\nfield.background = -1\n", "field.background"),
+    (["run", "--online", "-1"], "", "online.count"),
+    (["sweep", "--nb", "2+0,2+-1"], "", "2+-1"),
+    (["sweep", "--nb", "2+1u0"], "", "2+1u0"),
+], ids=["run-seed", "gen-field-seed", "uniform-background", "online-count",
+        "variant-online", "variant-updates"])
+def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
+    """A negative seed or online count, a non-positive uniform permeability
+    and a sweep variant with offline < 1, online < 0 or u<k> with k < 1 are
+    configuration errors (exit 2) that name the key or the variant, raised
+    before anything is written."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        "time.steps = 2\nbasis.offline = 2\n"
+        f"{lines}output.dir = {tmp_path / 'out'}\n"
+    )
+    argv = [str(tmp_path / "field.bin") if a == "FIELD" else a for a in argv]
+    assert main(argv + ["--config", str(cfgfile)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "field.bin").exists()
 
 
 @pytest.mark.parametrize("argv", [
