@@ -138,7 +138,6 @@ class ExperimentConfig:
     def validate(self):
         mesh = self.build_mesh()  # raises on divisibility problems
         self.newton()  # raises on invalid Newton controls
-        self.schedule()
         if self["basis.offline"] < 1:
             raise ConfigError(
                 f"empty coarse space: basis.offline is {self['basis.offline']}, "
@@ -171,6 +170,12 @@ class ExperimentConfig:
 
     def channel_field(self, fine):
         """The synthetic channel field of the field.* keys and the seed."""
+        for key in ("field.background", "field.channel"):
+            if self[key] <= 0:
+                raise ConfigError(f"{key} must be positive, got {self[key]}")
+        for key in ("field.n_channels", "field.n_inclusions"):
+            if self[key] < 0:
+                raise ConfigError(f"{key} must be >= 0, got {self[key]}")
         return generate_channel_field(
             fine,
             seed=self["seed"],

@@ -73,6 +73,8 @@ def generate_channel_field(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if background <= 0 or channel <= 0:
         raise ConfigError("background and channel permeability must be positive")
+    if n_channels < 0 or n_inclusions < 0:
+        raise ConfigError("channel and inclusion counts must be >= 0")
     if n_channels > 0 and (fine.ny < 3 or fine.nz < 3):
         raise ConfigError("grid too small in y/z to place channels")
     rng = np.random.default_rng(seed)

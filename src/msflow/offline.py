@@ -8,9 +8,18 @@ vectors.
 
 The space is a function of the local operators only: every cluster of equal
 eigenvalues gets a canonical basis of its span, so a cut inside a cluster
-selects the same modes whichever LAPACK driver or subset size computed them,
-and one spectral solve per neighborhood serves every offline count of a
-sweep (`build_offline_spaces`).
+selects the same modes whichever eigensolver or subset size computed them,
+and one spectral solve per distinct patch serves every offline count of a
+sweep (`build_offline_spaces`).  A patch whose local problem repeats an
+earlier one exactly (`_patch_key`) takes the earlier patch's modes and
+eigenvalues instead of being solved again.
+
+The v1 subset solves of patches above _SPARSE_MIN_NODES nodes run on the
+sparse operators: shift-invert Lanczos (`eigsh`) on one LU of A - sigma M,
+checked by a Sylvester inertia count at a cut below the last computed
+cluster (`_sparse_pairs`).  A patch that fails the check is solved densely,
+and the fallback is logged at INFO.  Smaller patches, v2 (its projected
+problem is dense) and the full spectrum use LAPACK's dense `eigh`.
 
 The local stiffness and mass of a neighborhood are assembled on its box grid
 (`CoarseNeighborhood.box`) by the same cell-block assembler as the global
@@ -25,15 +34,19 @@ took 4.7-6.1 s with `@` and 1.9-2.7 s with `dgemm`, with the same space.  So
 keep these products on `dgemm`.
 """
 
+import hashlib
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError, SingularMatrixError
 from .fem import (
@@ -116,18 +129,30 @@ class SnapshotSpace:
     nodes: np.ndarray  # local node of each snapshot coordinate
 
 
+def _stiffness_weights(nb, perm, rho0_cell):
+    """rho0 * kappa on the cells of a neighborhood."""
+    return rho0_cell[nb.cells] * perm.values[nb.cells]
+
+
+def _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass):
+    """The spectral mass coefficient on the cells of a neighborhood."""
+    w_mass = kappa_tilde[nb.cells]
+    if extra_density_mass:
+        w_mass = w_mass * rho0_cell[nb.cells]
+    return w_mass
+
+
 def _local_stiffness(nb, perm, rho0_cell):
     """rho0 * kappa weighted stiffness of a neighborhood, local numbering."""
-    return assemble_weighted_stiffness(nb.box, rho0_cell[nb.cells] * perm.values[nb.cells])
+    return assemble_weighted_stiffness(nb.box, _stiffness_weights(nb, perm, rho0_cell))
 
 
 def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
     """Stiffness and spectral mass of the local eigenproblem of a
     neighborhood, local numbering."""
-    w_mass = kappa_tilde[nb.cells]
-    if extra_density_mass:
-        w_mass = w_mass * rho0_cell[nb.cells]
-    return _local_stiffness(nb, perm, rho0_cell), assemble_weighted_mass(nb.box, w_mass)
+    return _local_stiffness(nb, perm, rho0_cell), assemble_weighted_mass(
+        nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
+    )
 
 
 def build_snapshot_v1(mesh, i):
@@ -187,6 +212,20 @@ _PROBE_MIN = 1e-6
 _EXTRA_PAIRS = 4
 
 
+# v1 patches with more nodes than this are solved by shift-invert Lanczos
+# (`_sparse_pairs`), smaller ones by the dense subset eigh.  On the distinct
+# patches of the 16^3 r=4 neumann-wells field, seed 0, at 12 pairs (2 vCPUs),
+# sparse with the inertia count against dense: 27 of 729 nodes 1.29 s against
+# 2.17 s, but 42 of 405 nodes 1.18 s against 1.01 s and 17 of 225 nodes
+# 0.32 s against 0.15 s.
+_SPARSE_MIN_NODES = 405
+# The shift of the Lanczos solve, as a fraction of the median diagonal ratio
+# diag(A) / diag(M): below the spectrum (A is positive semidefinite), so
+# A - sigma M is positive definite, and close enough to its bottom that the
+# lowest pairs converge first.
+_SHIFT_FRACTION = -0.01
+
+
 @dataclass
 class SpectralDecomposition:
     eigenvalues: np.ndarray
@@ -194,6 +233,9 @@ class SpectralDecomposition:
     # leading pairs whose eigenvalue clusters were computed whole: a cut at
     # any L <= n_complete selects a span the local operators alone define
     n_complete: int
+    # "dense" (eigh), "sparse" (shift-invert Lanczos, checked by the inertia
+    # count) or "fallback" (eigh after a sparse solve that failed the check)
+    solver: str = "dense"
 
 
 def _cluster_starts(eigenvalues):
@@ -266,6 +308,85 @@ def _signs(vecs, P):
     return np.sign(C[first, np.arange(C.shape[1])])
 
 
+def _dense_pairs(i, Ad, Md, n_eig):
+    """The n_eig lowest pairs (all for None, or if n_eig >= the size) of the
+    dense pencil (Ad, Md) by LAPACK's eigh, and n_complete."""
+    n = Ad.shape[0]
+    subset = None if n_eig is None or n_eig >= n else [0, n_eig - 1]
+    try:
+        vals, vecs = la.eigh(Ad, Md, subset_by_index=subset)
+    except la.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"spectral mass matrix of neighborhood {i} is numerically singular "
+            f"(consider snapshot regularization): {exc}"
+        ) from exc
+    n_complete = vals.size if subset is None else int(_cluster_starts(vals)[-2])
+    return vals, vecs, n_complete
+
+
+def _count_below(A, M, cut):
+    """The number of eigenvalues of the pencil (A, M), M positive definite,
+    below cut: by Sylvester's law of inertia, the negative pivots of the
+    symmetric factorization of A - cut M.  SuperLU with no column ordering
+    and no row pivoting gives it as the signs of U's diagonal.  None if the
+    factorization is singular or pivoted rows after all."""
+    try:
+        lu = spla.splu(
+            sp.csc_matrix(A - cut * M), permc_spec="NATURAL",
+            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+        )
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, np.arange(A.shape[0])):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _sparse_pairs(i, box, A, M, n_eig):
+    """The n_eig lowest pairs of the sparse pencil (A, M) on a box grid, and
+    n_complete, by shift-invert Lanczos (ARPACK through `eigsh`) on one LU
+    of A - sigma M in the grid's `dissection()` order, with the start
+    vector fixed so the result is deterministic.
+
+    Lanczos can miss copies of an eigenvalue cluster (it did, 3 of 4, with
+    the operators in natural node order), so the result is checked: the
+    number of eigenvalues below a cut midway between the last two computed
+    clusters (`_count_below`) must equal n_complete, the number computed
+    below it.  None, logged at INFO, if the count disagrees or the solve
+    fails; the caller then solves the patch densely."""
+    order = box.dissection()
+    A, M = A[order][:, order], M[order][:, order]
+    n = A.shape[0]
+    sigma = _SHIFT_FRACTION * float(np.median(A.diagonal() / M.diagonal()))
+    try:
+        lu = _factor(A - sigma * M, "NATURAL")
+        op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        vals, vecs = eigsh(A, n_eig, M, sigma=sigma, OPinv=op, v0=np.ones(n))
+    except (SingularMatrixError, spla.ArpackError) as exc:
+        log.info(
+            "neighborhood %d: shift-invert Lanczos failed (%s); solved densely",
+            i, exc,
+        )
+        return None
+    del lu, op  # one factorization alive at a time
+    idx = np.argsort(vals)
+    vals, vecs = vals[idx], vecs[:, idx]
+    n_complete = int(_cluster_starts(vals)[-2])
+    if n_complete:
+        cut = 0.5 * (vals[n_complete - 1] + vals[n_complete])
+        count = _count_below(A, M, cut)
+        if count != n_complete:
+            log.info(
+                "neighborhood %d: shift-invert Lanczos found %d pairs below "
+                "%.6g, the inertia count %s; solved densely",
+                i, n_complete, cut, "failed" if count is None else f"gives {count}",
+            )
+            return None
+    out = np.empty_like(vecs)
+    out[order] = vecs
+    return vals, out, n_complete
+
+
 def solve_local_spectral(
     mesh, i, snapshot, perm, rho0_cell, kappa_tilde, extra_density_mass=False,
     n_eig=None,
@@ -279,36 +400,41 @@ def solve_local_spectral(
     short: `n_complete` counts the pairs before it.  Every other cluster gets
     a canonical basis of its span (`_canonical_cluster`), so the span of the
     first L vectors, L <= n_complete, depends on the local operators only,
-    not on the LAPACK driver or on n_eig.  Signs follow `_signs`.
+    not on the eigensolver or on n_eig.  Signs follow `_signs`.
+
+    A v1 subset solve of a patch with more than _SPARSE_MIN_NODES nodes runs
+    on the sparse operators (`_sparse_pairs`), and densely (LAPACK's subset
+    eigh) if that fails its inertia check; every other solve is dense.
     """
     nb = mesh.neighborhoods[i]
     A, M = _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass)
-    if snapshot.basis is None:
-        Ad, Md = A.toarray(), M.toarray()
-    else:
-        # S^T (A S) by scipy's dgemm (module docstring); the transposes of the
-        # C-ordered S and A S are the Fortran-ordered views BLAS reads as is
-        S = snapshot.basis
-        Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
-        Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
-    n = Ad.shape[0]
-    subset = None if n_eig is None or n_eig >= n else [0, n_eig - 1]
-    try:
-        vals, vecs = la.eigh(Ad, Md, subset_by_index=subset)
-    except la.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"spectral mass matrix of neighborhood {i} is numerically singular "
-            f"(consider snapshot regularization): {exc}"
-        ) from exc
+    solver, pairs = "dense", None
+    if (
+        snapshot.basis is None and n_eig is not None
+        and _SPARSE_MIN_NODES < nb.n_local and n_eig < nb.n_local
+    ):
+        pairs = _sparse_pairs(i, nb.box, A, M, n_eig)
+        solver = "fallback" if pairs is None else "sparse"
+    if pairs is None:
+        if snapshot.basis is None:
+            Ad, Md = A.toarray(), M.toarray()
+        else:
+            # S^T (A S) by scipy's dgemm (module docstring); the transposes
+            # of the C-ordered S and A S are the Fortran-ordered views BLAS
+            # reads as is
+            S = snapshot.basis
+            Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
+            Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
+        pairs = _dense_pairs(i, Ad, Md, n_eig)
+    vals, vecs, n_complete = pairs
     starts = _cluster_starts(vals)
-    n_complete = vals.size if subset is None else int(starts[-2])
     probes = _probes(nb, snapshot)
     for lo, hi in zip(starts[:-1], starts[1:]):
         if hi - lo > 1 and hi <= n_complete:
             vecs[:, lo:hi] = _canonical_cluster(vecs[:, lo:hi], probes)
     vecs *= _signs(vecs, probes)
     return SpectralDecomposition(
-        eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete
+        eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete, solver=solver
     )
 
 
@@ -455,6 +581,22 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     return ProjectionMatrix(n_fine, R, col_nb, independent=keep)
 
 
+def _patch_key(nb, kind, n_eig, perm, rho0_cell, kappa_tilde, extra_density_mass):
+    """sha256 digest of everything the snapshot build and the spectral solve
+    of a neighborhood read: its box (shape and cell edge), the stiffness and
+    mass cell weights, n_eig and, for v2, the constrained boundary nodes.
+    Patches with one key have one local problem, and its solve is
+    deterministic, so the first patch's result serves them all, to the bit."""
+    digest = hashlib.sha256(repr((kind, nb.box, n_eig)).encode())
+    digest.update(_stiffness_weights(nb, perm, rho0_cell).tobytes())
+    digest.update(
+        _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass).tobytes()
+    )
+    if kind == "v2":
+        digest.update(nb.constrained_mask.tobytes())
+    return digest.digest()
+
+
 def build_offline_spaces(
     mesh,
     perm,
@@ -476,7 +618,9 @@ def build_offline_spaces(
     assembly.  A solve asks for L + _EXTRA_PAIRS pairs (L the largest count
     of the neighborhood) and asks again for twice as many while the cluster
     of equal eigenvalues that holds pair L is not computed whole, so every
-    space equals the one a single-count build gives, up to rounding.
+    space equals the one a single-count build gives, up to rounding.  A
+    neighborhood with the `_patch_key` of an earlier one reuses its first L
+    modes and its eigenvalues; only those two arrays are kept per key.
     """
     t0 = time.perf_counter()
     fine = mesh.fine
@@ -497,40 +641,55 @@ def build_offline_spaces(
     kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
 
     psis, eigs = [], []
+    solved = {}  # _patch_key -> (psi, eigenvalues) of the first patch with it
     straddled = [0] * len(counts)
-    resolves = 0
+    resolves = reused = 0
+    solvers = Counter()  # SpectralDecomposition.solver of every solve
     t_snap = t_eig = 0.0
     for i in range(mesh.n_neighborhoods):
-        t1 = time.perf_counter()
-        if kind == "v1":
-            snap = build_snapshot_v1(mesh, i)
-        else:
-            snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
-        t2 = time.perf_counter()
-        t_snap += t2 - t1
         L = max(n[i] for n in counts)
         n_eig = L + _EXTRA_PAIRS
-        spec = solve_local_spectral(
-            mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=n_eig
+        key = _patch_key(
+            mesh.neighborhoods[i], kind, n_eig, perm, rho0_cell, kt,
+            extra_density_mass,
         )
-        while spec.n_complete < L and n_eig < snap.dim:
-            n_eig *= 2
-            resolves += 1
+        if key in solved:
+            reused += 1
+        else:
+            t1 = time.perf_counter()
+            if kind == "v1":
+                snap = build_snapshot_v1(mesh, i)
+            else:
+                snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
+            t2 = time.perf_counter()
+            t_snap += t2 - t1
             spec = solve_local_spectral(
-                mesh, i, snap, perm, rho0_cell, kt, extra_density_mass,
-                n_eig=n_eig,
+                mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=n_eig
             )
-        t_eig += time.perf_counter() - t2
-        psis.append(select_offline_basis(snap, spec, L))
-        eigs.append(spec.eigenvalues)
-        starts = _cluster_starts(spec.eigenvalues)
+            solvers[spec.solver] += 1
+            while spec.n_complete < L and n_eig < snap.dim:
+                n_eig *= 2
+                resolves += 1
+                spec = solve_local_spectral(
+                    mesh, i, snap, perm, rho0_cell, kt, extra_density_mass,
+                    n_eig=n_eig,
+                )
+                solvers[spec.solver] += 1
+            t_eig += time.perf_counter() - t2
+            solved[key] = (select_offline_basis(snap, spec, L), spec.eigenvalues)
+        psi, lam = solved[key]
+        psis.append(psi)
+        eigs.append(lam)
+        starts = _cluster_starts(lam)
         for c, n in enumerate(counts):
-            straddled[c] += n[i] < spec.eigenvalues.size and n[i] not in starts
+            straddled[c] += n[i] < lam.size and n[i] not in starts
     log.debug(
-        "offline %s pass over %d neighborhoods: snapshot builds %.3f s, "
-        "spectral solves %.3f s; %d n_eig growth re-solves; "
+        "offline %s pass over %d neighborhoods, %d reused from an equal "
+        "patch: snapshot builds %.3f s, spectral solves %.3f s "
+        "(%d sparse, %d dense fallbacks); %d n_eig growth re-solves; "
         "neighborhoods with a cluster across the cut: %s",
-        kind, mesh.n_neighborhoods, t_snap, t_eig, resolves,
+        kind, mesh.n_neighborhoods, reused, t_snap, t_eig,
+        solvers["sparse"], solvers["fallback"], resolves,
         ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
     )
     t_pass = time.perf_counter() - t0

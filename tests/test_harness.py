@@ -100,10 +100,10 @@ def test_config_validation_rules(tmp_path):
         cfg.validate()
     cfg = small_config(tmp_path, **{"online.count": 1, "online.updates": "99"})
     with pytest.raises(ConfigError):
-        cfg.validate()
+        cfg.schedule()
     cfg = small_config(tmp_path, **{"online.count": -1})
     with pytest.raises(ConfigError, match="online.count"):
-        cfg.validate()
+        cfg.schedule()
 
 
 def _reference_key(cfg):
@@ -332,8 +332,10 @@ def test_sweep_writes_each_variants_per_step_errors(tmp_path):
 
 def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
     """Variants with one snapshot kind and mass option share one offline
-    pass: one spectral solve per neighborhood for the largest offline count
-    (L+4 pairs), plus the re-solves with more pairs that the pass logs."""
+    pass: one spectral solve per distinct local problem for the largest
+    offline count (L+4 pairs), plus the re-solves with more pairs; the pass
+    logs the re-solves and the neighborhoods that reuse an equal patch's
+    solve."""
     calls = []
     solve = offline.solve_local_spectral
 
@@ -345,10 +347,12 @@ def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     reports = sweep(small_config(tmp_path), ["2+0", "2+1", "4+0"])
     n_nb = 27
-    assert sorted(i for i, n in calls if n == 4 + 4) == list(range(n_nb))
-    resolves = re.findall(r"(\d+) n_eig growth re-solves", caplog.text)
-    assert len(resolves) == 1
-    assert len(calls) == n_nb + int(resolves[0])
+    logged = re.findall(r"(\d+) reused .* (\d+) n_eig growth re-solves", caplog.text)
+    assert len(logged) == 1
+    reused, resolves = map(int, logged[0])
+    first = [i for i, n in calls if n == 4 + 4]
+    assert len(first) == len(set(first)) == n_nb - reused
+    assert len(calls) == n_nb - reused + resolves
     assert all(n >= 8 for _, n in calls)
     # a shared pass reports its time in every row whose space it built
     assert reports[1].t_basis > 0.0 and reports[2].t_basis > reports[1].t_basis
@@ -556,16 +560,24 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     (["run", "--seed", "-1"], "", "seed"),
     (["gen-field", "--seed", "-1", "FIELD"], "", "seed"),
     (["run"], "field.kind = uniform\nfield.background = -1\n", "field.background"),
+    (["run"], "field.n_channels = -3\nfield.n_inclusions = 0\n", "field.n_channels"),
+    (["run"], "field.n_channels = 0\nfield.n_inclusions = -2\n", "field.n_inclusions"),
+    (["run"], "field.background = -1\n", "field.background"),
+    (["sweep", "--nb", "2+0"], "field.channel = 0\n", "field.channel"),
+    (["gen-field", "FIELD"], "field.n_inclusions = -2\n", "field.n_inclusions"),
     (["run", "--online", "-1"], "", "online.count"),
     (["sweep", "--nb", "2+0,2+-1"], "", "2+-1"),
     (["sweep", "--nb", "2+1u0"], "", "2+1u0"),
-], ids=["run-seed", "gen-field-seed", "uniform-background", "online-count",
-        "variant-online", "variant-updates"])
+], ids=["run-seed", "gen-field-seed", "uniform-background", "channel-count",
+        "inclusion-count", "channels-background", "channels-channel",
+        "gen-field-inclusion-count", "online-count", "variant-online",
+        "variant-updates"])
 def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
-    """A negative seed or online count, a non-positive uniform permeability
-    and a sweep variant with offline < 1, online < 0 or u<k> with k < 1 are
-    configuration errors (exit 2) that name the key or the variant, raised
-    before anything is written."""
+    """A negative seed, online count, channel count or inclusion count, a
+    non-positive uniform or channel-field permeability and a sweep variant
+    with offline < 1, online < 0 or u<k> with k < 1 are configuration errors
+    (exit 2) that name the key or the variant, raised before anything is
+    written."""
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
@@ -577,6 +589,24 @@ def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name)
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "field.bin").exists()
+
+
+def test_sweep_ignores_the_online_keys_it_does_not_read(tmp_path, capsys):
+    """A sweep's variants carry their own online schedules, so online.count
+    and online.updates of the config are not checked by a sweep: an update
+    step outside the time grid fails `run` (exit 2) and not `sweep`."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        "time.steps = 2\nbasis.offline = 2\n"
+        "online.count = 1\nonline.updates = 99\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert "99" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", "--config", str(cfgfile), "--nb", "2+0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("2+0,54,")
 
 
 @pytest.mark.parametrize("argv", [

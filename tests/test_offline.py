@@ -461,8 +461,9 @@ def test_offline_pass_logs_clusters_and_resolves(
     """The uniform field's symmetric patches have clusters of equal
     eigenvalues across the cut.  An offline pass logs one DEBUG record on
     msflow.offline with the number of neighborhoods whose cut at each count
-    lies inside a cluster (as the full spectra count them) and the number of
-    solves repeated with more pairs (as the calls count them)."""
+    lies inside a cluster (as the full spectra count them), the number of
+    neighborhoods that reuse an equal patch's solve, and the number of solves
+    repeated with more pairs (as the calls count them)."""
     calls = []
     solve = offline.solve_local_spectral
 
@@ -477,10 +478,13 @@ def test_offline_pass_logs_clusters_and_resolves(
     records = [r for r in caplog.records if r.name == "msflow.offline"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     m = re.search(
-        r"(\d+) n_eig growth re-solves; .*: (\d+) at L=4, (\d+) at L=8",
+        r"(\d+) reused .* (\d+) n_eig growth re-solves; .*: (\d+) at L=4, "
+        r"(\d+) at L=8",
         records[0].getMessage(),
     )
-    assert int(m.group(1)) == len(calls) - mesh8.n_neighborhoods
+    reused = int(m.group(1))
+    assert 0 < reused < mesh8.n_neighborhoods
+    assert int(m.group(2)) == len(calls) - (mesh8.n_neighborhoods - reused)
 
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
@@ -493,7 +497,7 @@ def test_offline_pass_logs_clusters_and_resolves(
         for L in inside:
             inside[L] += L not in starts
     assert inside[4] > 0 and inside[8] > 0
-    assert (int(m.group(2)), int(m.group(3))) == (inside[4], inside[8])
+    assert (int(m.group(3)), int(m.group(4))) == (inside[4], inside[8])
 
 
 def test_growth_re_solves_give_the_same_space(mesh8, fluid, uniform_perm8, caplog, monkeypatch):
@@ -593,3 +597,123 @@ def test_offline_pass_logs_its_time_split(
     )
     assert m is not None
     assert float(m.group(1)) >= 0.0 and float(m.group(2)) >= 0.0
+
+
+def test_missed_cluster_copy_falls_back_to_the_dense_solve(
+    mesh8, fluid, uniform_perm8, caplog, monkeypatch
+):
+    """A Lanczos solve that misses one copy of an eigenvalue cluster on the
+    729-node interior patch of the uniform 8^3 field fails the inertia
+    count: the fallback is logged at INFO with the patch, the pairs found
+    and the count, the pass counts it, and the space is the dense one, bit
+    for bit."""
+    p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
+    big = [i for i, nb in enumerate(mesh8.neighborhoods) if nb.n_local > 405]
+    assert len(big) == 1
+    monkeypatch.setattr(offline, "_SPARSE_MIN_NODES", 10**9)
+    dense = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
+    monkeypatch.setattr(offline, "_SPARSE_MIN_NODES", 405)
+
+    eigsh = offline.eigsh
+    dropped = []
+
+    def dropping(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        idx = np.argsort(vals)
+        vals, vecs = vals[idx], vecs[:, idx]
+        starts = _cluster_starts(vals)
+        lo = next(
+            lo for lo, hi in zip(starts[:-2], starts[1:-1]) if hi - lo > 1
+        )
+        dropped.append(vals[lo])
+        return np.delete(vals, lo), np.delete(vecs, lo, axis=1)
+
+    monkeypatch.setattr(offline, "eigsh", dropping)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    spaces = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
+    assert len(dropped) == 1
+    (info,) = [r for r in caplog.records if r.levelno == logging.INFO]
+    m = re.search(
+        r"neighborhood (\d+): shift-invert Lanczos found (\d+) pairs below "
+        r"\S+, the inertia count gives (\d+)",
+        info.getMessage(),
+    )
+    assert int(m.group(1)) == big[0]
+    assert int(m.group(3)) == int(m.group(2)) + 1
+    assert "(0 sparse, 1 dense fallbacks)" in caplog.text
+    for a, b in zip(dense, spaces):
+        assert np.array_equal(
+            a.projection.offline.toarray(), b.projection.offline.toarray()
+        )
+        assert np.array_equal(a.lambda_next, b.lambda_next)
+
+
+def test_sparse_solve_counted_in_the_pass_record(mesh8, fluid, uniform_perm8, caplog):
+    """The interior patch of the 8^3 mesh, the one above the size cut, is
+    solved sparse, and the pass's DEBUG record counts it."""
+    p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    build_offline_space(mesh8, uniform_perm8, fluid, p0, 4)
+    assert "(1 sparse, 0 dense fallbacks)" in caplog.text
+    assert not [r for r in caplog.records if r.levelno == logging.INFO]
+
+
+def _unique_keys(monkeypatch):
+    """Make every neighborhood's reuse key its own, so each is solved."""
+    counter = iter(range(10**9))
+    monkeypatch.setattr(offline, "_patch_key", lambda *args: next(counter))
+
+
+def test_reused_patches_give_the_same_space(fluid, caplog, monkeypatch):
+    """On a random field repeated along x with the period of two coarse
+    cells, the patches of vertices two apart in x have equal local problems
+    (interior 729-node patches among them, solved sparse): the pass solves
+    each once, and its spaces equal, bit for bit, those of a pass that solves
+    every neighborhood."""
+    mesh = build_two_scale_mesh(16, 8, 8, r=4)
+    fine = mesh.fine
+    rng = np.random.default_rng(5)
+    cell = np.exp(2.0 * rng.standard_normal((fine.nz, fine.ny, 8)))
+    perm = PermeabilityField(np.tile(cell, (1, 1, 2)).ravel())
+    p0 = np.full(fine.n_nodes, fluid.p_ref)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    reused = build_offline_spaces(mesh, perm, fluid, p0, [2, 4])
+    n = int(re.search(r"(\d+) reused", caplog.text).group(1))
+    # vertices I = 1 and 3 along x, 3 x 3 of each in y and z; of the three
+    # interior patches, I = 3 reuses I = 1
+    assert n == 9 and "(2 sparse," in caplog.text
+    _unique_keys(monkeypatch)
+    solved = build_offline_spaces(mesh, perm, fluid, p0, [2, 4])
+    for a, b in zip(reused, solved):
+        assert np.array_equal(
+            a.projection.offline.toarray(), b.projection.offline.toarray()
+        )
+        assert np.array_equal(a.lambda_next, b.lambda_next)
+
+
+def test_v2_patches_with_other_constrained_nodes_are_not_shared(
+    mesh6, fluid, uniform6, monkeypatch
+):
+    """Opposite corner patches of the uniform 6^3 field have the same box
+    and weights: one key for v1, whose snapshot space is the whole patch,
+    but two for v2, whose harmonic extensions pin each corner's own
+    constrained faces; and the v2 space is the one of a pass that solves
+    every neighborhood."""
+    perm, p0 = uniform6
+    rho0 = np.ones(mesh6.fine.n_cells)
+    kt = compute_kappa_tilde(mesh6, perm, rho0)
+    last = mesh6.n_neighborhoods - 1
+    a, b = mesh6.neighborhoods[0], mesh6.neighborhoods[last]
+    assert a.box == b.box and not np.array_equal(a.constrained_mask, b.constrained_mask)
+
+    def key(nb, kind):
+        return offline._patch_key(nb, kind, 8, perm, rho0, kt, False)
+
+    assert key(a, "v1") == key(b, "v1")
+    assert key(a, "v2") != key(b, "v2")
+    ref = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
+    _unique_keys(monkeypatch)
+    other = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
+    assert np.array_equal(
+        ref.projection.offline.toarray(), other.projection.offline.toarray()
+    )
