@@ -137,10 +137,17 @@ def cmd_fine_ref(args):
 def cmd_check(args):
     """Quick invariant suite on small grids: partition of unity, Jacobian
     finite differences, identity-projection equivalence, driver-independent
-    offline span."""
-    from .fem import newton_jacobian, newton_residual, solve_fine
+    offline span, v2 harmonic extensions and their Schur complement pencil."""
+    from .fem import cell_average, newton_jacobian, newton_residual, solve_fine
     from .grid import build_two_scale_mesh
-    from .model import FluidProps, PermeabilityField, TimeGrid, make_problem
+    from .model import (
+        FluidProps,
+        PermeabilityField,
+        TimeGrid,
+        density,
+        generate_channel_field,
+        make_problem,
+    )
     import scipy.linalg as la
     import scipy.sparse as sp
     from .coarse import solve_gmsfem
@@ -148,8 +155,10 @@ def cmd_check(args):
         OfflineSpace,
         ProjectionMatrix,
         _cluster_starts,
+        _local_operators,
         build_partition_of_unity,
         build_snapshot_v1,
+        build_snapshot_v2,
         compute_kappa_tilde,
         solve_local_spectral,
     )
@@ -209,8 +218,9 @@ def cmd_check(args):
     report("identity-projection equivalence", dev < 1e-10, f"max rel {dev:.2e}")
 
     # the uniform field's symmetric patches have clusters of equal
-    # eigenvalues; the first L modes of the subset solve (LAPACK gvx) and of
-    # the full spectrum (gvd) span one space at every cut, also inside them
+    # eigenvalues; the first L modes of the subset solve (LAPACK gvx, and
+    # shift-invert Lanczos on the 729-node interior patch) and of the full
+    # spectrum (gvd) span one space at every cut, also inside them
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, perm8, rho0)
     worst, cuts, inside = 0.0, 0, 0
@@ -229,6 +239,39 @@ def cmd_check(args):
     report(
         "offline span is driver-independent", worst < 1e-10 and inside > 0,
         f"max sin {worst:.2e} over {cuts} cuts, {inside} inside a cluster",
+    )
+
+    # v2 on the 6^3 r=2 mixed-bc problem with a channel field: the harmonic
+    # extensions reproduce constants and are discrete-harmonic, and the
+    # Schur complement pencil has the eigenvalues of the dense S^T A S one
+    mesh6 = build_two_scale_mesh(6, 6, 6, r=2)
+    fine6 = mesh6.fine
+    perm6 = generate_channel_field(
+        fine6, seed=0, background=1.0, channel=1.0e4, n_channels=2, n_inclusions=2
+    )
+    problem6 = make_problem(
+        fine6, fluid, perm6, TimeGrid(dt=2.5e-5, n_steps=1), "mixed-bc"
+    )
+    rho6 = density(cell_average(problem6.p0, fine6.cell_nodes()), fluid)
+    kt6 = compute_kappa_tilde(mesh6, perm6, rho6)
+    row_dev = harmonic = eig_dev = 0.0
+    for i, nb in enumerate(mesh6.neighborhoods):
+        snap = build_snapshot_v2(mesh6, i, perm6, rho6)
+        S = snap.basis
+        A, M = _local_operators(nb, perm6, rho6, kt6)
+        row_dev = max(row_dev, float(np.abs(S.sum(axis=1) - 1.0).max()))
+        AS = A @ S
+        harmonic = max(harmonic, float(
+            np.abs(AS[nb.free_mask]).max() / np.abs(A.data).max()
+        ))
+        schur = solve_local_spectral(mesh6, i, snap, perm6, rho6, kt6).eigenvalues
+        dense = la.eigh(S.T @ AS, S.T @ (M @ S), eigvals_only=True)
+        eig_dev = max(eig_dev, float(np.abs(schur - dense).max() / np.abs(dense).max()))
+    report(
+        "v2 harmonic extensions and Schur pencil",
+        row_dev <= 1e-12 and harmonic <= 1e-10 and eig_dev <= 1e-10,
+        f"row sums {row_dev:.2e}, free rows of A S {harmonic:.2e}, "
+        f"eigenvalues {eig_dev:.2e}",
     )
 
     return 1 if failures else 0

@@ -13,10 +13,14 @@ iterative refinement on that LU (`_refine`, the loop `linear_solve` runs for
 one step) to a relative residual of _REFINE_RTOL, and a system that
 _REFINE_MAXSTEPS steps do not solve, or whose residual stops falling first,
 is factored, and its LU kept instead.  Operators on a box grid (the fine
-Jacobian here, the online local systems and the v2 interior blocks
-elsewhere) are factored in the grid's nested dissection order
-(`FineGrid.dissection()`) with no further column ordering; projected systems
-use SuperLU's `MMD_ATA`.
+Jacobian here and the online local systems elsewhere) are factored in the
+grid's nested dissection order (`FineGrid.dissection()`) with no further
+column ordering; projected systems use SuperLU's `MMD_ATA`.  The v2 interior
+blocks of the offline stage are not factored here but by a dense Cholesky
+factorization (`offline.build_snapshot_v2`): at 16^3 r=4 they have 64-512
+nodes and 61-386 right-hand sides, where SuperLU's triangular solves took
+most of the snapshot time; at 24^3 r=8 the largest has 4096 nodes and is
+128 MiB dense (the offline docstring gives the pass's peak memory).
 Every Newton iteration, fine or coarse, assembles the one sparse Jacobian J
 (`newton_jacobian`); a coarse system is its Galerkin projection R^T J R
 (`_Galerkin`), which refinement applies as R^T (J (R x)) and which is formed

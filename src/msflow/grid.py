@@ -12,7 +12,8 @@ is the connectivity of its own box grid (`CoarseNeighborhood.box`), so the
 patches of one mesh share a handful of patterns.
 `FineGrid.dissection()`, the grid's nested dissection node order, is built
 the same way; every grid-shaped sparse LU (the fine Jacobian, the online
-local solves, the v2 interior blocks) factors in the order of its grid.
+local solves and the offline shift-invert solves) factors in the order of
+its grid.
 """
 
 import functools

@@ -138,11 +138,6 @@ class ExperimentConfig:
     def validate(self):
         mesh = self.build_mesh()  # raises on divisibility problems
         self.newton()  # raises on invalid Newton controls
-        if self["basis.offline"] < 1:
-            raise ConfigError(
-                f"empty coarse space: basis.offline is {self['basis.offline']}, "
-                f"every neighborhood needs at least 1 offline basis function"
-            )
         if self["field.kind"] not in ("channels", "file", "uniform"):
             raise ConfigError(f"unknown field.kind '{self['field.kind']}'")
         if self["basis.snapshot"] not in ("v1", "v2"):
@@ -371,6 +366,11 @@ def run_experiment(config, vtk_steps=(), csv_path=None):
     snapshots."""
     check_vtk_steps(config, vtk_steps)
     offline, schedule = config["basis.offline"], config.schedule()
+    if offline < 1:  # checked here, not in validate(): sweeps never read it
+        raise ConfigError(
+            f"empty coarse space: basis.offline is {offline}, every "
+            f"neighborhood needs at least 1 offline basis function"
+        )
     (ref_states, _, _, _), problem, mesh = fine_reference(config)
     space = build_offline_space(
         mesh, problem.perm, problem.fluid, problem.p0, offline,

@@ -21,17 +21,31 @@ cluster (`_sparse_pairs`).  A patch that fails the check is solved densely,
 and the fallback is logged at INFO.  Smaller patches, v2 (its projected
 problem is dense) and the full spectrum use LAPACK's dense `eigh`.
 
+A v2 snapshot space is built from one dense Cholesky factorization of the
+SPD interior block A_ff (LAPACK potrf/potrs, `cho_factor`/`cho_solve`), in
+place on Fortran-ordered copies of A_ff and -A_fb, and the factor is freed
+before S is allocated; the previous patch's S is freed before the next is
+built.  Its projected stiffness S^T A S is the Schur complement
+A_bb + A_bf X, read off as the constrained rows of A S (`A[nodes] @ S`),
+since the free rows vanish.  On the 24^3 r=8 mixed-bc field (seed 0) the
+largest interior block has 4096 nodes (128 MiB dense) and the offline pass
+peaks at about 260 MiB RSS, against 279-294 MiB with the sparse LU of the
+block in nested dissection order; the same pass without freeing the
+previous patch's S first peaked at 311-323 MiB.
+
 The local stiffness and mass of a neighborhood are assembled on its box grid
 (`CoarseNeighborhood.box`) by the same cell-block assembler as the global
 operators, so patches of one box shape share one sparsity pattern.
 
-The dense products of the v2 path (S^T A S, S^T M S and S V) are computed
-with scipy's `dgemm`, not numpy's `@`.  numpy and scipy wheels each bundle
-their own OpenBLAS with its own thread pool, and `eigh`, the SuperLU solves
-and `dpstrf` run on scipy's.  A threaded numpy product between two of them
-leaves two pools contending for the same cores: on 2 vCPUs the 16^3 v2 pass
-took 4.7-6.1 s with `@` and 1.9-2.7 s with `dgemm`, with the same space.  So
-keep these products on `dgemm`.
+The dense products of the v2 path (S^T M S and S V) are computed with
+scipy's `dgemm`, not numpy's `@`.  numpy and scipy wheels each bundle their
+own OpenBLAS with its own thread pool, and `eigh`, the Cholesky
+factorizations and solves, the SuperLU solves and `dpstrf` run on scipy's.
+A threaded numpy product between two of them leaves two pools contending
+for the same cores: on 2 vCPUs the 16^3 v2 pass took 4.7-6.1 s with `@` and
+1.9-2.7 s with `dgemm`, with the same space.  So keep these products on
+`dgemm`.  The Schur complement is a sparse-by-dense product, which uses no
+BLAS.
 """
 
 import hashlib
@@ -45,6 +59,7 @@ import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import eigsh
 
@@ -124,7 +139,10 @@ def compute_kappa_tilde(mesh, perm, rho0_cell, pou=None):
 
 @dataclass
 class SnapshotSpace:
-    basis: np.ndarray | None  # None means the identity (v1)
+    # None means the identity (v1); for v2, the identity on the rows of
+    # `nodes` and discrete-harmonic (A S = 0) on the others, which
+    # solve_local_spectral's Schur complement relies on
+    basis: np.ndarray | None
     dim: int
     nodes: np.ndarray  # local node of each snapshot coordinate
 
@@ -162,7 +180,11 @@ def build_snapshot_v1(mesh, i):
 
 def build_snapshot_v2(mesh, i, perm, rho0_cell):
     """Harmonic extensions of the boundary delta traces: one column per
-    constrained boundary node of the neighborhood."""
+    constrained boundary node of the neighborhood.
+
+    The free rows X solve A_ff X = -A_fb on one dense Cholesky factorization
+    of the interior block; a block that is not positive definite raises
+    SingularMatrixError naming the neighborhood."""
     nb = mesh.neighborhoods[i]
     A = _local_stiffness(nb, perm, rho0_cell)
     bnd = np.flatnonzero(nb.constrained_mask)
@@ -171,17 +193,24 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
             f"neighborhood {i} has no constrained boundary nodes, so it has "
             f"no v2 snapshots (v2 needs at least 3 coarse cells per axis)"
         )
-    order = nb.box.dissection()
-    free = order[nb.free_mask[order]]
-    A_ff = A[np.ix_(free, free)]
-    A_fb = A[np.ix_(free, bnd)]
+    free = np.flatnonzero(nb.free_mask)
+    # dense Cholesky of the SPD interior block, factored and solved in place
+    # on Fortran-ordered arrays, and the factor freed before S is allocated:
+    # at 24^3 r=8 the largest block alone is 128 MiB
     try:
-        lu = _factor(A_ff, "NATURAL")
-    except SingularMatrixError as exc:
+        factor = cho_factor(
+            A[np.ix_(free, free)].toarray(order="F"),
+            overwrite_a=True, check_finite=False,
+        )
+    except la.LinAlgError as exc:
         raise SingularMatrixError(
             f"interior block of neighborhood {i} is singular: {exc}"
         ) from exc
-    X = lu.solve(-A_fb.toarray())
+    X = cho_solve(
+        factor, (-A[np.ix_(free, bnd)]).toarray(order="F"),
+        overwrite_b=True, check_finite=False,
+    )
+    del factor
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = X
@@ -419,11 +448,13 @@ def solve_local_spectral(
         if snapshot.basis is None:
             Ad, Md = A.toarray(), M.toarray()
         else:
-            # S^T (A S) by scipy's dgemm (module docstring); the transposes
-            # of the C-ordered S and A S are the Fortran-ordered views BLAS
-            # reads as is
+            # S^T A S is the Schur complement A_bb + A_bf X = (A S)[bnd],
+            # because S is the identity on the constrained nodes and the
+            # free rows of A S vanish (A_ff X = -A_fb).  S^T (M S) by scipy's
+            # dgemm (module docstring); the transposes of the C-ordered S
+            # and M S are the Fortran-ordered views BLAS reads as is
             S = snapshot.basis
-            Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
+            Ad = A[snapshot.nodes] @ S
             Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
         pairs = _dense_pairs(i, Ad, Md, n_eig)
     vals, vecs, n_complete = pairs
@@ -677,6 +708,7 @@ def build_offline_spaces(
                 solvers[spec.solver] += 1
             t_eig += time.perf_counter() - t2
             solved[key] = (select_offline_basis(snap, spec, L), spec.eigenvalues)
+            del snap, spec  # freed before the next patch's snapshot is built
         psi, lam = solved[key]
         psis.append(psi)
         eigs.append(lam)

@@ -89,9 +89,13 @@ def test_config_line_without_equals(tmp_path):
 
 
 def test_config_validation_rules(tmp_path):
+    # basis.offline is checked where a run reads it, before anything is
+    # solved or written; sweeps carry their own offline counts
     cfg = small_config(tmp_path, **{"basis.offline": 0, "online.count": 0})
+    cfg.validate()
     with pytest.raises(ConfigError, match="empty coarse space"):
-        cfg.validate()
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
     cfg = small_config(tmp_path, **{"mesh.nx": 9})
     with pytest.raises(ConfigError, match="divisible"):
         cfg.validate()
@@ -443,11 +447,13 @@ def test_cli_run_and_check(tmp_path, capsys):
 
 def test_cli_check_passes(capsys):
     """`msflow check`: partition of unity, Jacobian finite differences, the
-    identity-projection equivalence of the coarse solver and the
-    driver-independent offline span on small grids."""
+    identity-projection equivalence of the coarse solver, the
+    driver-independent offline span, and the v2 harmonic extensions and
+    their Schur complement pencil on small grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 4 and all(line.startswith("[PASS]") for line in out)
+    assert len(out) == 5 and all(line.startswith("[PASS]") for line in out)
+    assert out[4].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
 
 
 def test_cli_sweep_prints_ratio(tmp_path, capsys):
@@ -607,6 +613,26 @@ def test_sweep_ignores_the_online_keys_it_does_not_read(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert main(["sweep", "--config", str(cfgfile), "--nb", "2+0"]) == 0
     assert capsys.readouterr().out.splitlines()[2].startswith("2+0,54,")
+
+
+def test_sweep_ignores_the_offline_count_it_does_not_read(tmp_path, capsys):
+    """Every sweep variant carries its own offline count, so basis.offline
+    of the config is not checked by a sweep: basis.offline = 0 fails `run`
+    (exit 2, naming the key, nothing written) and not `sweep`."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        "time.steps = 2\nbasis.offline = 0\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert "basis.offline" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", "--config", str(cfgfile), "--nb", "2+0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("2+0,54,")
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[0] == CSV_HEADER
+    assert rows[1].startswith("fine,") and rows[2].startswith("2+0,54,")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from msflow import offline
-from msflow.errors import ConfigError
+from msflow.cli import main
+from msflow.errors import ConfigError, SingularMatrixError
 from msflow.grid import build_two_scale_mesh
 from msflow.model import (
     PermeabilityField,
@@ -551,6 +553,32 @@ def test_space_does_not_depend_on_the_product_kernel(
     Rb = other.projection.offline.toarray()
     assert not np.array_equal(Ra, Rb)  # the rounding did move
     assert np.abs(Ra - Rb).max() <= 1e-10 * np.abs(Ra).max()
+
+
+def test_failed_interior_factorization_names_the_neighborhood(
+    mesh6, uniform6, tmp_path, capsys, monkeypatch
+):
+    """An interior block whose Cholesky factorization fails raises
+    SingularMatrixError naming the neighborhood, and `msflow run` exits with
+    that error's code, 1."""
+    def not_positive_definite(*args, **kwargs):
+        raise la.LinAlgError("2-th leading minor of the array is not positive definite")
+
+    monkeypatch.setattr(offline, "cho_factor", not_positive_definite)
+    perm, _ = uniform6
+    rho0 = np.ones(mesh6.fine.n_cells)
+    with pytest.raises(SingularMatrixError, match="interior block of neighborhood 5 "):
+        build_snapshot_v2(mesh6, 5, perm, rho0)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 6\nmesh.ny = 6\nmesh.nz = 6\nmesh.ratio = 2\n"
+        "time.steps = 1\nbasis.offline = 2\nbasis.snapshot = v2\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert "interior block of neighborhood 0 is singular" in err
+    assert "not positive definite" in err
 
 
 def test_v2_kernel_matches_dense_reference(mesh6, uniform6):

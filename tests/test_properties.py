@@ -2,8 +2,9 @@
 sets: the Q1 connectivity, the cell-block assembler, the Jacobian, its
 Galerkin projection on a basis matrix, the fine solver's kept
 factorization, mass balance, the partition of unity, the driver-independent
-offline span, the nested dissection node order, and the coarse solver's
-identity-projection equivalence and determinism."""
+offline span, the nested dissection node order, the v2 snapshots and their
+Schur complement pencil, and the coarse solver's identity-projection
+equivalence and determinism."""
 
 import logging
 import weakref
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemm
 
 from msflow import fem, offline
 from msflow.coarse import solve_gmsfem
@@ -744,3 +746,68 @@ def test_sparse_solve_matches_dense(shape, field, n_eig, seed):
             )
             assert np.sin(angles.max()) <= 1e-10
     assert sparse_solves > mesh.n_neighborhoods // 2
+
+
+def superlu_snapshot_v2(mesh, i, perm, rho0):
+    """The v2 snapshot basis and the local stiffness by the sparse
+    formulation: SuperLU on the interior block in the patch box's
+    `dissection()` order, solved for all boundary columns at once."""
+    nb = mesh.neighborhoods[i]
+    A = offline._local_stiffness(nb, perm, rho0)
+    bnd = np.flatnonzero(nb.constrained_mask)
+    order = nb.box.dissection()
+    free = order[nb.free_mask[order]]
+    lu = spla.splu(sp.csc_matrix(A[np.ix_(free, free)]), permc_spec="NATURAL")
+    S = np.zeros((nb.n_local, bnd.size))
+    S[bnd, np.arange(bnd.size)] = 1.0
+    S[free] = lu.solve(-A[np.ix_(free, bnd)].toarray())
+    return S, A
+
+
+@settings(max_examples=6)
+@given(
+    shape=st.sampled_from([(6, 2), (12, 4)]),
+    field=st.sampled_from(["uniform", "lognormal"]),
+    n_eig=st.integers(6, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_v2_cholesky_and_schur_pencil_match_the_sparse_formulation(
+    shape, field, n_eig, seed
+):
+    """On every v2 patch, the harmonic extensions from the dense Cholesky of
+    the interior block equal those of a SuperLU solve to 1e-12 relative, and
+    the spectral solve on the Schur complement pencil gives the eigenvalues
+    of the pencil S^T (A S), S^T (M S) formed by dgemm to 1e-10 of the
+    largest and, at every cut L <= n_complete between two clusters, the span
+    of the first L offline modes to 1e-9 in the sine of the largest
+    principal angle; on uniform fields (clusters of equal eigenvalues) and
+    on random lognormal ones."""
+    n, r = shape
+    mesh = build_two_scale_mesh(n, n, n, r)
+    rng = np.random.default_rng(seed)
+    values = (
+        np.ones(mesh.fine.n_cells) if field == "uniform"
+        else np.exp(2.0 * rng.standard_normal(mesh.fine.n_cells))
+    )
+    perm = PermeabilityField(values)
+    rho0 = np.ones(mesh.fine.n_cells)
+    kt = compute_kappa_tilde(mesh, perm, rho0)
+    for i, nb in enumerate(mesh.neighborhoods):
+        snap = build_snapshot_v2(mesh, i, perm, rho0)
+        S, A = superlu_snapshot_v2(mesh, i, perm, rho0)
+        assert np.abs(snap.basis - S).max() <= 1e-12 * np.abs(S).max()
+        M = offline._local_operators(nb, perm, rho0, kt)[1]
+        Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
+        Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
+        k = min(n_eig, snap.dim)
+        lam, V = la.eigh(Ad, Md, subset_by_index=[0, k - 1])
+        spec = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=k)
+        assert np.abs(spec.eigenvalues - lam).max() <= 1e-10 * np.abs(lam).max()
+        m = spec.n_complete
+        new = select_offline_basis(snap, spec, m)
+        old = dgemm(1.0, S.T, V[:, :m], trans_a=True)  # S V on scipy's BLAS
+        for L in _cluster_starts(spec.eigenvalues)[1:]:
+            if L > m:
+                break
+            angles = la.subspace_angles(new[:, :L], old[:, :L])
+            assert np.sin(angles.max()) <= 1e-9
