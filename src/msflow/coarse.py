@@ -11,6 +11,7 @@ Scheduled online enrichment replaces the online columns of R between steps.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .fem import (
@@ -18,6 +19,7 @@ from .fem import (
     NewtonConfig,
     _initial_state,
     _KeptLU,
+    _log_solves,
     _newton_step,
 )
 from .online import UpdateSchedule, enrich_projection
@@ -44,7 +46,8 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     is recomputed (before the first Newton iteration) from the residual at
     the previous accepted state and replaces the previous online columns.
     The run builds the kept LU of its basis when the basis changes and frees
-    it on return, so a kept space holds no solver state.
+    it on return, so a kept space holds no solver state; the kept LUs of the
+    run share one count of LU solves and factorizations.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
@@ -55,7 +58,7 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
 
     p = _initial_state(problem)
     result = CoarseResult(states=[p])
-    kept = None
+    kept, counts = None, Counter()
     for step in range(1, problem.time.n_steps + 1):
         if schedule.n_online > 0 and step in schedule.update_steps:
             kept = None  # frees the old basis's LU
@@ -64,7 +67,9 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
             result.t_basis_online += time.perf_counter() - t0
         if kept is None:
             kept = _KeptLU(projection.matrix())
+            kept.counts = counts
         p = gmsfem_step(p, kept, problem, config, result, step)
         result.states.append(p)
         result.dim_history.append(projection.dim)
+    _log_solves("coarse solve", result, counts)
     return result

@@ -37,7 +37,7 @@ CSV_HEADER = "nb,dim,t_basis,t_ass,t_solve,e_l2,e_h1,newton_total"
 
 # Part of the fine-reference cache key: bump it whenever the cache format or
 # the fine solver's arithmetic (even its last bits) changes.
-REFERENCE_VERSION = 5
+REFERENCE_VERSION = 6
 
 # key -> (type, default); None default means required-when-used
 _SCHEMA = {

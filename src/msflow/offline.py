@@ -145,6 +145,9 @@ class SnapshotSpace:
     basis: np.ndarray | None
     dim: int
     nodes: np.ndarray  # local node of each snapshot coordinate
+    # v2: the local stiffness the snapshots were built from, which
+    # solve_local_spectral reuses; None for v1
+    stiffness: sp.csr_matrix | None = None
 
 
 def _stiffness_weights(nb, perm, rho0_cell):
@@ -165,11 +168,19 @@ def _local_stiffness(nb, perm, rho0_cell):
     return assemble_weighted_stiffness(nb.box, _stiffness_weights(nb, perm, rho0_cell))
 
 
+def _local_mass(nb, rho0_cell, kappa_tilde, extra_density_mass):
+    """Spectral mass of the local eigenproblem of a neighborhood, local
+    numbering."""
+    return assemble_weighted_mass(
+        nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
+    )
+
+
 def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
     """Stiffness and spectral mass of the local eigenproblem of a
     neighborhood, local numbering."""
-    return _local_stiffness(nb, perm, rho0_cell), assemble_weighted_mass(
-        nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
+    return _local_stiffness(nb, perm, rho0_cell), _local_mass(
+        nb, rho0_cell, kappa_tilde, extra_density_mass
     )
 
 
@@ -214,7 +225,7 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = X
-    return SnapshotSpace(basis=S, dim=bnd.size, nodes=bnd)
+    return SnapshotSpace(basis=S, dim=bnd.size, nodes=bnd, stiffness=A)
 
 
 # Two computed eigenvalues are copies of one exactly degenerate eigenvalue
@@ -436,7 +447,10 @@ def solve_local_spectral(
     eigh) if that fails its inertia check; every other solve is dense.
     """
     nb = mesh.neighborhoods[i]
-    A, M = _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass)
+    A = snapshot.stiffness
+    if A is None:
+        A = _local_stiffness(nb, perm, rho0_cell)
+    M = _local_mass(nb, rho0_cell, kappa_tilde, extra_density_mass)
     solver, pairs = "dense", None
     if (
         snapshot.basis is None and n_eig is not None

@@ -10,7 +10,7 @@ from msflow import coarse, fem, online
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
-from msflow.model import TimeGrid, make_problem
+from msflow.model import TimeGrid, generate_channel_field, make_problem
 from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
 from msflow.online import UpdateSchedule, enrich_projection
 
@@ -85,10 +85,10 @@ def test_coarse_newton_uses_the_one_sparse_jacobian(mesh8, fluid, uniform_perm8,
 
 def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,
                                                caplog, monkeypatch):
-    """A normal coarse solve logs nothing at DEBUG.  With the refinement cap
-    at 0 every projected system after its basis's first refactors, and each
-    refactorization is one DEBUG record on msflow.fem naming the time step
-    and the Newton iteration."""
+    """A normal coarse solve logs nothing at DEBUG but its closing record of
+    counts.  With the refinement cap at 0 every projected system after its
+    basis's first refactors, and each refactorization is one DEBUG record on
+    msflow.fem naming the time step and the Newton iteration."""
     prob = make_problem(
         mesh8.fine, fluid, uniform_perm8, TimeGrid(dt=2.5e-5, n_steps=3),
         "neumann-wells", well_rate=1e8,
@@ -97,13 +97,15 @@ def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,
     schedule = UpdateSchedule(1, (2,))
     with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
         ref = solve_gmsfem(prob, space, schedule)
-    assert not caplog.records
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["coarse solve"]
 
     caplog.clear()
     monkeypatch.setattr(fem, "_REFINE_MAXSTEPS", 0)
     with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
         res = solve_gmsfem(prob, space, schedule)
     assert res.newton_iters == ref.newton_iters
+    *refactorings, closing = caplog.records
+    assert closing.getMessage().startswith("coarse solve:")
     systems = [
         [(step, it, 0) for it in range(1, res.newton_iters[step - 1] + 1)]
         for step in range(1, 4)
@@ -111,8 +113,8 @@ def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,
     # step 1 is the offline basis, steps 2-3 the enriched one
     later = systems[0][1:] + (systems[1] + systems[2])[1:]
     assert len(later) >= 3
-    assert [r.args for r in caplog.records] == later
-    for r in caplog.records:
+    assert [r.args for r in refactorings] == later
+    for r in refactorings:
         assert r.levelno == logging.DEBUG
         assert "refactoring the projected Newton system" in r.getMessage()
 
@@ -323,3 +325,83 @@ def test_subspace_monotonicity(mesh8, fluid):
         res = solve_gmsfem(prob, space)
         errs.append(relative_l2_error(res.final, ref.final, M))
     assert errs[1] <= 1.05 * errs[0]
+
+
+def _channel_wells(mesh8, fluid):
+    """A wells problem on a channel field and its offline space (L=3)."""
+    perm = generate_channel_field(mesh8.fine, seed=1, background=1.0,
+                                  channel=1e4, n_channels=4, n_inclusions=4)
+    prob = make_problem(mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=4),
+                        "neumann-wells", well_rate=1e8)
+    return prob, build_offline_space(mesh8, perm, fluid, prob.p0, 3)
+
+
+def test_kept_lu_solves_to_the_forcing_target(mesh8, fluid, monkeypatch):
+    """Every Newton system of a fine reference and of a coarse run with an
+    online update, solved on its kept LU, ends with ||b - A x|| <=
+    max(1e-12 ||b||, 0.01 tol scale), scale = max(1, ||b|| of the step's
+    first system): the x it returns is that of its last refinement
+    (`_refine`), and some systems stop on the forcing target, above
+    1e-12 ||b||."""
+    prob, space = _channel_wells(mesh8, fluid)
+    tol = NewtonConfig().tol
+    refined, solved = [], []  # x of each _refine; (step, it, A, b, x) per system
+    refine, solve = fem._refine, fem._KeptLU.solve
+
+    def spy_refine(lu, A, b, rtol, max_steps):
+        out = refine(lu, A, b, rtol, max_steps)
+        refined.append(out[0])
+        return out
+
+    def spy_solve(kept, J, b, step=0, it=0, target=0.0):
+        x = solve(kept, J, b, step, it, target)
+        assert x is refined[-1]
+        solved.append((step, it, J, b, x))
+        return x
+
+    monkeypatch.setattr(fem, "_refine", spy_refine)
+    monkeypatch.setattr(fem._KeptLU, "solve", spy_solve)
+    runs = []
+    for run in (lambda: solve_fine(prob),
+                lambda: solve_gmsfem(prob, space, UpdateSchedule(1, (3,)))):
+        solved.clear()
+        sol = run()
+        assert len(solved) == sum(sol.newton_iters) > 0
+        runs.append(list(solved))
+    forced = 0
+    for systems in runs:
+        for step, it, A, b, x in systems:
+            if it == 1:
+                scale = max(1.0, np.linalg.norm(b))
+            nb, nr = np.linalg.norm(b), np.linalg.norm(b - A @ x)
+            assert nr <= max(1e-12 * nb, 0.01 * tol * scale)
+            forced += nr > 1e-12 * nb
+    assert forced > 0
+
+
+def test_forcing_term_cuts_the_logged_lu_solves(mesh8, fluid, caplog, monkeypatch):
+    """solve_fine and solve_gmsfem each log one DEBUG record on msflow.fem
+    as they return: Newton systems, LU solves and factorizations.  The
+    forcing term takes the same Newton iterations with fewer LU solves than
+    refining every system to 1e-12 (_FORCING = 0), and as many
+    factorizations: one per basis."""
+    prob, space = _channel_wells(mesh8, fluid)
+    schedule = UpdateSchedule(1, (3,))
+
+    def logged():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
+            sols = solve_fine(prob), solve_gmsfem(prob, space, schedule)
+        records = [r for r in caplog.records if r.msg.startswith("%s: ")]
+        assert [r.name for r in records] == ["msflow.fem"] * 2
+        assert [r.args[0] for r in records] == ["fine solve", "coarse solve"]
+        for sol, r in zip(sols, records):
+            assert r.args[1] == sum(sol.newton_iters)
+        return [r.args[1:] for r in records]
+
+    forced = logged()
+    monkeypatch.setattr(fem, "_FORCING", 0.0)
+    exact = logged()
+    assert [f[2] for f in forced] == [e[2] for e in exact] == [1, 2]
+    for (systems, solves, _), (systems0, solves0, _) in zip(forced, exact):
+        assert systems == systems0 and solves < solves0

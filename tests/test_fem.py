@@ -239,6 +239,8 @@ def test_newton_config_validation():
         NewtonConfig(tol=-1.0)
     with pytest.raises(ConfigError, match="newton.tol"):
         NewtonConfig(tol=float("nan"))
+    with pytest.raises(ConfigError, match="newton.tol"):
+        NewtonConfig(tol=1.0)  # accepts every initial guess: no Newton step
     with pytest.raises(ConfigError, match="newton.damping"):
         NewtonConfig(damping=1.5)
     with pytest.raises(ConfigError, match="newton.damping"):
@@ -297,17 +299,18 @@ def test_solve_fine_nonconvergence_reports_step(mesh4, fluid, uniform_perm4):
 @pytest.mark.parametrize("cap", [0, 1])
 def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplog,
                                               monkeypatch, cap):
-    """A normal fine solve logs nothing.  With the refinement cap lowered,
-    each refactorization is one DEBUG record on msflow.fem naming the time
-    step, the Newton iteration and the refinement steps spent (the cap);
-    with cap 0 every system after the first refactors."""
+    """A normal fine solve logs nothing but its closing record of counts.
+    With the refinement cap lowered, each refactorization is one DEBUG
+    record on msflow.fem naming the time step, the Newton iteration and the
+    refinement steps spent (the cap); with cap 0 every system after the
+    first refactors."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=3),
         "neumann-wells", well_rate=1e8,
     )
     with caplog.at_level(logging.DEBUG, logger="msflow"):
         ref = solve_fine(prob)
-    assert not caplog.records
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["fine solve"]
 
     caplog.clear()
     monkeypatch.setattr(fem, "_REFINE_MAXSTEPS", cap)
@@ -318,9 +321,11 @@ def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplo
         (step, it, cap)
         for step, n in enumerate(sol.newton_iters, 1) for it in range(1, n + 1)
     ][1:]
-    logged = [r.args for r in caplog.records]
     assert all(r.name == "msflow.fem" and r.levelno == logging.DEBUG for r in caplog.records)
-    assert "refactoring" in caplog.records[0].getMessage()
+    assert caplog.records[-1].getMessage().startswith("fine solve:")
+    refactorings = caplog.records[:-1]
+    logged = [r.args for r in refactorings]
+    assert "refactoring" in refactorings[0].getMessage()
     assert len(later) >= 3
     if cap == 0:
         assert logged == later

@@ -543,6 +543,8 @@ def test_cli_rejects_bad_arguments_before_solving(tmp_path, argv):
     ("mesh.h", "inf"),
     ("fluid.c", "inf"),
     ("newton.tol", "-1"),
+    ("newton.tol", "1"),
+    ("newton.tol", "2"),
     ("newton.damping", "0"),
     ("newton.max_iter", "0"),
 ])

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -745,3 +746,44 @@ def test_v2_patches_with_other_constrained_nodes_are_not_shared(
     assert np.array_equal(
         ref.projection.offline.toarray(), other.projection.offline.toarray()
     )
+
+
+def test_v2_pass_assembles_each_local_stiffness_once(fluid, monkeypatch):
+    """A v2 pass at 16^3 r=4 (125 distinct patches) assembles each local
+    stiffness once, in `build_snapshot_v2`, and the eigensolve reuses it
+    from the snapshot space: 125 assemblies, and the space is, bit for bit,
+    the one of a pass whose eigensolve assembles its own."""
+    mesh = build_two_scale_mesh(16, 16, 16, r=4)
+    perm = generate_channel_field(mesh.fine, seed=0, background=1.0,
+                                  channel=1e4, n_channels=6, n_inclusions=8)
+    problem = make_problem(mesh.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=1),
+                           "mixed-bc")
+    assembled = []
+    assemble = offline.assemble_weighted_stiffness
+
+    def counted(fine, w_cell):
+        assembled.append(fine)
+        return assemble(fine, w_cell)
+
+    def build(n_assemblies):
+        assembled.clear()
+        space = build_offline_space(
+            mesh, perm, fluid, problem.p0, 4, kind="v2",
+            dirichlet_nodes=problem.boundary.dirichlet_nodes,
+        )
+        assert len(assembled) == n_assemblies
+        return space
+
+    monkeypatch.setattr(offline, "assemble_weighted_stiffness", counted)
+    assert mesh.n_neighborhoods == 125
+    space = build(125)
+    snapshot = offline.build_snapshot_v2
+    monkeypatch.setattr(
+        offline, "build_snapshot_v2",
+        lambda *args: dataclasses.replace(snapshot(*args), stiffness=None),
+    )
+    own = build(250)
+    assert np.array_equal(
+        space.projection.offline.toarray(), own.projection.offline.toarray()
+    )
+    assert np.array_equal(space.lambda_next, own.lambda_next)

@@ -403,7 +403,7 @@ class TrackedFactorizations:
         return all(ref() is None for ref in self.made)
 
 
-def direct_solve(_kept, J, b, _step, _it):
+def direct_solve(_kept, J, b, _step, _it, _target):
     """A fresh factorization and direct solve for every fine Newton system."""
     return fem.linear_solve(J, b)
 
@@ -414,13 +414,16 @@ def direct_solve(_kept, J, b, _step, _it):
 def test_kept_factorization_matches_direct_solve(cap, case, rate):
     """solve_fine on one kept factorization takes the same Newton iterations
     to the same states as a direct solve of every system.  The default cap
-    never refactors here; cap 0 refactors on every system after the first."""
+    never refactors here; cap 0, with no forcing term (so that one solve on
+    the kept LU never meets the target), refactors on every system after the
+    first."""
     fine, rng, dirichlet = case
     problem = random_problem(fine, rng, dirichlet, n_steps=3,
                              load=balanced_wells(fine, rng, rate))
     lus = TrackedFactorizations()
     with mock.patch.object(fem.spla, "splu", lus), \
-            mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
+            mock.patch.object(fem, "_REFINE_MAXSTEPS", cap), \
+            mock.patch.object(fem, "_FORCING", fem._FORCING if cap else 0.0):
         sol = solve_fine(problem)
     assert lus.all_freed()  # nothing outlives the solve
     with mock.patch.object(fem._KeptLU, "solve", direct_solve):
