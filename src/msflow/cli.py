@@ -224,10 +224,11 @@ def cmd_check(args):
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, perm8, rho0)
     worst, cuts, inside = 0.0, 0, 0
-    for i in range(mesh8.n_neighborhoods):
+    for i, nb in enumerate(mesh8.neighborhoods):
         snap = build_snapshot_v1(mesh8, i)
-        full = solve_local_spectral(mesh8, i, snap, perm8, rho0, kt)
-        part = solve_local_spectral(mesh8, i, snap, perm8, rho0, kt, n_eig=12)
+        A, M = _local_operators(nb, perm8, rho0, kt)
+        full = solve_local_spectral(mesh8, i, snap, A, M)
+        part = solve_local_spectral(mesh8, i, snap, A, M, n_eig=12)
         starts = _cluster_starts(part.eigenvalues)
         for L in range(1, part.n_complete + 1):
             angles = la.subspace_angles(
@@ -256,15 +257,15 @@ def cmd_check(args):
     kt6 = compute_kappa_tilde(mesh6, perm6, rho6)
     row_dev = harmonic = eig_dev = 0.0
     for i, nb in enumerate(mesh6.neighborhoods):
-        snap = build_snapshot_v2(mesh6, i, perm6, rho6)
-        S = snap.basis
         A, M = _local_operators(nb, perm6, rho6, kt6)
+        snap = build_snapshot_v2(mesh6, i, A)
+        S = snap.basis
         row_dev = max(row_dev, float(np.abs(S.sum(axis=1) - 1.0).max()))
         AS = A @ S
         harmonic = max(harmonic, float(
             np.abs(AS[nb.free_mask]).max() / np.abs(A.data).max()
         ))
-        schur = solve_local_spectral(mesh6, i, snap, perm6, rho6, kt6).eigenvalues
+        schur = solve_local_spectral(mesh6, i, snap, A, M).eigenvalues
         dense = la.eigh(S.T @ AS, S.T @ (M @ S), eigvals_only=True)
         eig_dev = max(eig_dev, float(np.abs(schur - dense).max() / np.abs(dense).max()))
     report(

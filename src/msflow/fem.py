@@ -253,21 +253,22 @@ def _refine(lu, A, b, rtol, max_steps):
 
 def _lu_solve(lu, A, b):
     """Solve A x = b with the LU of A, one step of iterative refinement if the
-    residual exceeds 1e-10 * ||b||, and a residual-norm check."""
-    x, nr, _ = _refine(lu, A, b, 1e-10, 1)
+    residual exceeds 1e-10 * ||b||, and a residual-norm check.  Returns x and
+    the refinement steps taken."""
+    x, nr, steps = _refine(lu, A, b, 1e-10, 1)
     if not nr <= 1e-6 * np.linalg.norm(b):
         raise SingularMatrixError(
             f"linear solve residual {nr:.3e} exceeds 1e-6 * ||b|| "
             f"(near-singular matrix)"
         )
-    return x
+    return x, steps
 
 
 def linear_solve(A, b):
     """Direct sparse solve with a residual-norm check.  A is factored in the
     order it is given (no fill-reducing column ordering): callers give a
     grid operator in its grid's `dissection()` order."""
-    return _lu_solve(_factor(A, "NATURAL"), A, np.asarray(b, dtype=float))
+    return _lu_solve(_factor(A, "NATURAL"), A, np.asarray(b, dtype=float))[0]
 
 
 # A Newton system is solved by iterative refinement on a kept LU to this
@@ -283,18 +284,6 @@ _REFINE_MAXSTEPS = 20
 # the stopping test only where the exact residual is within 1 % of it.  On the
 # 16^3 references it halves the LU solves; 10 % moved e_l2 by 3.6e-8 relative.
 _FORCING = 1e-2
-
-
-@dataclass(eq=False, repr=False)
-class _CountedLU:
-    """An LU as a solver that adds each of its solves to counts["lu_solves"]."""
-
-    lu: object
-    counts: Counter
-
-    def solve(self, b):
-        self.counts["lu_solves"] += 1
-        return self.lu.solve(b)
 
 
 @dataclass(eq=False, repr=False)
@@ -339,9 +328,8 @@ class _KeptLU:
         if self.lu is not None:
             nb = np.linalg.norm(b)
             rtol = max(_REFINE_RTOL, target / nb) if target else _REFINE_RTOL
-            x, nr, steps = _refine(
-                _CountedLU(self.lu, self.counts), J, b, rtol, _REFINE_MAXSTEPS
-            )
+            x, nr, steps = _refine(self.lu, J, b, rtol, _REFINE_MAXSTEPS)
+            self.counts["lu_solves"] += 1 + steps
             if nr <= rtol * nb:
                 return x
             log.debug(
@@ -358,7 +346,9 @@ class _KeptLU:
             else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
                 self.lu = _factor(A, "MMD_ATA")
             self.counts["factorizations"] += 1
-            return _lu_solve(_CountedLU(self.lu, self.counts), J, b)
+            x, steps = _lu_solve(self.lu, J, b)
+            self.counts["lu_solves"] += 1 + steps
+            return x
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"{system} of dimension {b.size} is singular: {exc}"

@@ -33,9 +33,12 @@ peaks at about 260 MiB RSS, against 279-294 MiB with the sparse LU of the
 block in nested dissection order; the same pass without freeing the
 previous patch's S first peaked at 311-323 MiB.
 
-The local stiffness and mass of a neighborhood are assembled on its box grid
-(`CoarseNeighborhood.box`) by the same cell-block assembler as the global
-operators, so patches of one box shape share one sparsity pattern.
+The local pencil of a neighborhood, its stiffness A and spectral mass M, is
+assembled on its box grid (`CoarseNeighborhood.box`) by the same cell-block
+assembler as the global operators, so patches of one box shape share one
+sparsity pattern.  An offline pass assembles the pencil once per distinct
+patch (`_local_operators`) and passes it down: A to the v2 snapshot build,
+and A and M to every spectral solve of the patch, growth re-solves included.
 
 The dense products of the v2 path (S^T M S and S V) are computed with
 scipy's `dgemm`, not numpy's `@`.  numpy and scipy wheels each bundle their
@@ -145,9 +148,6 @@ class SnapshotSpace:
     basis: np.ndarray | None
     dim: int
     nodes: np.ndarray  # local node of each snapshot coordinate
-    # v2: the local stiffness the snapshots were built from, which
-    # solve_local_spectral reuses; None for v1
-    stiffness: sp.csr_matrix | None = None
 
 
 def _stiffness_weights(nb, perm, rho0_cell):
@@ -163,24 +163,14 @@ def _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass):
     return w_mass
 
 
-def _local_stiffness(nb, perm, rho0_cell):
-    """rho0 * kappa weighted stiffness of a neighborhood, local numbering."""
-    return assemble_weighted_stiffness(nb.box, _stiffness_weights(nb, perm, rho0_cell))
-
-
-def _local_mass(nb, rho0_cell, kappa_tilde, extra_density_mass):
-    """Spectral mass of the local eigenproblem of a neighborhood, local
-    numbering."""
-    return assemble_weighted_mass(
-        nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
-    )
-
-
 def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
-    """Stiffness and spectral mass of the local eigenproblem of a
-    neighborhood, local numbering."""
-    return _local_stiffness(nb, perm, rho0_cell), _local_mass(
-        nb, rho0_cell, kappa_tilde, extra_density_mass
+    """The pencil (A, M) of the local eigenproblem of a neighborhood, local
+    numbering: the rho0 * kappa weighted stiffness and the spectral mass."""
+    return (
+        assemble_weighted_stiffness(nb.box, _stiffness_weights(nb, perm, rho0_cell)),
+        assemble_weighted_mass(
+            nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
+        ),
     )
 
 
@@ -189,15 +179,14 @@ def build_snapshot_v1(mesh, i):
     return SnapshotSpace(basis=None, dim=nb.n_local, nodes=np.arange(nb.n_local))
 
 
-def build_snapshot_v2(mesh, i, perm, rho0_cell):
+def build_snapshot_v2(mesh, i, A):
     """Harmonic extensions of the boundary delta traces: one column per
-    constrained boundary node of the neighborhood.
+    constrained boundary node of the neighborhood, for its local stiffness A.
 
     The free rows X solve A_ff X = -A_fb on one dense Cholesky factorization
     of the interior block; a block that is not positive definite raises
     SingularMatrixError naming the neighborhood."""
     nb = mesh.neighborhoods[i]
-    A = _local_stiffness(nb, perm, rho0_cell)
     bnd = np.flatnonzero(nb.constrained_mask)
     if bnd.size == 0:
         raise ConfigError(
@@ -225,7 +214,7 @@ def build_snapshot_v2(mesh, i, perm, rho0_cell):
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = X
-    return SnapshotSpace(basis=S, dim=bnd.size, nodes=bnd, stiffness=A)
+    return SnapshotSpace(basis=S, dim=bnd.size, nodes=bnd)
 
 
 # Two computed eigenvalues are copies of one exactly degenerate eigenvalue
@@ -427,12 +416,10 @@ def _sparse_pairs(i, box, A, M, n_eig):
     return vals, out, n_complete
 
 
-def solve_local_spectral(
-    mesh, i, snapshot, perm, rho0_cell, kappa_tilde, extra_density_mass=False,
-    n_eig=None,
-):
-    """Generalized eigenproblem A v = lambda M v projected to the snapshot
-    space; ascending eigenvalues, M-orthonormal vectors.
+def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
+    """The local pencil (A, M) of neighborhood i (`_local_operators`)
+    projected to the snapshot space, A v = lambda M v; ascending eigenvalues,
+    M-orthonormal vectors.
 
     n_eig=None computes the full spectrum; otherwise only the n_eig lowest
     eigenpairs (all of them if the snapshot space is smaller), and a cluster
@@ -447,10 +434,6 @@ def solve_local_spectral(
     eigh) if that fails its inertia check; every other solve is dense.
     """
     nb = mesh.neighborhoods[i]
-    A = snapshot.stiffness
-    if A is None:
-        A = _local_stiffness(nb, perm, rho0_cell)
-    M = _local_mass(nb, rho0_cell, kappa_tilde, extra_density_mass)
     solver, pairs = "dense", None
     if (
         snapshot.basis is None and n_eig is not None
@@ -654,8 +637,8 @@ def build_offline_spaces(
 ):
     """Offline spaces for several offline counts from one offline pass:
     partition of unity, spectral coefficient, then per neighborhood one
-    snapshot space and one spectral solve for the largest count, sliced for
-    every count; one projection matrix per count.
+    local pencil, one snapshot space and one spectral solve for the largest
+    count, sliced for every count; one projection matrix per count.
 
     Each entry of counts is a uniform per-neighborhood offline count (an int)
     or a per-neighborhood list.  Returns one OfflineSpace per entry, in
@@ -694,35 +677,29 @@ def build_offline_spaces(
     for i in range(mesh.n_neighborhoods):
         L = max(n[i] for n in counts)
         n_eig = L + _EXTRA_PAIRS
-        key = _patch_key(
-            mesh.neighborhoods[i], kind, n_eig, perm, rho0_cell, kt,
-            extra_density_mass,
-        )
+        nb = mesh.neighborhoods[i]
+        key = _patch_key(nb, kind, n_eig, perm, rho0_cell, kt, extra_density_mass)
         if key in solved:
             reused += 1
         else:
             t1 = time.perf_counter()
+            A, M = _local_operators(nb, perm, rho0_cell, kt, extra_density_mass)
             if kind == "v1":
                 snap = build_snapshot_v1(mesh, i)
             else:
-                snap = build_snapshot_v2(mesh, i, perm, rho0_cell)
+                snap = build_snapshot_v2(mesh, i, A)
             t2 = time.perf_counter()
             t_snap += t2 - t1
-            spec = solve_local_spectral(
-                mesh, i, snap, perm, rho0_cell, kt, extra_density_mass, n_eig=n_eig
-            )
+            spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
             solvers[spec.solver] += 1
             while spec.n_complete < L and n_eig < snap.dim:
                 n_eig *= 2
                 resolves += 1
-                spec = solve_local_spectral(
-                    mesh, i, snap, perm, rho0_cell, kt, extra_density_mass,
-                    n_eig=n_eig,
-                )
+                spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
                 solvers[spec.solver] += 1
             t_eig += time.perf_counter() - t2
             solved[key] = (select_offline_basis(snap, spec, L), spec.eigenvalues)
-            del snap, spec  # freed before the next patch's snapshot is built
+            del A, M, snap, spec  # freed before the next patch's are built
         psi, lam = solved[key]
         psis.append(psi)
         eigs.append(lam)
@@ -731,8 +708,8 @@ def build_offline_spaces(
             straddled[c] += n[i] < lam.size and n[i] not in starts
     log.debug(
         "offline %s pass over %d neighborhoods, %d reused from an equal "
-        "patch: snapshot builds %.3f s, spectral solves %.3f s "
-        "(%d sparse, %d dense fallbacks); %d n_eig growth re-solves; "
+        "patch: local pencils and snapshot builds %.3f s, spectral solves "
+        "%.3f s (%d sparse, %d dense fallbacks); %d n_eig growth re-solves; "
         "neighborhoods with a cluster across the cut: %s",
         kind, mesh.n_neighborhoods, reused, t_snap, t_eig,
         solvers["sparse"], solvers["fallback"], resolves,

@@ -5,6 +5,11 @@ the load of a zero-Dirichlet local solve with the current Jacobian; the
 resulting vectors replace the previous online block of the projection matrix.
 A per-neighborhood error indicator (dual-norm of the residual scaled by the
 first discarded eigenvalue) supports selective enrichment.
+
+`enrich_projection` finds every patch's free global rows once per call
+(`_free_rows`), and in each round takes each patch's load -F[rows] and
+Jacobian block J[rows, rows] once, and passes them down to the error
+indicator and the local solve alike.
 """
 
 from dataclasses import dataclass
@@ -34,6 +39,10 @@ class UpdateSchedule:
             raise ConfigError("online basis count must be >= 0")
         if self.n_online > 0 and not self.update_steps:
             raise ConfigError("online basis requested but no update steps given")
+        if len(set(self.update_steps)) < len(self.update_steps):
+            raise ConfigError(
+                f"online.updates repeats a step: {list(self.update_steps)}"
+            )
 
     def validate(self, n_steps):
         for s in self.update_steps:
@@ -58,56 +67,34 @@ class UpdateSchedule:
         return UpdateSchedule(n_online=n_online, update_steps=tuple(int(s) for s in steps))
 
 
-@dataclass
-class LocalResidual:
-    values: np.ndarray  # over all local DOFs of the patch
-    free_local: np.ndarray  # local indices taking part in the solve
-
-
-def _free_local_dofs(mesh, i, dirichlet_nodes):
-    """Local DOFs for the zero-Dirichlet online solve: patch nodes off the
-    constrained patch boundary and off the global Dirichlet set, in the
-    patch box's `dissection()` order, the order their local systems are
+def _free_rows(mesh, dirichlet_nodes):
+    """Global rows of each patch's zero-Dirichlet online solve: patch nodes
+    off the constrained patch boundary and off the global Dirichlet set, in
+    the patch box's `dissection()` order, the order their local systems are
     factored in."""
-    nb = mesh.neighborhoods[i]
-    mask = nb.free_mask.copy()
-    if dirichlet_nodes is not None and len(dirichlet_nodes):
-        dmask = np.zeros(mesh.fine.n_nodes, dtype=bool)
-        dmask[dirichlet_nodes] = True
-        mask &= ~dmask[nb.nodes]
-    order = nb.box.dissection()
-    return order[mask[order]]
+    dmask = np.zeros(mesh.fine.n_nodes, dtype=bool)
+    dmask[dirichlet_nodes] = True
+    rows = []
+    for nb in mesh.neighborhoods:
+        order = nb.box.dissection()
+        local = nb.nodes[order]
+        rows.append(local[nb.free_mask[order] & ~dmask[local]])
+    return rows
 
 
-def compute_local_residual(mesh, i, F_global, dirichlet_nodes=None):
-    """Restriction of the (negated) global Newton residual to patch i.
+def solve_online_vector(i, r, J_loc):
+    """Solve the Jacobian block J_loc of patch i with its localized residual
+    r as load, and normalize the solution in the local energy norm.
 
-    For test functions supported in the patch interior this is exactly the
-    localized weak residual dt*(q, v) - (phi*drho, v) - dt*(flux, grad v).
+    r is the negated global Newton residual on the patch's free rows: for
+    test functions supported in the patch interior, exactly the localized
+    weak residual dt*(q, v) - (phi*drho, v) - dt*(flux, grad v).
+
+    Returns the local vector, or None when the load vanishes (nothing to
+    enrich).
     """
-    nb = mesh.neighborhoods[i]
-    if F_global.shape[0] != mesh.fine.n_nodes:
-        raise ConfigError("global residual has wrong length")
-    return LocalResidual(
-        values=-F_global[nb.nodes],
-        free_local=_free_local_dofs(mesh, i, dirichlet_nodes),
-    )
-
-
-def solve_online_vector(mesh, i, local_residual, J_global):
-    """Solve the Jacobian-restricted local problem with the localized residual
-    as load; extend by zero and normalize in the local energy norm.
-
-    Returns the fine vector, or None when the local residual vanishes
-    (nothing to enrich).
-    """
-    nb = mesh.neighborhoods[i]
-    free = local_residual.free_local
-    r = local_residual.values[free]
-    if free.size == 0 or np.linalg.norm(r) == 0.0:
+    if np.linalg.norm(r) == 0.0:
         return None
-    rows = nb.nodes[free]
-    J_loc = J_global[np.ix_(rows, rows)]
     try:
         x = linear_solve(J_loc, r)
     except SingularMatrixError as exc:
@@ -117,21 +104,14 @@ def solve_online_vector(mesh, i, local_residual, J_global):
     energy = float(x @ (J_loc @ x))  # x . J_sym x without forming J_sym
     if energy <= 0:
         return None
-    v = np.zeros(mesh.fine.n_nodes)
-    v[rows] = x / np.sqrt(energy)
-    return v
+    return x / np.sqrt(energy)
 
 
-def error_indicator(mesh, i, local_residual, J_global, lambda_next):
-    """eta_i = ||r||^2 in the inverse symmetric-Jacobian norm, scaled by
-    1/lambda_{L_i+1}."""
-    nb = mesh.neighborhoods[i]
-    free = local_residual.free_local
-    r = local_residual.values[free]
-    if free.size == 0 or np.linalg.norm(r) == 0.0:
+def error_indicator(i, r, J_loc, lambda_next):
+    """eta_i = ||r||^2 in the inverse norm of the symmetric part of J_loc,
+    the Jacobian block of patch i, scaled by 1/lambda_{L_i+1}."""
+    if np.linalg.norm(r) == 0.0:
         return 0.0
-    rows = nb.nodes[free]
-    J_loc = J_global[np.ix_(rows, rows)]
     J_sym = 0.5 * (J_loc + J_loc.T)
     try:
         x = linear_solve(J_sym, r)
@@ -159,9 +139,11 @@ def enrich_projection(
     """
     if n_online == 0:
         return 0
+    top = top_k is not None and top_k < mesh.n_neighborhoods
+    if top and lambda_next is None:
+        raise ConfigError("top-k enrichment needs the offline eigenvalues")
     fine = problem.fine
-    dirichlet = problem.boundary.dirichlet_nodes
-    ids = list(range(mesh.n_neighborhoods))
+    rows = _free_rows(mesh, problem.boundary.dirichlet_nodes)
 
     new_cols = []
     p = p_state.copy()
@@ -174,25 +156,22 @@ def enrich_projection(
             p, problem.fluid, problem.perm, problem.time.dt, fine,
             problem.boundary,
         )
-        chosen = ids
-        if top_k is not None and top_k < len(ids):
-            if lambda_next is None:
-                raise ConfigError("top-k enrichment needs the offline eigenvalues")
+        # each patch's load and Jacobian block, taken once per round; a
+        # uniform round takes them one patch at a time, not all held at once
+        local = ((i, -F[ri], J[np.ix_(ri, ri)]) for i, ri in enumerate(rows))
+        if top:
+            local = list(local)
             etas = [
-                error_indicator(
-                    mesh, i,
-                    compute_local_residual(mesh, i, F, dirichlet),
-                    J, lambda_next[i],
-                )
-                for i in ids
+                error_indicator(i, r, J_loc, lambda_next[i])
+                for i, r, J_loc in local
             ]
-            order = np.argsort(etas)[::-1]
-            chosen = sorted(int(ids[j]) for j in order[:top_k])
+            local = [local[j] for j in sorted(np.argsort(etas)[::-1][:top_k])]
         round_cols = []
-        for i in chosen:
-            lr = compute_local_residual(mesh, i, F, dirichlet)
-            v = solve_online_vector(mesh, i, lr, J)
-            if v is not None:
+        for i, r, J_loc in local:
+            x = solve_online_vector(i, r, J_loc)
+            if x is not None:
+                v = np.zeros(fine.n_nodes)
+                v[rows[i]] = x
                 round_cols.append((i, v))
         new_cols.extend(round_cols)
         if round_ + 1 < n_online and round_cols:

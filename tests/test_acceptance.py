@@ -228,28 +228,28 @@ def test_local_spectral_suite(desk):
     nb = mesh.neighborhoods[i]
 
     snap = build_snapshot_v1(mesh, i)
-    spec = solve_local_spectral(mesh, i, snap, perm, rho0, kt)
+    A, M = _local_operators(nb, perm, rho0, kt)
+    spec = solve_local_spectral(mesh, i, snap, A, M)
     lam = spec.eigenvalues
     assert abs(lam[0]) <= 1e-10 * lam[-1]
     v0 = spec.eigenvectors[:, 0]
     assert np.abs(v0 - v0.mean()).max() <= 1e-8 * np.abs(v0).max()
     assert np.all(np.diff(lam) >= -1e-10 * lam[-1])
 
-    _, M = _local_operators(nb, perm, rho0, kt)
     V = spec.eigenvectors[:, :12]
     assert np.abs(V.T @ (M @ V) - np.eye(12)).max() <= 1e-8
 
     scaled = PermeabilityField(137.0 * perm.values)
     kt_s = compute_kappa_tilde(mesh, scaled, rho0, pou)
-    spec_s = solve_local_spectral(mesh, i, snap, scaled, rho0, kt_s)
+    spec_s = solve_local_spectral(
+        mesh, i, snap, *_local_operators(nb, scaled, rho0, kt_s)
+    )
     assert np.abs(spec_s.eigenvalues[:30] - lam[:30]).max() <= 1e-10 * np.abs(
         lam[:30]
     ).max()
 
-    snap2 = build_snapshot_v2(mesh, i, perm, rho0)
-    S = snap2.basis
+    S = build_snapshot_v2(mesh, i, A).basis
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
-    A, _ = _local_operators(nb, perm, rho0, rho0)
     res = A @ S
     free = np.flatnonzero(nb.free_mask)
     assert np.abs(res[free]).max() <= 1e-10 * np.abs(A.data).max()

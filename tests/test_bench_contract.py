@@ -10,6 +10,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from msflow import online
+from msflow.fem import newton_residual
 from msflow.model import TimeGrid, make_problem
 from msflow.offline import ProjectionMatrix, build_offline_space
 from msflow.online import enrich_projection
@@ -50,3 +54,32 @@ def test_enrich_projection_returns_an_int(mesh4, fluid, uniform_perm4):
     added = enrich_projection(space.projection, mesh4, prob, prob.p0, 1)
     assert type(added) is int
     assert added == space.projection.n_online > 0
+
+
+def test_uniform_round_solves_each_loaded_patch_once(mesh4, fluid, uniform_perm4):
+    """One uniform 4^3 enrichment round calls `online.solve_online_vector`,
+    and through it `fem.linear_solve`, once per patch with a non-zero load:
+    on the benchmark's workloads these online local solves are the only
+    callers of `fem.linear_solve`, whose per-layer metrics would otherwise
+    read zero."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    tracer = _tracing().Tracer().install()
+    try:
+        added = enrich_projection(space.projection, mesh4, prob, prob.p0, 1)
+    finally:
+        tracer.restore()
+    F = newton_residual(
+        prob.p0, prob.p0, fluid, uniform_perm4, prob.time.dt, prob.load,
+        mesh4.fine, prob.boundary,
+    )
+    rows = online._free_rows(mesh4, prob.boundary.dirichlet_nodes)
+    loaded = sum(bool(np.linalg.norm(F[r]) > 0) for r in rows)
+    spans = tracer.spans
+    solves = [k for k, s in enumerate(spans) if s[0] == "online.solve_online_vector"]
+    parents = sorted(s[3] for s in spans if s[0] == "fem.linear_solve")
+    assert added == loaded == len(solves) == mesh4.n_neighborhoods
+    assert parents == solves  # one linear_solve inside each local solve

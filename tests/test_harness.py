@@ -576,16 +576,17 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     (["run", "--online", "-1"], "", "online.count"),
     (["sweep", "--nb", "2+0,2+-1"], "", "2+-1"),
     (["sweep", "--nb", "2+1u0"], "", "2+1u0"),
+    (["run", "--online", "1", "--updates", "1,1"], "", "online.updates"),
 ], ids=["run-seed", "gen-field-seed", "uniform-background", "channel-count",
         "inclusion-count", "channels-background", "channels-channel",
         "gen-field-inclusion-count", "online-count", "variant-online",
-        "variant-updates"])
+        "variant-updates", "repeated-update"])
 def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
     """A negative seed, online count, channel count or inclusion count, a
-    non-positive uniform or channel-field permeability and a sweep variant
-    with offline < 1, online < 0 or u<k> with k < 1 are configuration errors
-    (exit 2) that name the key or the variant, raised before anything is
-    written."""
+    non-positive uniform or channel-field permeability, a repeated online
+    update step and a sweep variant with offline < 1, online < 0 or u<k>
+    with k < 1 are configuration errors (exit 2) that name the key or the
+    variant, raised before anything is written."""
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import re
 
@@ -138,7 +137,8 @@ def test_snapshot_v2_columns(mesh8, fluid, uniform_perm8):
     rho0 = np.ones(mesh8.fine.n_cells)
     i = 0  # corner patch: three constrained faces
     nb = mesh8.neighborhoods[i]
-    snap = build_snapshot_v2(mesh8, i, uniform_perm8, rho0)
+    A, _ = _local_operators(nb, uniform_perm8, rho0, rho0)
+    snap = build_snapshot_v2(mesh8, i, A)
     S = snap.basis
     bnd = np.flatnonzero(nb.constrained_mask)
     assert snap.dim == bnd.size
@@ -151,7 +151,6 @@ def test_snapshot_v2_columns(mesh8, fluid, uniform_perm8):
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
 
     # discrete-harmonic: interior rows of A_loc * column vanish
-    A, _ = _local_operators(nb, uniform_perm8, rho0, rho0)
     res = A @ S
     free = np.flatnonzero(nb.free_mask)
     scale = np.abs(A.data).max()
@@ -165,7 +164,8 @@ def spectral13(mesh8):
     pou = build_partition_of_unity(mesh8)
     kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
     snap = build_snapshot_v1(mesh8, 13)
-    spec = solve_local_spectral(mesh8, 13, snap, perm, rho0, kt)
+    A, M = _local_operators(mesh8.neighborhoods[13], perm, rho0, kt)
+    spec = solve_local_spectral(mesh8, 13, snap, A, M)
     return mesh8, perm, rho0, kt, snap, spec
 
 
@@ -196,7 +196,8 @@ def test_spectral_kappa_scale_invariance(mesh8):
     for s in (1.0, 100.0):
         perm = PermeabilityField(np.full(mesh8.fine.n_cells, s))
         kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
-        spec = solve_local_spectral(mesh8, 0, snap, perm, rho0, kt)
+        A, M = _local_operators(mesh8.neighborhoods[0], perm, rho0, kt)
+        spec = solve_local_spectral(mesh8, 0, snap, A, M)
         vals[s] = spec.eigenvalues[:20]
     denom = np.abs(vals[1.0]).max()
     assert np.abs(vals[1.0] - vals[100.0]).max() <= 1e-10 * denom
@@ -227,7 +228,8 @@ def test_eigenvalue_decay_on_contrast_field(mesh8):
     kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
     i = 13
     snap = build_snapshot_v1(mesh8, i)
-    spec = solve_local_spectral(mesh8, i, snap, perm, rho0, kt)
+    A, M = _local_operators(mesh8.neighborhoods[i], perm, rho0, kt)
+    spec = solve_local_spectral(mesh8, i, snap, A, M)
     lam = spec.eigenvalues
     first = max(lam[1], 1e-300)  # skip the zero mode
     assert lam[19] / first >= 1e2
@@ -250,7 +252,8 @@ def test_select_offline_basis(spectral13):
 def test_v2_within_v1_span(mesh8, uniform_perm8):
     # V1 is the full local space, so every V2 column already lies in it
     rho0 = np.ones(mesh8.fine.n_cells)
-    snap2 = build_snapshot_v2(mesh8, 0, uniform_perm8, rho0)
+    A, _ = _local_operators(mesh8.neighborhoods[0], uniform_perm8, rho0, rho0)
+    snap2 = build_snapshot_v2(mesh8, 0, A)
     v1_dim = build_snapshot_v1(mesh8, 0).dim
     assert snap2.dim < v1_dim
     assert snap2.basis.shape == (v1_dim, snap2.dim)
@@ -358,18 +361,18 @@ def test_partial_spectrum_matches_full_oracle(desk_patch, kind):
     spectrum has a gap at L."""
     mesh, perm, rho0, kt, i = desk_patch
     nb = mesh.neighborhoods[i]
+    A, M = _local_operators(nb, perm, rho0, kt)
     if kind == "v1":
         snap = build_snapshot_v1(mesh, i)
     else:
-        snap = build_snapshot_v2(mesh, i, perm, rho0)
+        snap = build_snapshot_v2(mesh, i, A)
     k = 10
-    full = solve_local_spectral(mesh, i, snap, perm, rho0, kt)
-    part = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=k)
+    full = solve_local_spectral(mesh, i, snap, A, M)
+    part = solve_local_spectral(mesh, i, snap, A, M, n_eig=k)
     lam, mu = full.eigenvalues[:k], part.eigenvalues
     assert mu.size == k and part.eigenvectors.shape == (snap.dim, k)
     assert np.abs(mu - lam).max() <= 1e-12 * np.abs(lam).max()
 
-    _, M = _local_operators(nb, perm, rho0, kt)
     if snap.basis is not None:
         M = snap.basis.T @ (M @ snap.basis)
     V, W = full.eigenvectors[:, :k], part.eigenvectors
@@ -389,11 +392,10 @@ def test_subset_larger_than_snapshot_space(mesh8, uniform_perm8):
     """n_eig beyond the snapshot dimension returns the whole spectrum."""
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
-    snap = build_snapshot_v2(mesh8, 0, uniform_perm8, rho0)
-    full = solve_local_spectral(mesh8, 0, snap, uniform_perm8, rho0, kt)
-    part = solve_local_spectral(
-        mesh8, 0, snap, uniform_perm8, rho0, kt, n_eig=snap.dim + 5
-    )
+    A, M = _local_operators(mesh8.neighborhoods[0], uniform_perm8, rho0, kt)
+    snap = build_snapshot_v2(mesh8, 0, A)
+    full = solve_local_spectral(mesh8, 0, snap, A, M)
+    part = solve_local_spectral(mesh8, 0, snap, A, M, n_eig=snap.dim + 5)
     assert part.eigenvalues.size == snap.dim
     assert np.allclose(part.eigenvalues, full.eigenvalues, rtol=1e-12, atol=1e-12)
 
@@ -494,9 +496,8 @@ def test_offline_pass_logs_clusters_and_resolves(
     inside = {4: 0, 8: 0}
     for i in range(mesh8.n_neighborhoods):
         snap = build_snapshot_v1(mesh8, i)
-        starts = _cluster_starts(
-            solve(mesh8, i, snap, uniform_perm8, rho0, kt).eigenvalues
-        )
+        A, M = _local_operators(mesh8.neighborhoods[i], uniform_perm8, rho0, kt)
+        starts = _cluster_starts(solve(mesh8, i, snap, A, M).eigenvalues)
         for L in inside:
             inside[L] += L not in starts
     assert inside[4] > 0 and inside[8] > 0
@@ -568,8 +569,9 @@ def test_failed_interior_factorization_names_the_neighborhood(
     monkeypatch.setattr(offline, "cho_factor", not_positive_definite)
     perm, _ = uniform6
     rho0 = np.ones(mesh6.fine.n_cells)
+    A, _ = _local_operators(mesh6.neighborhoods[5], perm, rho0, rho0)
     with pytest.raises(SingularMatrixError, match="interior block of neighborhood 5 "):
-        build_snapshot_v2(mesh6, 5, perm, rho0)
+        build_snapshot_v2(mesh6, 5, A)
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 6\nmesh.ny = 6\nmesh.nz = 6\nmesh.ratio = 2\n"
@@ -591,9 +593,9 @@ def test_v2_kernel_matches_dense_reference(mesh6, uniform6):
     kt = compute_kappa_tilde(mesh6, perm, rho0)
     L = 4
     for i, nb in enumerate(mesh6.neighborhoods):
-        snap = build_snapshot_v2(mesh6, i, perm, rho0)
-        spec = solve_local_spectral(mesh6, i, snap, perm, rho0, kt, n_eig=L + 4)
         A, M = _local_operators(nb, perm, rho0, kt)
+        snap = build_snapshot_v2(mesh6, i, A)
+        spec = solve_local_spectral(mesh6, i, snap, A, M, n_eig=L + 4)
         S = snap.basis
         Ad, Md = S.T @ (A @ S), S.T @ (M @ S)
         lam, V = spec.eigenvalues, spec.eigenvectors
@@ -612,8 +614,9 @@ def test_v2_kernel_matches_dense_reference(mesh6, uniform6):
 def test_offline_pass_logs_its_time_split(
     kind, mesh6, mesh8, fluid, caplog
 ):
-    """The offline pass's DEBUG record reports the seconds spent building
-    snapshot spaces and solving spectral problems, summed over the pass."""
+    """The offline pass's DEBUG record reports the seconds spent assembling
+    local pencils and building snapshot spaces and those spent solving
+    spectral problems, summed over the pass."""
     mesh = mesh8 if kind == "v1" else mesh6
     perm = PermeabilityField(np.ones(mesh.fine.n_cells))
     p0 = np.full(mesh.fine.n_nodes, fluid.p_ref)
@@ -748,42 +751,50 @@ def test_v2_patches_with_other_constrained_nodes_are_not_shared(
     )
 
 
-def test_v2_pass_assembles_each_local_stiffness_once(fluid, monkeypatch):
-    """A v2 pass at 16^3 r=4 (125 distinct patches) assembles each local
-    stiffness once, in `build_snapshot_v2`, and the eigensolve reuses it
-    from the snapshot space: 125 assemblies, and the space is, bit for bit,
-    the one of a pass whose eigensolve assembles its own."""
-    mesh = build_two_scale_mesh(16, 16, 16, r=4)
+@pytest.mark.parametrize("kind", ["v1", "v2"])
+def test_pass_assembles_each_distinct_patch_pencil_once(
+    kind, mesh6, mesh8, fluid, caplog, monkeypatch
+):
+    """An offline pass on a channel field, with one extra pair per request
+    (so a v1 cluster grows past it), assembles the local stiffness and mass
+    of each distinct patch exactly once (`_local_operators`): the snapshot
+    build and every spectral solve of the patch, growth re-solves included,
+    take that pencil."""
+    mesh = mesh8 if kind == "v1" else mesh6
     perm = generate_channel_field(mesh.fine, seed=0, background=1.0,
-                                  channel=1e4, n_channels=6, n_inclusions=8)
-    problem = make_problem(mesh.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=1),
-                           "mixed-bc")
-    assembled = []
-    assemble = offline.assemble_weighted_stiffness
+                                  channel=1e4, n_channels=2, n_inclusions=2)
+    p0 = np.full(mesh.fine.n_nodes, fluid.p_ref)
+    assembled = {"stiffness": [], "mass": []}
+    solves = []
 
-    def counted(fine, w_cell):
-        assembled.append(fine)
-        return assemble(fine, w_cell)
+    def spy(name, fn):
+        def counted(box, w_cell):
+            assembled[name].append(box)
+            return fn(box, w_cell)
+        return counted
 
-    def build(n_assemblies):
-        assembled.clear()
-        space = build_offline_space(
-            mesh, perm, fluid, problem.p0, 4, kind="v2",
-            dirichlet_nodes=problem.boundary.dirichlet_nodes,
-        )
-        assert len(assembled) == n_assemblies
-        return space
+    def counting(mesh, i, snap, A, M, n_eig=None):
+        solves.append((i, A, M))
+        return solve(mesh, i, snap, A, M, n_eig=n_eig)
 
-    monkeypatch.setattr(offline, "assemble_weighted_stiffness", counted)
-    assert mesh.n_neighborhoods == 125
-    space = build(125)
-    snapshot = offline.build_snapshot_v2
-    monkeypatch.setattr(
-        offline, "build_snapshot_v2",
-        lambda *args: dataclasses.replace(snapshot(*args), stiffness=None),
-    )
-    own = build(250)
-    assert np.array_equal(
-        space.projection.offline.toarray(), own.projection.offline.toarray()
-    )
-    assert np.array_equal(space.lambda_next, own.lambda_next)
+    solve = offline.solve_local_spectral
+    monkeypatch.setattr(offline, "assemble_weighted_stiffness",
+                        spy("stiffness", offline.assemble_weighted_stiffness))
+    monkeypatch.setattr(offline, "assemble_weighted_mass",
+                        spy("mass", offline.assemble_weighted_mass))
+    monkeypatch.setattr(offline, "solve_local_spectral", counting)
+    monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    build_offline_spaces(mesh, perm, fluid, p0, [2, 4], kind=kind)
+    m = re.search(r"(\d+) reused .* (\d+) n_eig growth re-solves", caplog.text)
+    reused, resolves = int(m.group(1)), int(m.group(2))
+    distinct = mesh.n_neighborhoods - reused
+    assert resolves > 0 or kind == "v2"  # the v2 pass grows no subset here
+    assert len(assembled["stiffness"]) == len(assembled["mass"]) == distinct
+    assert len(solves) == distinct + resolves
+    # the re-solves of a patch take the pencil of its first solve
+    first = {}
+    for i, A, M in solves:
+        A0, M0 = first.setdefault(i, (A, M))
+        assert A0 is A and M0 is M
+    assert len(first) == distinct

@@ -10,7 +10,6 @@ from msflow.model import BoundarySpec, ProblemSpec, TimeGrid, make_problem
 from msflow.offline import build_offline_space
 from msflow.online import (
     UpdateSchedule,
-    compute_local_residual,
     enrich_projection,
     error_indicator,
     solve_online_vector,
@@ -24,6 +23,8 @@ def test_update_schedule_validation():
         UpdateSchedule(n_online=1, update_steps=())
     with pytest.raises(ConfigError):
         UpdateSchedule(n_online=1, update_steps=(25,)).validate(20)
+    with pytest.raises(ConfigError, match="online.updates"):
+        UpdateSchedule(n_online=1, update_steps=(1, 7, 1))
     UpdateSchedule(n_online=1, update_steps=(1, 20)).validate(20)
     assert UpdateSchedule.none().n_online == 0
 
@@ -55,36 +56,35 @@ def wells8(mesh8, fluid):
     return prob, F, J
 
 
+def local_problem(F, J, rows):
+    """A patch's online load and Jacobian block, as enrich_projection takes
+    them from its free rows."""
+    return -F[rows], J[np.ix_(rows, rows)]
+
+
 def test_local_residual_restricts_global(mesh8, wells8):
+    """The rows of each patch's online solve are global nodes of the patch
+    off its constrained boundary, each once."""
     prob, F, J = wells8
-    for i in (0, 13, 26):
-        nb = mesh8.neighborhoods[i]
-        lr = compute_local_residual(mesh8, i, F, prob.boundary.dirichlet_nodes)
-        assert np.array_equal(lr.values, -F[nb.nodes])
-        assert np.all(nb.free_mask[lr.free_local])
-
-
-def test_local_residual_dimension_check(mesh8):
-    with pytest.raises(ConfigError):
-        compute_local_residual(mesh8, 0, np.zeros(3))
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)
+    assert len(rows) == mesh8.n_neighborhoods
+    for nb, ri in zip(mesh8.neighborhoods, rows):
+        assert np.array_equal(np.sort(ri), nb.nodes[nb.free_mask])
 
 
 def test_online_vector_zero_residual_skips(mesh8, wells8):
     prob, F, J = wells8
-    lr = compute_local_residual(mesh8, 0, np.zeros(mesh8.fine.n_nodes))
-    assert solve_online_vector(mesh8, 0, lr, J) is None
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[0]
+    r, J_loc = local_problem(np.zeros(mesh8.fine.n_nodes), J, rows)
+    assert solve_online_vector(0, r, J_loc) is None
 
 
 def test_online_vector_solves_local_system(mesh8, wells8):
     prob, F, J = wells8
     i = 13
-    nb = mesh8.neighborhoods[i]
-    lr = compute_local_residual(mesh8, i, F, prob.boundary.dirichlet_nodes)
-    v = solve_online_vector(mesh8, i, lr, J)
-    rows = nb.nodes[lr.free_local]
-    J_loc = J[np.ix_(rows, rows)]
-    r = lr.values[lr.free_local]
-    xs = v[rows]
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[i]
+    r, J_loc = local_problem(F, J, rows)
+    xs = solve_online_vector(i, r, J_loc)
     # the local solution up to a positive scale
     y = J_loc @ xs
     scale = float(y @ r) / float(r @ r)
@@ -104,49 +104,51 @@ def test_free_local_dofs_in_box_dissection_order(mesh8, wells8):
     planes = BoundarySpec.dirichlet_x_planes(mesh8.fine, ProblemSpec.P_HIGH,
                                              ProblemSpec.P_LOW).dirichlet_nodes
     for dirichlet in (prob.boundary.dirichlet_nodes, planes):
-        for i, nb in enumerate(mesh8.neighborhoods):
+        rows = online._free_rows(mesh8, dirichlet)
+        for nb, ri in zip(mesh8.neighborhoods, rows):
             mask = nb.free_mask & ~np.isin(nb.nodes, dirichlet)
-            free = online._free_local_dofs(mesh8, i, dirichlet)
             order = nb.box.dissection()
-            assert np.array_equal(free, order[np.isin(order, np.flatnonzero(mask))])
-    for i, nb in enumerate(mesh8.neighborhoods):
-        lr = compute_local_residual(mesh8, i, F, prob.boundary.dirichlet_nodes)
-        v = solve_online_vector(mesh8, i, lr, J)
-        free = np.flatnonzero(nb.free_mask)
-        rows = nb.nodes[free]
-        J_loc = J[np.ix_(rows, rows)]
-        x = spla.splu(J_loc.tocsc(), permc_spec="COLAMD").solve(lr.values[free])
+            free = order[np.isin(order, np.flatnonzero(mask))]
+            assert np.array_equal(ri, nb.nodes[free])
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)
+    for i, (nb, ri) in enumerate(zip(mesh8.neighborhoods, rows)):
+        v = solve_online_vector(i, *local_problem(F, J, ri))
+        lex = nb.nodes[nb.free_mask]
+        J_loc = J[np.ix_(lex, lex)]
+        x = spla.splu(J_loc.tocsc(), permc_spec="COLAMD").solve(-F[lex])
         ref = np.zeros(mesh8.fine.n_nodes)
-        ref[rows] = x / np.sqrt(x @ (J_loc @ x))
-        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref[lex] = x / np.sqrt(x @ (J_loc @ x))
+        got = np.zeros(mesh8.fine.n_nodes)
+        got[ri] = v
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_online_vector_conforming_support(mesh8, wells8):
+def test_online_vector_conforming_support(mesh8, wells8, space8):
+    """Each online column of an enrichment is zero off its patch and on the
+    patch's constrained boundary."""
     prob, F, J = wells8
-    i = 13
-    nb = mesh8.neighborhoods[i]
-    lr = compute_local_residual(mesh8, i, F, prob.boundary.dirichlet_nodes)
-    v = solve_online_vector(mesh8, i, lr, J)
-    member = np.zeros(mesh8.fine.n_nodes, dtype=bool)
-    member[nb.nodes] = True
-    assert np.all(v[~member] == 0.0)
-    assert np.all(v[nb.nodes[nb.constrained_mask]] == 0.0)
+    proj = space8.projection
+    enrich_projection(proj, mesh8, prob, p_state=prob.p0, n_online=1)
+    for i, v in proj.online_cols:
+        nb = mesh8.neighborhoods[i]
+        member = np.zeros(mesh8.fine.n_nodes, dtype=bool)
+        member[nb.nodes] = True
+        assert np.all(v[~member] == 0.0)
+        assert np.all(v[nb.nodes[nb.constrained_mask]] == 0.0)
+    proj.set_online([])
 
 
 def test_error_indicator_zero_and_scaling(mesh8, wells8):
     prob, F, J = wells8
     i = 13
-    zero = compute_local_residual(mesh8, i, np.zeros(mesh8.fine.n_nodes))
-    assert error_indicator(mesh8, i, zero, J, 1.0) == 0.0
-    lr1 = compute_local_residual(mesh8, i, F)
-    lr3 = compute_local_residual(mesh8, i, 3.0 * F)
-    e1 = error_indicator(mesh8, i, lr1, J, 2.0)
-    e3 = error_indicator(mesh8, i, lr3, J, 2.0)
+    rows = online._free_rows(mesh8, np.empty(0, dtype=int))[i]
+    r, J_loc = local_problem(F, J, rows)
+    assert error_indicator(i, 0.0 * r, J_loc, 1.0) == 0.0
+    e1 = error_indicator(i, r, J_loc, 2.0)
+    e3 = error_indicator(i, 3.0 * r, J_loc, 2.0)
     assert e3 == pytest.approx(9.0 * e1, rel=1e-10)
     # indicator scales inversely with the discarded eigenvalue
-    assert error_indicator(mesh8, i, lr1, J, 4.0) == pytest.approx(
-        e1 / 2.0, rel=1e-12
-    )
+    assert error_indicator(i, r, J_loc, 4.0) == pytest.approx(e1 / 2.0, rel=1e-12)
 
 
 def test_sink_neighborhood_has_largest_indicator(mesh8, wells8):
@@ -155,10 +157,11 @@ def test_sink_neighborhood_has_largest_indicator(mesh8, wells8):
     sink_cells = set(
         fine.cell_index(fine.nx // 2, fine.ny // 2, np.arange(fine.nz)).tolist()
     )
-    etas = []
-    for i in range(mesh8.n_neighborhoods):
-        lr = compute_local_residual(mesh8, i, F, prob.boundary.dirichlet_nodes)
-        etas.append(error_indicator(mesh8, i, lr, J, 1.0))
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)
+    etas = [
+        error_indicator(i, *local_problem(F, J, ri), 1.0)
+        for i, ri in enumerate(rows)
+    ]
     best = int(np.argmax(etas))
     assert sink_cells & set(mesh8.neighborhoods[best].cells.tolist())
 
@@ -252,6 +255,24 @@ def test_enrich_top_k_selection(mesh8, wells8, space8):
     proj.set_online([])
 
 
+def test_top_k_vectors_equal_the_uniform_ones(mesh8, wells8, space8):
+    """A top-k round solves the same local problems as a uniform round: its
+    vectors equal, to the bit, the uniform round's on the chosen patches."""
+    prob, _, _ = wells8
+    proj = space8.projection
+    enrich_projection(proj, mesh8, prob, p_state=prob.p0, n_online=1)
+    uniform = dict(proj.online_cols)
+    enrich_projection(
+        proj, mesh8, prob, p_state=prob.p0, n_online=1,
+        top_k=5, lambda_next=space8.lambda_next,
+    )
+    chosen = proj.online_cols
+    proj.set_online([])
+    assert len(chosen) == 5
+    for i, v in chosen:
+        assert np.array_equal(v, uniform[i])
+
+
 def test_enrichment_improves_single_newton_step(mesh8, fluid, wells8, space8):
     """One projected Newton step in the enriched space reduces the residual by
     a strictly larger factor than in the offline-only space."""
@@ -284,7 +305,7 @@ def test_error_indicator_singular_block_raises(mesh8, wells8):
     """A singular local Jacobian block surfaces as SingularMatrixError, not as
     SuperLU's RuntimeError."""
     prob, F, _ = wells8
-    n = mesh8.fine.n_nodes
-    lr = compute_local_residual(mesh8, 13, F, prob.boundary.dirichlet_nodes)
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[13]
+    r = -F[rows]
     with pytest.raises(SingularMatrixError, match="neighborhood 13"):
-        error_indicator(mesh8, 13, lr, sp.csr_matrix((n, n)), 1.0)
+        error_indicator(13, r, sp.csr_matrix((r.size, r.size)), 1.0)

@@ -683,15 +683,16 @@ def test_offline_span_is_driver_independent(shape, mode, scale, seed):
     kt = compute_kappa_tilde(mesh, perm, rho0)
     rng = np.random.default_rng(seed)
     worst, inside = 0.0, 0
-    for i in range(mesh.n_neighborhoods):
+    for i, nb in enumerate(mesh.neighborhoods):
+        A, M = offline._local_operators(nb, perm, rho0, kt)
         if kind == "v1":
             snap = build_snapshot_v1(mesh, i)
         else:
-            snap = build_snapshot_v2(mesh, i, perm, rho0)
-        ref = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=10)
+            snap = build_snapshot_v2(mesh, i, A)
+        ref = solve_local_spectral(mesh, i, snap, A, M, n_eig=10)
         with mock.patch.object(offline.la, "eigh", forced_eigh(mode, rng)):
             other = solve_local_spectral(
-                mesh, i, snap, perm, rho0, kt, n_eig=None if mode == "full" else 10
+                mesh, i, snap, A, M, n_eig=None if mode == "full" else 10
             )
         starts = _cluster_starts(ref.eigenvalues)
         for L in range(1, min(ref.n_complete, other.n_complete) + 1):
@@ -733,10 +734,11 @@ def test_sparse_solve_matches_dense(shape, field, n_eig, seed):
     sparse_solves = 0
     for i, nb in enumerate(mesh.neighborhoods):
         snap = build_snapshot_v1(mesh, i)
+        A, M = offline._local_operators(nb, perm, rho0, kt)
         k = min(n_eig, nb.n_local - 2)
-        dense = solve_local_spectral(mesh, i, snap, perm, rho0, kt)
+        dense = solve_local_spectral(mesh, i, snap, A, M)
         with mock.patch.object(offline, "_SPARSE_MIN_NODES", 0):
-            spec = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=k)
+            spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=k)
         assert spec.solver in ("sparse", "fallback")
         sparse_solves += spec.solver == "sparse"
         lam = dense.eigenvalues[:k]
@@ -751,12 +753,10 @@ def test_sparse_solve_matches_dense(shape, field, n_eig, seed):
     assert sparse_solves > mesh.n_neighborhoods // 2
 
 
-def superlu_snapshot_v2(mesh, i, perm, rho0):
-    """The v2 snapshot basis and the local stiffness by the sparse
-    formulation: SuperLU on the interior block in the patch box's
+def superlu_snapshot_v2(nb, A):
+    """The v2 snapshot basis of a neighborhood with local stiffness A by the
+    sparse formulation: SuperLU on the interior block in the patch box's
     `dissection()` order, solved for all boundary columns at once."""
-    nb = mesh.neighborhoods[i]
-    A = offline._local_stiffness(nb, perm, rho0)
     bnd = np.flatnonzero(nb.constrained_mask)
     order = nb.box.dissection()
     free = order[nb.free_mask[order]]
@@ -764,7 +764,7 @@ def superlu_snapshot_v2(mesh, i, perm, rho0):
     S = np.zeros((nb.n_local, bnd.size))
     S[bnd, np.arange(bnd.size)] = 1.0
     S[free] = lu.solve(-A[np.ix_(free, bnd)].toarray())
-    return S, A
+    return S
 
 
 @settings(max_examples=6)
@@ -796,15 +796,15 @@ def test_v2_cholesky_and_schur_pencil_match_the_sparse_formulation(
     rho0 = np.ones(mesh.fine.n_cells)
     kt = compute_kappa_tilde(mesh, perm, rho0)
     for i, nb in enumerate(mesh.neighborhoods):
-        snap = build_snapshot_v2(mesh, i, perm, rho0)
-        S, A = superlu_snapshot_v2(mesh, i, perm, rho0)
+        A, M = offline._local_operators(nb, perm, rho0, kt)
+        snap = build_snapshot_v2(mesh, i, A)
+        S = superlu_snapshot_v2(nb, A)
         assert np.abs(snap.basis - S).max() <= 1e-12 * np.abs(S).max()
-        M = offline._local_operators(nb, perm, rho0, kt)[1]
         Ad = dgemm(1.0, S.T, (A @ S).T, trans_b=True)
         Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
         k = min(n_eig, snap.dim)
         lam, V = la.eigh(Ad, Md, subset_by_index=[0, k - 1])
-        spec = solve_local_spectral(mesh, i, snap, perm, rho0, kt, n_eig=k)
+        spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=k)
         assert np.abs(spec.eigenvalues - lam).max() <= 1e-10 * np.abs(lam).max()
         m = spec.n_complete
         new = select_offline_basis(snap, spec, m)
