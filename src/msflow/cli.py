@@ -153,10 +153,10 @@ def cmd_check(args):
     from .coarse import solve_gmsfem
     from .offline import (
         OfflineSpace,
+        PartitionOfUnity,
         ProjectionMatrix,
         _cluster_starts,
         _local_operators,
-        build_partition_of_unity,
         build_snapshot_v1,
         build_snapshot_v2,
         compute_kappa_tilde,
@@ -172,7 +172,7 @@ def cmd_check(args):
             failures += 1
 
     mesh = build_two_scale_mesh(8, 8, 8, r=4)
-    pou = build_partition_of_unity(mesh)
+    pou = PartitionOfUnity(mesh)
     total = np.zeros(mesh.fine.n_nodes)
     for i in range(mesh.n_neighborhoods):
         total += pou.chi_global(i)
@@ -206,7 +206,7 @@ def cmd_check(args):
     )
     ref = solve_fine(problem)
     R = sp.identity(mesh8.fine.n_nodes, format="csr")
-    pm = ProjectionMatrix(mesh8.fine.n_nodes, R, [0] * mesh8.fine.n_nodes)
+    pm = ProjectionMatrix(R, [0] * mesh8.fine.n_nodes)
     space = OfflineSpace(
         mesh=mesh8, projection=pm, lambda_next=np.ones(mesh8.n_neighborhoods)
     )

@@ -4,7 +4,8 @@ Coarse hat partition of unity, the gradient-weighted mass coefficient, the
 two snapshot space flavors (full local space / harmonic extensions of
 boundary deltas), the local generalized spectral problem, and assembly of the
 fine-by-coarse projection matrix whose columns are the multiscale basis
-vectors.
+vectors: offline chi_i * psi_l and online, each kept as fine rows and values
+on its patch and made into CSR by one builder (`_column_block`).
 
 The space is a function of the local operators only: every cluster of equal
 eigenvalues gets a canonical basis of its span, so a cut inside a cluster
@@ -129,14 +130,10 @@ class PartitionOfUnity:
         return total.ravel()
 
 
-def build_partition_of_unity(mesh):
-    return PartitionOfUnity(mesh)
-
-
 def compute_kappa_tilde(mesh, perm, rho0_cell, pou=None):
     """Cell-wise spectral mass coefficient:
     rho0 * kappa * sum_i |grad chi_i|^2."""
-    pou = pou or build_partition_of_unity(mesh)
+    pou = pou or PartitionOfUnity(mesh)
     return np.asarray(rho0_cell) * perm.values * pou.grad_sq_sum()
 
 
@@ -493,15 +490,14 @@ class ProjectionMatrix:
     offline columns that span the offline space; the others are linear
     combinations of them and matrix() leaves them out.  col_nb gives the
     neighborhood of every column of `offline`, dependent ones included, so
-    it is indexed like `offline`, not like matrix(); the online columns carry
-    their own.
+    it is indexed like `offline`, not like matrix().  Each online column is
+    (neighborhood id, fine rows, values) on its patch, built by `_column_block`.
     """
 
-    def __init__(self, n_fine, offline, col_nb, independent=None):
-        self.n_fine = n_fine
+    def __init__(self, offline, col_nb, independent=None):
         self.offline = offline.tocsr()
         self.col_nb = list(col_nb)  # neighborhood id per offline column
-        self.online_cols = []  # list of (neighborhood id, fine vector) pairs
+        self.online_cols = []  # list of (neighborhood id, rows, values)
         self._basis = (
             self.offline if independent is None else self.offline[:, independent]
         )
@@ -520,10 +516,14 @@ class ProjectionMatrix:
 
     def set_online(self, cols):
         """Replace the whole online block; cols is a list of (nb id, fine
-        vector) sorted by (nb, insertion order)."""
-        for _, v in cols:
-            if v.shape[0] != self.n_fine:
-                raise ConfigError("online column has wrong length")
+        rows, values) sorted by (nb, insertion order)."""
+        n_fine = self.offline.shape[0]
+        for i, rows, values in cols:
+            if rows.size != values.size or np.any((rows < 0) | (rows >= n_fine)):
+                raise ConfigError(
+                    f"online column of neighborhood {i}: its rows and values "
+                    f"differ in size, or a row lies off the fine grid"
+                )
         self.online_cols = list(cols)
 
     def matrix(self):
@@ -531,8 +531,10 @@ class ProjectionMatrix:
         then the online columns."""
         if not self.online_cols:
             return self._basis
-        dense = np.column_stack([v for _, v in self.online_cols])
-        return sp.hstack([self._basis, sp.csr_matrix(dense)]).tocsr()
+        online = _column_block(
+            self.offline.shape[0], [(rows, x) for _, rows, x in self.online_cols]
+        )
+        return sp.hstack([self._basis, online]).tocsr()
 
 
 @dataclass
@@ -569,44 +571,43 @@ def _independent_columns(R):
     return np.sort(piv[:rank] - 1)
 
 
+def _column_block(n_rows, columns):
+    """CSR matrix of n_rows rows whose j-th column is the j-th (rows, values)
+    pair of columns, exact zeros left out as `sp.csr_matrix(dense)` does."""
+    data = np.concatenate([v for _, v in columns])
+    indices = np.concatenate([r for r, _ in columns])
+    indptr = np.cumsum([0] + [v.size for _, v in columns])
+    block = sp.csc_matrix((data, indices, indptr), shape=(n_rows, len(columns)))
+    block.eliminate_zeros()
+    return block.tocsr()
+
+
 def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     """Stack chi_i * psi_l columns into the sparse projection matrix; rows at
     global Dirichlet nodes are zeroed.  Columns that are linearly dependent on
     the others (hats times modes can coincide on small patches, and Dirichlet
     rows remove more) stay counted in dim but are left out of matrix()."""
-    n_fine = mesh.fine.n_nodes
-    dmask = np.zeros(n_fine, dtype=bool)
-    dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=int)
-    dmask[dirichlet_nodes] = True
-
-    rows, cols, data, col_nb = [], [], [], []
-    col = 0
+    columns, col_nb = [], []
     for i, psi in local_sets:
         nb = mesh.neighborhoods[i]
         chi = pou.chi_local(i)
-        keep = ~dmask[nb.nodes]
+        keep = (chi != 0.0) & ~np.isin(nb.nodes, dirichlet_nodes)
+        rows = nb.nodes[keep]
         for l in range(psi.shape[1]):
-            v = chi * psi[:, l]
-            nz = keep & (v != 0.0)
-            if np.linalg.norm(v[nz]) <= _ZERO_COLUMN_RTOL * np.linalg.norm(psi[:, l]):
-                nz[:] = False  # zero but for rounding: store the zero column
-            rows.append(nb.nodes[nz])
-            cols.append(np.full(int(nz.sum()), col))
-            data.append(v[nz])
+            v = chi[keep] * psi[keep, l]
+            if np.linalg.norm(v) <= _ZERO_COLUMN_RTOL * np.linalg.norm(psi[:, l]):
+                v[:] = 0.0  # zero but for rounding: store the zero column
+            columns.append((rows, v))
             col_nb.append(i)
-            col += 1
-    R = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_fine, col),
-    ).tocsr()
+    R = _column_block(mesh.fine.n_nodes, columns)
     keep = _independent_columns(R)
-    if keep.size == col:
-        return ProjectionMatrix(n_fine, R, col_nb)
+    if keep.size == R.shape[1]:
+        return ProjectionMatrix(R, col_nb)
     log.info(
         "left %d of %d offline basis columns out of the coarse solves as "
-        "linearly dependent", col - keep.size, col,
+        "linearly dependent", R.shape[1] - keep.size, R.shape[1],
     )
-    return ProjectionMatrix(n_fine, R, col_nb, independent=keep)
+    return ProjectionMatrix(R, col_nb, independent=keep)
 
 
 def _patch_key(nb, kind, n_eig, perm, rho0_cell, kappa_tilde, extra_density_mass):
@@ -665,7 +666,7 @@ def build_offline_spaces(
         raise ConfigError("offline basis count below 1")
 
     rho0_cell = density(cell_average(p0, fine.cell_nodes()), fluid)
-    pou = build_partition_of_unity(mesh)
+    pou = PartitionOfUnity(mesh)
     kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
 
     psis, eigs = [], []

@@ -2,7 +2,8 @@
 
 At scheduled time steps the coarse solution's localized residual is used as
 the load of a zero-Dirichlet local solve with the current Jacobian; the
-resulting vectors replace the previous online block of the projection matrix.
+resulting vectors replace the previous online block of the projection matrix,
+each stored on its patch only, as (patch, free rows, values).
 A per-neighborhood error indicator (dual-norm of the residual scaled by the
 first discarded eigenvalue) supports selective enrichment.
 
@@ -142,7 +143,6 @@ def enrich_projection(
     top = top_k is not None and top_k < mesh.n_neighborhoods
     if top and lambda_next is None:
         raise ConfigError("top-k enrichment needs the offline eigenvalues")
-    fine = problem.fine
     rows = _free_rows(mesh, problem.boundary.dirichlet_nodes)
 
     new_cols = []
@@ -150,10 +150,10 @@ def enrich_projection(
     for round_ in range(n_online):
         F = newton_residual(
             p, p_state, problem.fluid, problem.perm, problem.time.dt,
-            problem.load, fine, problem.boundary,
+            problem.load, problem.fine, problem.boundary,
         )
         J = newton_jacobian(
-            p, problem.fluid, problem.perm, problem.time.dt, fine,
+            p, problem.fluid, problem.perm, problem.time.dt, problem.fine,
             problem.boundary,
         )
         # each patch's load and Jacobian block, taken once per round; a
@@ -170,9 +170,7 @@ def enrich_projection(
         for i, r, J_loc in local:
             x = solve_online_vector(i, r, J_loc)
             if x is not None:
-                v = np.zeros(fine.n_nodes)
-                v[rows[i]] = x
-                round_cols.append((i, v))
+                round_cols.append((i, rows[i], x))
         new_cols.extend(round_cols)
         if round_ + 1 < n_online and round_cols:
             # correct the trial state in the temporarily enriched space, on

@@ -47,10 +47,10 @@ from msflow.model import (
 )
 from msflow.offline import (
     OfflineSpace,
+    PartitionOfUnity,
     ProjectionMatrix,
     _local_operators,
     build_offline_spaces,
-    build_partition_of_unity,
     build_snapshot_v1,
     build_snapshot_v2,
     compute_kappa_tilde,
@@ -164,7 +164,7 @@ def test_identity_projection_equivalence():
                         "mixed-bc")
     ref = solve_fine(prob)
     n = mesh.fine.n_nodes
-    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n)
+    pm = ProjectionMatrix(sp.identity(n, format="csr"), [0] * n)
     space = OfflineSpace(mesh=mesh, projection=pm,
                          lambda_next=np.ones(mesh.n_neighborhoods))
     res = solve_gmsfem(prob, space)
@@ -193,7 +193,7 @@ def test_partition_of_unity_and_conformity(desk, mixed_runs):
     """Hats sum to one at machine precision; every basis column vanishes
     exactly on its patch's constrained boundary and at Dirichlet nodes."""
     mesh = desk["mesh"]
-    pou = build_partition_of_unity(mesh)
+    pou = PartitionOfUnity(mesh)
     total = np.zeros(mesh.fine.n_nodes)
     for i in range(mesh.n_neighborhoods):
         total += pou.chi_global(i)
@@ -203,7 +203,11 @@ def test_partition_of_unity_and_conformity(desk, mixed_runs):
     pm = space.projection
     # col_nb indexes the offline columns, dependent ones included
     offline = pm.offline.toarray()
-    columns = list(zip(pm.col_nb, offline.T)) + pm.online_cols
+    columns = list(zip(pm.col_nb, offline.T))
+    for i, rows, x in pm.online_cols:
+        v = np.zeros(mesh.fine.n_nodes)
+        v[rows] = x
+        columns.append((i, v))
     dirichlet = desk["mixed"].boundary.dirichlet_nodes
     for i, vals in columns:
         nb = mesh.neighborhoods[i]
@@ -220,7 +224,7 @@ def test_local_spectral_suite(desk):
     coefficient-scaling invariance, and discrete-harmonic snapshots."""
     mesh, perm, fluid = desk["mesh"], desk["perm"], desk["fluid"]
     rho0 = np.ones(mesh.fine.n_cells)
-    pou = build_partition_of_unity(mesh)
+    pou = PartitionOfUnity(mesh)
     kt = compute_kappa_tilde(mesh, perm, rho0, pou)
     i = next(
         j for j, nb in enumerate(mesh.neighborhoods) if nb.n_coarse_cells == 8

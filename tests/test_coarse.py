@@ -17,7 +17,7 @@ from msflow.online import UpdateSchedule, enrich_projection
 
 def _identity_space(mesh):
     n = mesh.fine.n_nodes
-    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n)
+    pm = ProjectionMatrix(sp.identity(n, format="csr"), [0] * n)
     return OfflineSpace(
         mesh=mesh, projection=pm, lambda_next=np.ones(mesh.n_neighborhoods)
     )
@@ -271,8 +271,8 @@ def _space_with_zero_column(mesh, space):
     """The offline space plus one all-zero basis column, which makes every
     projected Jacobian exactly singular."""
     pm = space.projection
-    offline = sp.hstack([pm.offline, sp.csr_matrix((pm.n_fine, 1))])
-    bad = ProjectionMatrix(pm.n_fine, offline, pm.col_nb + [0])
+    offline = sp.hstack([pm.offline, sp.csr_matrix((pm.offline.shape[0], 1))])
+    bad = ProjectionMatrix(offline, pm.col_nb + [0])
     return OfflineSpace(mesh=mesh, projection=bad, lambda_next=space.lambda_next)
 
 

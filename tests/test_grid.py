@@ -84,9 +84,9 @@ def test_neighborhoods_cover_all_nodes(mesh8):
 def test_hat_support_at_most_eight(mesh8):
     """At any fine node at most 8 coarse hats are nonzero (the hats of the
     enclosing coarse cell's vertices)."""
-    from msflow.offline import build_partition_of_unity
+    from msflow.offline import PartitionOfUnity
 
-    pou = build_partition_of_unity(mesh8)
+    pou = PartitionOfUnity(mesh8)
     count = np.zeros(mesh8.fine.n_nodes, dtype=int)
     for i in range(mesh8.n_neighborhoods):
         count += build_support_mask(pou, i)

@@ -1,9 +1,11 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from msflow import offline
 from msflow.cli import main
@@ -17,22 +19,23 @@ from msflow.model import (
     make_problem,
 )
 from msflow.offline import (
+    PartitionOfUnity,
     _cluster_starts,
     _local_operators,
     build_offline_space,
     build_offline_spaces,
-    build_partition_of_unity,
     build_snapshot_v1,
     build_snapshot_v2,
     compute_kappa_tilde,
     select_offline_basis,
     solve_local_spectral,
 )
+from msflow.online import enrich_projection
 
 
 @pytest.fixture(scope="module")
 def pou8(mesh8):
-    return build_partition_of_unity(mesh8)
+    return PartitionOfUnity(mesh8)
 
 
 def coarse_vertex_node(mesh, vertex):
@@ -161,7 +164,7 @@ def test_snapshot_v2_columns(mesh8, fluid, uniform_perm8):
 def spectral13(mesh8):
     perm = PermeabilityField(np.ones(mesh8.fine.n_cells))
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = build_partition_of_unity(mesh8)
+    pou = PartitionOfUnity(mesh8)
     kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
     snap = build_snapshot_v1(mesh8, 13)
     A, M = _local_operators(mesh8.neighborhoods[13], perm, rho0, kt)
@@ -190,7 +193,7 @@ def test_spectral_ascending_orthonormal(spectral13):
 
 def test_spectral_kappa_scale_invariance(mesh8):
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = build_partition_of_unity(mesh8)
+    pou = PartitionOfUnity(mesh8)
     snap = build_snapshot_v1(mesh8, 0)
     vals = {}
     for s in (1.0, 100.0):
@@ -224,7 +227,7 @@ def test_eigenvalue_decay_on_contrast_field(mesh8):
     perm = generate_channel_field(mesh8.fine, seed=0, background=1.0,
                                   channel=1e4, n_channels=6, n_inclusions=8)
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = build_partition_of_unity(mesh8)
+    pou = PartitionOfUnity(mesh8)
     kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
     i = 13
     snap = build_snapshot_v1(mesh8, i)
@@ -306,7 +309,7 @@ def test_first_basis_is_hat_for_uniform_field(mesh8, fluid, uniform_perm8):
     # constant first eigenvector: column = chi_i up to normalization
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
     space = build_offline_space(mesh8, uniform_perm8, fluid, p0, 1)
-    pou = build_partition_of_unity(mesh8)
+    pou = PartitionOfUnity(mesh8)
     R = space.projection.matrix().toarray()
     i = 13
     chi = pou.chi_global(i)
@@ -432,7 +435,7 @@ def test_dependent_columns_left_out_of_matrix(
         assert s8.projection.matrix() is s8.projection.offline
 
 
-def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
+def test_set_online_replaces_the_online_block_of_matrix(mesh4, fluid, uniform_perm4):
     """matrix() follows set_online: the online columns come after the
     offline basis, and replacing the online block by an empty one gives the
     offline basis back, so a space shared by several runs never solves with
@@ -447,17 +450,94 @@ def test_set_online_drops_cached_matrix_and_gather(mesh4, fluid, uniform_perm4):
     R0 = pm.matrix()
 
     nb = mesh4.neighborhoods[13]
-    v = np.zeros(mesh4.fine.n_nodes)
-    v[nb.nodes[nb.free_mask]] = 1.0
-    v[d] = 0.0
-    pm.set_online([(13, v)])
+    rows = np.setdiff1d(nb.nodes[nb.free_mask], d)
+    pm.set_online([(13, rows, np.ones(rows.size))])
     R1 = pm.matrix()
     assert R1.shape[1] == R0.shape[1] + 1 and pm.dim == pm.n_offline + 1
     assert (R1[:, :-1] != R0).nnz == 0
+    v = np.zeros(mesh4.fine.n_nodes)
+    v[nb.nodes[nb.free_mask]] = 1.0
+    v[d] = 0.0
     assert np.array_equal(R1[:, -1].toarray().ravel(), v)
 
     pm.set_online([])
     assert pm.matrix() is R0 and pm.dim == pm.n_offline
+
+
+@pytest.fixture(scope="module")
+def enriched12(fluid):
+    """12^3 r=2 neumann-wells on a uniform field, offline space L=2 with
+    the online block of one enrichment round at the initial state."""
+    mesh = build_two_scale_mesh(12, 12, 12, r=2)
+    perm = PermeabilityField(np.ones(mesh.fine.n_cells))
+    prob = make_problem(
+        mesh.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=1), "neumann-wells",
+        well_rate=1e8,
+    )
+    pm = build_offline_space(mesh, perm, fluid, prob.p0, 2).projection
+    enrich_projection(pm, mesh, prob, p_state=prob.p0, n_online=1)
+    assert pm.n_online > 0
+    return mesh, pm
+
+
+def test_set_online_checks_rows_against_values_and_grid(enriched12):
+    """An online column whose rows and values differ in size, or with a row
+    off the fine grid, is a ConfigError naming its neighborhood, and the
+    online block stays as it was."""
+    mesh, pm = enriched12
+    before = pm.online_cols
+    n = mesh.fine.n_nodes
+    for rows, x in [
+        (np.arange(3), np.ones(2)),
+        (np.array([0, 5, n]), np.ones(3)),
+        (np.array([-1, 5]), np.ones(2)),
+    ]:
+        with pytest.raises(ConfigError, match="neighborhood 7"):
+            pm.set_online([(7, rows, x)])
+        assert pm.online_cols is before
+    pm.set_online([(7, np.array([0, n - 1]), np.ones(2))])
+    pm.set_online(before)
+
+
+def test_online_block_equals_the_dense_stack(enriched12):
+    """matrix() with online columns, some holding exact zeros (one column
+    only zeros), has the indptr, indices and data of the basis stacked with
+    the CSR matrix of the dense fine-length columns."""
+    mesh, pm = enriched12
+    before = pm.online_cols
+    cols = [(i, rows, x.copy()) for i, rows, x in before]
+    cols[0][2][::3] = 0.0
+    cols[-1][2][:] = 0.0
+    dense = []
+    for _, rows, x in cols:
+        v = np.zeros(mesh.fine.n_nodes)
+        v[rows] = x
+        dense.append(v)
+    pm.set_online([])
+    basis = pm.matrix()
+    pm.set_online(cols)
+    try:
+        got = pm.matrix()
+    finally:
+        pm.set_online(before)
+    oracle = sp.hstack([basis, sp.csr_matrix(np.column_stack(dense))]).tocsr()
+    assert got.shape == oracle.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(oracle, attr))
+
+
+def test_online_block_memory_is_patch_local(enriched12):
+    """matrix() never forms the fine-length online columns: its tracemalloc
+    peak stays below half of one dense n_fine x n_online stack."""
+    mesh, pm = enriched12
+    dense_bytes = mesh.fine.n_nodes * pm.n_online * 8
+    tracemalloc.start()
+    try:
+        pm.matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 2
 
 
 def test_offline_pass_logs_clusters_and_resolves(

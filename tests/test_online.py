@@ -124,13 +124,19 @@ def test_free_local_dofs_in_box_dissection_order(mesh8, wells8):
 
 
 def test_online_vector_conforming_support(mesh8, wells8, space8):
-    """Each online column of an enrichment is zero off its patch and on the
-    patch's constrained boundary."""
+    """Each online column of an enrichment lies on its patch's free nodes off
+    the Dirichlet set, so it is zero off its patch and on the patch's
+    constrained boundary."""
     prob, F, J = wells8
     proj = space8.projection
     enrich_projection(proj, mesh8, prob, p_state=prob.p0, n_online=1)
-    for i, v in proj.online_cols:
+    dirichlet = prob.boundary.dirichlet_nodes
+    for i, rows, x in proj.online_cols:
         nb = mesh8.neighborhoods[i]
+        assert rows.size == x.size
+        assert np.all(np.isin(rows, np.setdiff1d(nb.nodes[nb.free_mask], dirichlet)))
+        v = np.zeros(mesh8.fine.n_nodes)
+        v[rows] = x
         member = np.zeros(mesh8.fine.n_nodes, dtype=bool)
         member[nb.nodes] = True
         assert np.all(v[~member] == 0.0)
@@ -193,7 +199,7 @@ def test_enrich_counts_and_replace_semantics(mesh8, wells8, space8):
     )
     assert added == mesh8.n_neighborhoods
     assert proj.dim == proj.n_offline + mesh8.n_neighborhoods
-    first_block = [v.copy() for _, v in proj.online_cols]
+    first_block = [(rows.copy(), x.copy()) for _, rows, x in proj.online_cols]
 
     # second enrichment replaces, never appends
     enrich_projection(
@@ -203,10 +209,10 @@ def test_enrich_counts_and_replace_semantics(mesh8, wells8, space8):
     # offline block untouched bit-for-bit
     assert (proj.offline != offline_before).nnz == 0
     # same state: recomputed block identical
-    for a, (_, b) in zip(first_block, proj.online_cols):
-        assert np.array_equal(a, b)
+    for (rows_a, a), (_, rows_b, b) in zip(first_block, proj.online_cols):
+        assert np.array_equal(rows_a, rows_b) and np.array_equal(a, b)
     # online columns ordered by neighborhood
-    nbs = [i for i, _ in proj.online_cols]
+    nbs = [i for i, _, _ in proj.online_cols]
     assert nbs == sorted(nbs)
 
 
@@ -261,7 +267,7 @@ def test_top_k_vectors_equal_the_uniform_ones(mesh8, wells8, space8):
     prob, _, _ = wells8
     proj = space8.projection
     enrich_projection(proj, mesh8, prob, p_state=prob.p0, n_online=1)
-    uniform = dict(proj.online_cols)
+    uniform = {i: (rows, x) for i, rows, x in proj.online_cols}
     enrich_projection(
         proj, mesh8, prob, p_state=prob.p0, n_online=1,
         top_k=5, lambda_next=space8.lambda_next,
@@ -269,8 +275,9 @@ def test_top_k_vectors_equal_the_uniform_ones(mesh8, wells8, space8):
     chosen = proj.online_cols
     proj.set_online([])
     assert len(chosen) == 5
-    for i, v in chosen:
-        assert np.array_equal(v, uniform[i])
+    for i, rows, x in chosen:
+        assert np.array_equal(rows, uniform[i][0])
+        assert np.array_equal(x, uniform[i][1])
 
 
 def test_enrichment_improves_single_newton_step(mesh8, fluid, wells8, space8):

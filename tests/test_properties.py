@@ -49,10 +49,11 @@ from msflow.model import (
 )
 from msflow.offline import (
     OfflineSpace,
+    PartitionOfUnity,
     ProjectionMatrix,
     _cluster_starts,
+    _column_block,
     build_offline_space,
-    build_partition_of_unity,
     build_snapshot_v1,
     build_snapshot_v2,
     compute_kappa_tilde,
@@ -269,12 +270,10 @@ def random_problem(fine, rng, dirichlet, n_steps=2, load=None):
 
 
 def patch_column(mesh, rng, i, density=1.0):
-    """A random fine vector supported on a random part of patch i."""
+    """Random values on a random part of patch i, as (fine rows, values)."""
     nb = mesh.neighborhoods[i]
-    v = np.zeros(mesh.fine.n_nodes)
     on = nb.nodes[rng.random(nb.n_local) < density]
-    v[on] = rng.standard_normal(on.size)
-    return v
+    return on, rng.standard_normal(on.size)
 
 
 def basis_matrix(kind, mesh, rng, dirichlet, problem):
@@ -285,15 +284,15 @@ def basis_matrix(kind, mesh, rng, dirichlet, problem):
         )
         chosen = np.sort(rng.choice(n_nb, rng.integers(1, n_nb + 1), replace=False))
         space.projection.set_online(
-            [(int(i), patch_column(mesh, rng, i)) for i in chosen]
+            [(int(i), *patch_column(mesh, rng, i)) for i in chosen]
         )
         return space.projection.matrix()
     if kind == "identity":
         return sp.identity(mesh.fine.n_nodes, format="csr")
     cols = [patch_column(mesh, rng, i, density=0.5) for i in rng.integers(0, n_nb, 2 * n_nb)]
     if kind == "zero column":
-        cols.insert(int(rng.integers(0, len(cols) + 1)), np.zeros(mesh.fine.n_nodes))
-    return sp.csr_matrix(np.column_stack(cols))
+        cols.insert(int(rng.integers(0, len(cols) + 1)), (np.empty(0, int), np.empty(0)))
+    return _column_block(mesh.fine.n_nodes, cols)
 
 
 @pytest.mark.parametrize("kind", ["offline+online", "identity", "sparse", "zero column"])
@@ -325,7 +324,7 @@ def test_projected_jacobian_matches_triple_product(kind, case):
 
 def identity_space(mesh):
     n = mesh.fine.n_nodes
-    pm = ProjectionMatrix(n, sp.identity(n, format="csr"), [0] * n)
+    pm = ProjectionMatrix(sp.identity(n, format="csr"), [0] * n)
     return OfflineSpace(mesh=mesh, projection=pm,
                         lambda_next=np.ones(mesh.n_neighborhoods))
 
@@ -613,7 +612,7 @@ def test_partition_of_unity_on_patches(r, Nx, Ny, Nz):
     patch."""
     mesh = build_two_scale_mesh(r * Nx, r * Ny, r * Nz, r)
     fine = mesh.fine
-    pou = build_partition_of_unity(mesh)
+    pou = PartitionOfUnity(mesh)
     ijk = np.stack(fine.node_ijk(np.arange(fine.n_nodes))) / r
     total = np.zeros(fine.n_nodes)
     for i, nb in enumerate(mesh.neighborhoods):
