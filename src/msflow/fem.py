@@ -31,7 +31,13 @@ Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
 `assemble_cells`: per-cell 8x8 blocks are scattered into a CSR pattern that is
 built once per (grid, Dirichlet node set) with the Dirichlet rows and columns
-reduced to the diagonal.
+reduced to the diagonal.  The pattern is read off the grid's 27-point
+stencil: a (node, stencil position) slot table numbers the CSR entries, and
+cell entry (a, b) of cell c goes to the slot of node cn[c, a] at the
+position of corner b seen from corner a (`_csr_pattern`).  No cell entry is
+sorted, so the build's transient is a few n_nodes x 27 arrays.  The cached
+scatter map stays int32, like scipy's CSR indices at these sizes, to keep
+each cached pattern small.
 """
 
 import functools
@@ -72,31 +78,64 @@ def element_matrices(h):
     return Ke, Me
 
 
+# Stencil position k(b - a) of the entry (a, b) of a cell block: the offset
+# from local corner a to local corner b (x fastest) as an index into the
+# 27-point stencil listed by (dz, dy, dx), each in -1, 0, 1.
+_CORNER = np.indices((2, 2, 2)).reshape(3, 8).T  # (z, y, x) of corner a
+_CORNER_OFFSET = (_CORNER[None, :] - _CORNER[:, None] + 1) @ np.array([9, 3, 1])
+_CENTRE = 13
+
+
 @functools.lru_cache(maxsize=32)
 def _csr_pattern(fine, dirichlet_key):
     """(indptr, indices, scatter, diag): the CSR structure of the Q1 operators
     on `fine` with the rows and columns of the Dirichlet nodes (int64 bytes)
     reduced to the diagonal, the CSR slot of each entry of the flattened
     (n_cells, 8, 8) cell blocks (slot nnz, dropped, for entries in a Dirichlet
-    row or column) and the slots of the Dirichlet diagonal."""
+    row or column) and the slots of the Dirichlet diagonal.
+
+    The pattern comes from the grid, not from the cell entries: a node
+    couples to the neighbours of its 27-point stencil that lie on the grid,
+    listed by (dz, dy, dx), which is ascending column order; a Dirichlet row
+    keeps its diagonal only, and no other row keeps a Dirichlet column.  A
+    (node, stencil position) slot table numbers the kept entries row by row,
+    so the cell entry (a, b) of cell c lands in slot[cn[c, a], k(b - a)]
+    with k the fixed corner-offset table `_CORNER_OFFSET`; a position off the
+    grid, in a Dirichlet row or in a Dirichlet column holds slot nnz.  The
+    build keeps a few n_nodes x 27 arrays and sorts nothing (tracemalloc
+    peak 2.1 MiB at 16^3, 15.4 MiB at 32^3).  The slots are int32, the width
+    of scipy's CSR indices at these sizes: the scatter map is cached with
+    the pattern, and an intp one would add 1 MiB per 16^3 pattern."""
     n = fine.n_nodes
-    cn = fine.cell_nodes()
+    sx, sy, sz = fine.nx + 1, fine.ny + 1, fine.nz + 1
     dirichlet = np.frombuffer(dirichlet_key, dtype=np.int64)
-    dmask = np.zeros(n, dtype=bool)
-    dmask[dirichlet] = True
-    dcell = dmask[cn]
-    keep = ~(dcell[:, :, None] | dcell[:, None, :]).ravel()
-    n_keep = int(keep.sum())
-    entry = (cn[:, :, None] * n + cn[:, None, :]).ravel()  # row * n + col
-    keys, slot = np.unique(
-        np.concatenate([entry[keep], dirichlet * (n + 1)]), return_inverse=True
-    )
-    scatter = np.full(entry.size, keys.size, dtype=np.int32)
-    scatter[keep] = slot[:n_keep]
+
+    # valid[z, y, x, dz, dy, dx]: the neighbour at the offset lies on the grid
+    valid = np.ones((sz, sy, sx, 3, 3, 3), dtype=bool)
+    valid[0, :, :, 0] = valid[-1, :, :, 2] = False
+    valid[:, 0, :, :, 0] = valid[:, -1, :, :, 2] = False
+    valid[:, :, 0, :, :, 0] = valid[:, :, -1, :, :, 2] = False
+    valid = valid.reshape(n, 27)
+    offset = np.array([sx * sy, sx, 1]) @ (np.indices((3, 3, 3)).reshape(3, 27) - 1)
+    cols = np.arange(n, dtype=np.int32)[:, None] + offset.astype(np.int32)
+    if dirichlet.size:
+        dmask = np.zeros(n, dtype=bool)
+        dmask[dirichlet] = True
+        # off-grid positions read a clipped node; they are invalid already
+        valid &= ~(dmask[:, None] | dmask.take(cols, mode="clip"))
+        valid[dirichlet, _CENTRE] = True
+
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    indices = (keys % n).astype(np.int32)
-    diag = slot[n_keep:].astype(np.int32)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = cols[valid]
+    del cols
+    slot = np.full((n, 27), nnz, dtype=np.int32)
+    slot[valid] = np.arange(nnz, dtype=np.int32)
+    del valid
+    diag = slot[dirichlet, _CENTRE]
+    slot[dirichlet, _CENTRE] = nnz
+    scatter = slot[fine.cell_nodes()[:, :, None], _CORNER_OFFSET].ravel()
     for a in (indptr, indices, scatter, diag):
         a.setflags(write=False)
     return indptr, indices, scatter, diag

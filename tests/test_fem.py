@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from msflow.fem import (
     newton_residual,
     solve_fine,
 )
+from msflow.grid import FineGrid
 from msflow.model import (
     FluidProps,
     PermeabilityField,
@@ -88,6 +90,24 @@ def test_mass_linearity_and_spd(mesh4):
 def test_mass_rejects_bad_weight(mesh4):
     with pytest.raises(AssemblyError):
         assemble_weighted_mass(mesh4.fine, np.zeros(mesh4.fine.n_cells))
+
+
+@pytest.mark.parametrize("face", [False, True])
+def test_pattern_build_memory_is_stencil_sized(face):
+    """One uncached 16^3 pattern build peaks below 6 MiB under tracemalloc,
+    with or without an x=0 Dirichlet face (a sort of all n_cells * 64 int64
+    cell-entry keys peaked at 14.8-15.4 MiB)."""
+    fine = FineGrid(16, 16, 16, 1.0)
+    fine.cell_nodes()  # the shared connectivity is not part of the build
+    i, _, _ = fine.node_ijk(np.arange(fine.n_nodes))
+    dirichlet = np.flatnonzero(i == 0) if face else np.array([], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        fem._csr_pattern.__wrapped__(fine, dirichlet.astype(np.int64).tobytes())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_cell_average(mesh4):

@@ -1,6 +1,6 @@
 """Property tests on small random grids, weights, states and Dirichlet node
-sets: the Q1 connectivity, the cell-block assembler, the Jacobian, its
-Galerkin projection on a basis matrix, the fine solver's kept
+sets: the Q1 connectivity, the cell-block assembler and its CSR pattern, the
+Jacobian, its Galerkin projection on a basis matrix, the fine solver's kept
 factorization, mass balance, the partition of unity, the driver-independent
 offline span, the nested dissection node order, the v2 snapshots and their
 Schur complement pencil, and the coarse solver's identity-projection
@@ -122,6 +122,68 @@ def test_assembler_structure_is_coo_to_csr_of_kept_entries(case):
     A = assemble_cells(fine, rng.standard_normal((fine.n_cells, 8, 8)), dirichlet)
     assert np.array_equal(A.indptr, coo.indptr)
     assert np.array_equal(A.indices, coo.indices)
+
+
+def sorted_entry_pattern(fine, dirichlet_key):
+    """The CSR pattern by sorting every kept cell entry's row * n + col key
+    (with the Dirichlet diagonal added) and numbering the distinct keys."""
+    n = fine.n_nodes
+    cn = fine.cell_nodes()
+    dirichlet = np.frombuffer(dirichlet_key, dtype=np.int64)
+    dmask = np.zeros(n, dtype=bool)
+    dmask[dirichlet] = True
+    dcell = dmask[cn]
+    keep = ~(dcell[:, :, None] | dcell[:, None, :]).ravel()
+    n_keep = int(keep.sum())
+    entry = (cn[:, :, None] * n + cn[:, None, :]).ravel()
+    keys, slot = np.unique(
+        np.concatenate([entry[keep], dirichlet * (n + 1)]), return_inverse=True
+    )
+    scatter = np.full(entry.size, keys.size, dtype=np.int32)
+    scatter[keep] = slot[:n_keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    diag = slot[n_keep:].astype(np.int32)
+    return indptr, indices, scatter, diag
+
+
+def assert_pattern_matches_sorted_entries(fine, dirichlet):
+    key = np.asarray(dirichlet, dtype=np.int64).tobytes()
+    got = fem._csr_pattern.__wrapped__(fine, key)
+    for a, b in zip(got, sorted_entry_pattern(fine, key)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(2, 6), st.integers(2, 6), st.integers(2, 6),
+    st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+)
+def test_stencil_pattern_matches_sorted_cell_entries(nx, ny, nz, seed, share):
+    """The 27-point stencil pattern equals the sort of all cell entries, for
+    random Dirichlet lists, unsorted and with repeated nodes."""
+    fine = FineGrid(nx, ny, nz, 1.0)
+    rng = np.random.default_rng(seed)
+    size = int(share * fine.n_nodes)
+    assert_pattern_matches_sorted_entries(fine, rng.choice(fine.n_nodes, size))
+
+
+@pytest.mark.parametrize("case", ["empty", "x=0 face", "corner", "every node", "unsorted"])
+@pytest.mark.parametrize("shape", [(5, 7, 6), (8, 8, 4)])
+def test_stencil_pattern_fixed_dirichlet_sets(case, shape):
+    fine = FineGrid(*shape, 1.0)
+    i, _, _ = fine.node_ijk(np.arange(fine.n_nodes))
+    dirichlet = {
+        "empty": [],
+        "x=0 face": np.flatnonzero(i == 0),
+        "corner": [fine.n_nodes - 1],
+        "every node": np.arange(fine.n_nodes),
+        "unsorted": [17, 3, fine.n_nodes - 1, 3, 0, 17, 40],
+    }[case]
+    assert_pattern_matches_sorted_entries(fine, dirichlet)
 
 
 @settings(max_examples=10)
