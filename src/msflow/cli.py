@@ -137,7 +137,8 @@ def cmd_fine_ref(args):
 def cmd_check(args):
     """Quick invariant suite on small grids: partition of unity, Jacobian
     finite differences, identity-projection equivalence, driver-independent
-    offline span, v2 harmonic extensions and their Schur complement pencil."""
+    offline span, v2 harmonic extensions and their Schur complement pencil,
+    and an offline pass independent of its process count."""
     from .fem import cell_average, newton_jacobian, newton_residual, solve_fine
     from .grid import build_two_scale_mesh
     from .model import (
@@ -148,8 +149,11 @@ def cmd_check(args):
         generate_channel_field,
         make_problem,
     )
+    from unittest import mock
+
     import scipy.linalg as la
     import scipy.sparse as sp
+    from . import offline
     from .coarse import solve_gmsfem
     from .offline import (
         OfflineSpace,
@@ -274,6 +278,37 @@ def cmd_check(args):
         f"row sums {row_dev:.2e}, free rows of A S {harmonic:.2e}, "
         f"eigenvalues {eig_dev:.2e}",
     )
+
+    # the offline pass on one process and on two, each at one BLAS thread,
+    # gives the same spaces to the bit
+    parallel = offline._parallel_pass()
+    if parallel is None:
+        report(
+            "offline pass independent of process count", True,
+            "(no OpenBLAS thread pin or no fork here: the pass runs in one "
+            "process at the default BLAS threads)",
+        )
+    else:
+        same = True
+        for mesh_, perm_, p0, kind in (
+            (mesh8, perm8, problem.p0, "v1"), (mesh6, perm6, problem6.p0, "v2")
+        ):
+            spaces = []
+            for n in (1, 2):
+                with mock.patch.object(offline, "_pass_processes", lambda: n):
+                    spaces.append(offline.build_offline_spaces(
+                        mesh_, perm_, fluid, p0, [2, 4], kind=kind
+                    ))
+            same &= all(
+                np.array_equal(a.lambda_next, b.lambda_next)
+                and (a.projection.offline != b.projection.offline).nnz == 0
+                for a, b in zip(*spaces)
+            )
+        report(
+            "offline pass independent of process count", same,
+            f"(1 and 2 processes, {len(parallel[0])} OpenBLAS pools pinned "
+            f"to one thread; v1 8^3 and v2 6^3)",
+        )
 
     return 1 if failures else 0
 

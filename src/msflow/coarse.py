@@ -5,7 +5,8 @@ nonlinearity is evaluated on fine cells).  Each time step runs the fine
 solver's damped-Newton driver (`fem._newton_step`) with the current basis
 matrix R: the fine residual and the sparse fine Jacobian are projected to
 R^T F and R^T J R, which is solved with the sparse LU kept for the basis
-(`fem._KeptLU`, R^T J R formed only to be factored), and the update is
+(`fem._KeptLU`, R^T J R formed only to be factored, in the coarse grid's
+nested dissection order of the columns' neighborhoods), and the update is
 prolonged.
 Scheduled online enrichment replaces the online columns of R between steps.
 """
@@ -66,7 +67,9 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
             enrich_projection(projection, mesh, problem, p, schedule.n_online)
             result.t_basis_online += time.perf_counter() - t0
         if kept is None:
-            kept = _KeptLU(projection.matrix())
+            kept = _KeptLU(
+                projection.factor_order(mesh.coarse), projection.matrix()
+            )
             kept.counts = counts
         p = gmsfem_step(p, kept, problem, config, result, step)
         result.states.append(p)

@@ -16,7 +16,9 @@ that _REFINE_MAXSTEPS steps do not solve, or whose residual stops falling
 first, is factored, and its LU kept instead.  Operators on a box grid (the
 fine Jacobian here and the online local systems elsewhere) are factored in
 the grid's nested dissection order (`FineGrid.dissection()`) with no further
-column ordering; projected systems use SuperLU's `MMD_ATA`.  The v2 interior
+column ordering, and a projected system in the order of its columns'
+neighborhoods in the coarse vertex grid's (`CoarseGrid.dissection()`), with
+SuperLU's diagonal pivot threshold at _COARSE_PIVOT.  The v2 interior
 blocks of the offline stage are not factored here but by a dense Cholesky
 factorization (`offline.build_snapshot_v2`): at 16^3 r=4 they have 64-512
 nodes and 61-386 right-hand sides, where SuperLU's triangular solves took
@@ -257,12 +259,15 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     )
 
 
-def _factor(A, permc_spec):
-    """Sparse LU of A (SuperLU) with the column ordering permc_spec:
-    "NATURAL" for an operator on a box grid given in the grid's
-    `dissection()` order, "MMD_ATA" for a projected system."""
+def _factor(A, diag_pivot_thresh=1.0):
+    """Sparse LU of A (SuperLU) in the order A is given, with no column
+    ordering: callers give an operator on a box grid in the grid's
+    `dissection()` order, and a projected system in its coarse grid's."""
     try:
-        return spla.splu(sp.csc_matrix(A), permc_spec=permc_spec)
+        return spla.splu(
+            sp.csc_matrix(A), permc_spec="NATURAL",
+            diag_pivot_thresh=diag_pivot_thresh,
+        )
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
 
@@ -307,7 +312,7 @@ def linear_solve(A, b):
     """Direct sparse solve with a residual-norm check.  A is factored in the
     order it is given (no fill-reducing column ordering): callers give a
     grid operator in its grid's `dissection()` order."""
-    return _lu_solve(_factor(A, "NATURAL"), A, np.asarray(b, dtype=float))[0]
+    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float))[0]
 
 
 # A Newton system is solved by iterative refinement on a kept LU to this
@@ -323,6 +328,16 @@ _REFINE_MAXSTEPS = 20
 # the stopping test only where the exact residual is within 1 % of it.  On the
 # 16^3 references it halves the LU solves; 10 % moved e_l2 by 3.6e-8 relative.
 _FORCING = 1e-2
+# SuperLU's diagonal pivot threshold for a projected system in its coarse
+# dissection order: a diagonal pivot is kept while it is at least this
+# fraction of its column's largest entry.  On sweep-wells (seed 0, 2 vCPUs,
+# dims 500/595/1000) it factors in 4.5/9.2/29.4 ms with fill 93k/174k/437k,
+# against 18.0/31.6/131.8 ms and 109k/171k/483k on `MMD_ATA` with partial
+# pivoting, residuals 3e-14 to 2e-13 (1e-9 with dependent online columns)
+# either way.  0.1 was faster still at dim 1000 (20.5 ms, fill 329k), but on
+# the near-singular systems of two online rounds it left the kept-LU and the
+# refactored coarse states 2.0e-10 apart, against 8.3e-11 at 0.5 and 1.0.
+_COARSE_PIVOT = 0.5
 
 
 @dataclass(eq=False, repr=False)
@@ -342,15 +357,16 @@ class _KeptLU:
     """The sparse LU kept for the Newton systems of one basis: the fine
     Jacobians of a `solve_fine` call, factored in the node order `order` (the
     fine grid's `dissection()`), or the projected systems R^T J R of one
-    coarse basis matrix R.  With c small the Jacobian barely moves over a
-    run, so a few refinement steps replace a factorization.  counts, a
-    Counter that the kept LUs of one run may share, gets the LU solves
-    (refinement included) as "lu_solves" and the factorizations as
+    coarse basis matrix R, factored in the column order `order`
+    (`ProjectionMatrix.factor_order`).  With c small the Jacobian barely
+    moves over a run, so a few refinement steps replace a factorization.
+    counts, a Counter that the kept LUs of one run may share, gets the LU
+    solves (refinement included) as "lu_solves" and the factorizations as
     "factorizations"."""
 
-    def __init__(self, R=None, order=None):
-        self.R = R
+    def __init__(self, order, R=None):
         self.order = order
+        self.R = R
         self.lu = None
         self.counts = Counter()
 
@@ -378,12 +394,9 @@ class _KeptLU:
             )
             self.lu = None  # never two factorizations alive at once
         try:
-            A = J.tocsc()
-            if self.R is None:
-                o = self.order
-                self.lu = _ReorderedLU(_factor(A[:, o][o], "NATURAL"), o)
-            else:  # less fill than on A^T + A: 0.48M against 0.61M at dim 1000
-                self.lu = _factor(A, "MMD_ATA")
+            A, o = J.tocsc(), self.order
+            pivot = 1.0 if self.R is None else _COARSE_PIVOT
+            self.lu = _ReorderedLU(_factor(A[:, o][o], pivot), o)
             self.counts["factorizations"] += 1
             x, steps = _lu_solve(self.lu, J, b)
             self.counts["lu_solves"] += 1 + steps

@@ -13,7 +13,8 @@ patches of one mesh share a handful of patterns.
 `FineGrid.dissection()`, the grid's nested dissection node order, is built
 the same way; every grid-shaped sparse LU (the fine Jacobian, the online
 local solves and the offline shift-invert solves) factors in the order of
-its grid.
+its grid, and the projected coarse systems in the order of the coarse
+vertex grid (`CoarseGrid.dissection()`).
 """
 
 import functools
@@ -76,8 +77,8 @@ class FineGrid:
         plane, and a box lists its lower half, its upper half, then the
         separator plane, each in the same order, down to single nodes.
         Every sparse LU of an operator on this grid factors in this order;
-        built once per grid and read-only."""
-        return _dissection(self)
+        built once per grid shape and read-only."""
+        return _dissection(self.nx, self.ny, self.nz)
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,7 +92,9 @@ def _cell_nodes(grid):
 
 
 @functools.lru_cache(maxsize=64)
-def _dissection(grid):
+def _dissection(nx, ny, nz):
+    """The nested dissection order of the nodes of an nx x ny x nz cell
+    grid, lexicographic node indices with x fastest."""
     orders = {}  # box shape (nodes per axis) -> its node coordinates in order
 
     def dissect(shape):
@@ -110,7 +113,8 @@ def _dissection(grid):
                 orders[shape] = np.concatenate(parts)
         return orders[shape]
 
-    order = grid.node_index(*dissect((grid.nx + 1, grid.ny + 1, grid.nz + 1)).T)
+    i, j, k = dissect((nx + 1, ny + 1, nz + 1)).T
+    order = i + (nx + 1) * (j + (ny + 1) * k)
     order.setflags(write=False)
     return order
 
@@ -130,6 +134,13 @@ class CoarseGrid:
     def vertex_ijk(self, idx):
         sx, sy = self.Nx + 1, self.Ny + 1
         return idx % sx, (idx // sx) % sy, idx // (sx * sy)
+
+    def dissection(self):
+        """The vertex indices in the nested dissection order of
+        `FineGrid.dissection()` on this grid; the projected systems of the
+        coarse solver factor their columns in it
+        (`ProjectionMatrix.factor_order`)."""
+        return _dissection(self.Nx, self.Ny, self.Nz)
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,43 @@ factorizations and solves, the SuperLU solves and `dpstrf` run on scipy's.
 A threaded numpy product between two of them leaves two pools contending
 for the same cores: on 2 vCPUs the 16^3 v2 pass took 4.7-6.1 s with `@` and
 1.9-2.7 s with `dgemm`, with the same space.  So keep these products on
-`dgemm`.  The Schur complement is a sparse-by-dense product, which uses no
-BLAS.
+`dgemm`; a pass that cannot pin its BLAS threads (below) still runs them at
+the default thread count.  The Schur complement is a sparse-by-dense
+product, which uses no BLAS.
+
+The local problems of distinct patches are independent, so an offline pass
+solves them on every CPU this process may run on (`_solve_patches`): the
+parent lists the distinct patches by `_patch_key`, deals them in descending
+order of size to P = min(CPUs in the affinity mask, patches) shares, solves
+the first share itself and forks a helper (`multiprocessing`, "fork") for
+each other one, which sends its modes, eigenvalues, counts and log records
+back over a pipe; the parent puts them together in patch order.  For the
+pass, every process sets each loaded OpenBLAS to one thread (its
+`*_set_num_threads` function, found through `/proc/self/maps`), and the
+parent's counts are restored afterwards, so a patch's result is the same to
+the bit whichever process solves it, and the space is the same for any P;
+`taskset -c 0` gives one process.  Where no pin applies (another BLAS, no
+fork) the pass runs in one process at the default thread count.  The
+parent re-emits the helpers' log records in patch order, raises the error
+of the lowest failing neighborhood, solves the share of a helper that dies
+without a result itself (WARNING), and leaves no child process behind.  On
+the 16^3 benchmark fields (seed 0, 2 vCPUs, a fresh process, 5 runs) the
+sweep-wells pass took 1.12-2.64 s (median 1.46) on two processes against
+2.05-4.62 s (2.54) on one at the default threads, and the run-v2-mixed pass
+1.14-1.31 s (1.28) against 1.61-1.97 s (1.74).  A helper peaks at 58-68 MiB
+RSS, mostly pages it shares with the parent.
 """
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import logging
+import multiprocessing
+import os
+import pickle
+import re
+import signal
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -67,7 +98,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import eigsh
 
-from .errors import ConfigError, SingularMatrixError
+from .errors import ConfigError, MsflowError, SingularMatrixError
 from .fem import (
     _factor,
     assemble_weighted_mass,
@@ -385,7 +416,7 @@ def _sparse_pairs(i, box, A, M, n_eig):
     n = A.shape[0]
     sigma = _SHIFT_FRACTION * float(np.median(A.diagonal() / M.diagonal()))
     try:
-        lu = _factor(A - sigma * M, "NATURAL")
+        lu = _factor(A - sigma * M)
         op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = eigsh(A, n_eig, M, sigma=sigma, OPinv=op, v0=np.ones(n))
     except (SingularMatrixError, spla.ArpackError) as exc:
@@ -501,6 +532,8 @@ class ProjectionMatrix:
         self._basis = (
             self.offline if independent is None else self.offline[:, independent]
         )
+        basis_nb = np.asarray(self.col_nb, dtype=np.intp)
+        self._basis_nb = basis_nb if independent is None else basis_nb[independent]
 
     @property
     def n_offline(self):
@@ -535,6 +568,19 @@ class ProjectionMatrix:
             self.offline.shape[0], [(rows, x) for _, rows, x in self.online_cols]
         )
         return sp.hstack([self._basis, online]).tocsr()
+
+    def factor_order(self, coarse):
+        """The order in which a projected system on matrix()'s columns is
+        factored (`fem._KeptLU`): the columns sorted, stably, by the place of
+        their neighborhood's vertex in the coarse grid's `dissection()`, so
+        the columns of one patch stay together and in their order."""
+        rank = np.empty(coarse.n_vertices, dtype=np.intp)
+        rank[coarse.dissection()] = np.arange(coarse.n_vertices)
+        nb = np.concatenate([
+            self._basis_nb,
+            np.array([i for i, _, _ in self.online_cols], dtype=np.intp),
+        ])
+        return np.argsort(rank[nb], kind="stable")
 
 
 @dataclass
@@ -626,6 +672,250 @@ def _patch_key(nb, kind, n_eig, perm, rho0_cell, kappa_tilde, extra_density_mass
     return digest.digest()
 
 
+@dataclass
+class _Solved:
+    """One distinct patch's offline modes and eigenvalues, with what the
+    pass record counts: its solvers, growth re-solves and seconds."""
+
+    psi: np.ndarray
+    eigenvalues: np.ndarray
+    solvers: Counter
+    resolves: int
+    t_snap: float
+    t_eig: float
+
+
+def _solve_patch(mesh, kind, perm, rho0_cell, kappa_tilde, extra_density_mass, i, L):
+    """The first L offline modes of neighborhood i: its pencil, snapshot
+    space and spectral solve for L + _EXTRA_PAIRS pairs, asked again for
+    twice as many while the cluster of equal eigenvalues that holds pair L
+    is not computed whole.  The pencil, snapshot space and pairs are freed
+    on return, before the next patch's are built."""
+    n_eig = L + _EXTRA_PAIRS
+    t1 = time.perf_counter()
+    A, M = _local_operators(
+        mesh.neighborhoods[i], perm, rho0_cell, kappa_tilde, extra_density_mass
+    )
+    snap = build_snapshot_v1(mesh, i) if kind == "v1" else build_snapshot_v2(mesh, i, A)
+    t2 = time.perf_counter()
+    spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
+    solvers, resolves = Counter([spec.solver]), 0
+    while spec.n_complete < L and n_eig < snap.dim:
+        n_eig *= 2
+        resolves += 1
+        spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
+        solvers[spec.solver] += 1
+    psi = select_offline_basis(snap, spec, L)
+    return _Solved(
+        psi, spec.eigenvalues, solvers, resolves, t2 - t1, time.perf_counter() - t2
+    )
+
+
+class _HeldRecords(logging.Filter):
+    """Holds back every record of the offline logger, its message formatted
+    so that it can cross a pipe, for the pass to emit in patch order."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def filter(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+        return False
+
+
+def _solve_share(solve, jobs):
+    """Solve the (neighborhood, L) jobs of one process in the order given.
+
+    Returns ({i: _Solved}, {i: held log records}, the lowest (i, exception)
+    that failed, or None).  A job above a failed neighborhood is skipped:
+    it cannot hold the pass's lowest failure."""
+    solved, records, failed = {}, {}, None
+    held = _HeldRecords()
+    log.addFilter(held)
+    try:
+        for i, L in jobs:
+            if failed is not None and i > failed[0]:
+                continue
+            try:
+                solved[i] = solve(i, L)
+            except Exception as exc:
+                failed = (i, exc)
+            records[i], held.records = held.records, []
+    finally:
+        log.removeFilter(held)
+    return solved, records, failed
+
+
+# (get, set) thread-count functions of an OpenBLAS build: the 64-bit-integer
+# and the plain builds that numpy's and scipy's wheels bundle, and system ones
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}",
+     f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "") for suffix in ("64_", "")
+)
+# BLAS libraries whose threads the pass cannot pin
+_OTHER_BLAS = re.compile(r"mkl|blis|flexiblas|atlas|libc?blas\.", re.IGNORECASE)
+
+
+def _openblas_pools():
+    """The (get, set) thread-count functions of every OpenBLAS mapped into
+    this process (`/proc/self/maps`), or None if there is none, another
+    BLAS is mapped, or an OpenBLAS lacks the functions: then no pin."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "/" in ln})
+    except OSError:
+        return None
+    pools = []
+    for path in paths:
+        name = os.path.basename(path)
+        if "openblas" not in name.lower():
+            if _OTHER_BLAS.search(name):
+                return None
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return None
+        names = next(
+            ((g, s) for g, s in _OPENBLAS_SYMBOLS if hasattr(lib, g) and hasattr(lib, s)),
+            None,
+        )
+        if names is None:
+            return None
+        get, set_threads = getattr(lib, names[0]), getattr(lib, names[1])
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        pools.append((get, set_threads))
+    return pools or None
+
+
+@contextlib.contextmanager
+def _blas_threads(pools, n):
+    """Every OpenBLAS of pools at n threads, the counts restored on exit."""
+    before = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(pools, before):
+            set_threads(count)
+
+
+def _pass_processes():
+    """The processes an offline pass may use: the CPUs this process may run
+    on, so `taskset` restricts it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _parallel_pass():
+    """(BLAS pools, fork context) of a pass that may run on several
+    processes, each at one BLAS thread, or None: then the pass runs in this
+    process at the default thread count.
+
+    The helpers are forked, not spawned: they inherit the mesh, the field
+    and the loaded libraries, where a spawned one would import numpy and
+    scipy again and receive the pass's inputs pickled.  The process's only
+    other threads are OpenBLAS's, whose pools OpenBLAS itself stops around
+    fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    pools = _openblas_pools()
+    return None if pools is None else (pools, multiprocessing.get_context("fork"))
+
+
+def _helper(conn, pools, solve, jobs):
+    """A forked helper: solve its share at one BLAS thread and send it back.
+    It leaves Ctrl-C to the process that forked it, which ends it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for _, set_threads in pools:
+        set_threads(1)
+    solved, records, failed = _solve_share(solve, jobs)
+    if failed is not None:
+        i, exc = failed
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            failed = (i, MsflowError(f"{type(exc).__name__}: {exc}"))
+    conn.send((solved, records, failed))
+    conn.close()
+
+
+def _solve_patches(solve, jobs, parallel):
+    """Solve the (neighborhood, L) jobs of the distinct patches, given in
+    descending order of patch size; returns ({i: _Solved}, the process
+    count).
+
+    With parallel (`_parallel_pass`), the jobs are dealt in their order to
+    P = min(`_pass_processes()`, jobs) shares: this process solves the
+    first, and a helper forked for each other share sends its results back
+    over a pipe.  Every process runs at one BLAS thread meanwhile, so a
+    patch's result is the same to the bit whichever process solved it.  A
+    helper that dies without a result has its share solved here, with a
+    WARNING.  No helper outlives the call, whatever it raises.  Log records
+    of the solves are emitted in patch order, and a failure raises the
+    exception of the lowest failing neighborhood, as a pass in one process
+    does."""
+    n_proc = min(_pass_processes(), len(jobs)) if parallel else 1
+    shares = [jobs[k::n_proc] for k in range(n_proc)]
+    pools, ctx = parallel or ([], None)
+    outs, helpers = [], []
+    with _blas_threads(pools, 1):
+        try:
+            for share in shares[1:]:
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_helper, args=(send, pools, solve, share), daemon=True
+                )
+                helpers.append((proc, recv, share))
+                try:
+                    proc.start()
+                finally:
+                    send.close()  # this end lives on in the helper only
+            outs.append(_solve_share(solve, shares[0]))
+            for proc, recv, share in helpers:
+                try:
+                    outs.append(recv.recv())
+                except EOFError:  # the helper died without a result
+                    proc.join()
+                    log.warning(
+                        "offline helper process %d exited with code %s before "
+                        "returning its %d patches; solving them in this process",
+                        proc.pid, proc.exitcode, len(share),
+                    )
+                    outs.append(_solve_share(solve, share))
+        except BaseException:
+            for proc, _, _ in helpers:
+                if proc.pid is not None:
+                    proc.kill()
+            raise
+        finally:
+            for proc, recv, _ in helpers:
+                if proc.pid is not None:
+                    proc.join()
+                recv.close()
+    solved, records, failures = {}, {}, []
+    for share_solved, share_records, failed in outs:
+        solved.update(share_solved)
+        records.update(share_records)
+        if failed is not None:
+            failures.append(failed)
+    lowest = min(failures, key=lambda f: f[0]) if failures else None
+    for i in sorted(records):
+        if lowest is None or i <= lowest[0]:
+            for record in records[i]:
+                log.handle(record)
+    if lowest is not None:
+        raise lowest[1]
+    return solved, n_proc
+
+
 def build_offline_spaces(
     mesh,
     perm,
@@ -649,7 +939,8 @@ def build_offline_spaces(
     of equal eigenvalues that holds pair L is not computed whole, so every
     space equals the one a single-count build gives, up to rounding.  A
     neighborhood with the `_patch_key` of an earlier one reuses its first L
-    modes and its eigenvalues; only those two arrays are kept per key.
+    modes and its eigenvalues; only those two arrays are kept per key.  The
+    distinct patches are solved on several processes (`_solve_patches`).
     """
     t0 = time.perf_counter()
     fine = mesh.fine
@@ -669,54 +960,48 @@ def build_offline_spaces(
     pou = PartitionOfUnity(mesh)
     kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
 
-    psis, eigs = [], []
-    solved = {}  # _patch_key -> (psi, eigenvalues) of the first patch with it
+    Ls = [max(n[i] for n in counts) for i in range(mesh.n_neighborhoods)]
+    first = {}  # _patch_key -> the first neighborhood with it
+    source = [  # per neighborhood, the one whose solve it takes
+        first.setdefault(
+            _patch_key(nb, kind, L + _EXTRA_PAIRS, perm, rho0_cell, kt,
+                       extra_density_mass),
+            i,
+        )
+        for i, (nb, L) in enumerate(zip(mesh.neighborhoods, Ls))
+    ]
+    solve = functools.partial(
+        _solve_patch, mesh, kind, perm, rho0_cell, kt, extra_density_mass
+    )
+    jobs = sorted(
+        ((i, Ls[i]) for i in first.values()),
+        key=lambda job: -mesh.neighborhoods[job[0]].n_local,
+    )
+    solved, n_proc = _solve_patches(solve, jobs, _parallel_pass())
+
+    psis = [solved[k].psi for k in source]
+    eigs = [solved[k].eigenvalues for k in source]
     straddled = [0] * len(counts)
-    resolves = reused = 0
-    solvers = Counter()  # SpectralDecomposition.solver of every solve
-    t_snap = t_eig = 0.0
-    for i in range(mesh.n_neighborhoods):
-        L = max(n[i] for n in counts)
-        n_eig = L + _EXTRA_PAIRS
-        nb = mesh.neighborhoods[i]
-        key = _patch_key(nb, kind, n_eig, perm, rho0_cell, kt, extra_density_mass)
-        if key in solved:
-            reused += 1
-        else:
-            t1 = time.perf_counter()
-            A, M = _local_operators(nb, perm, rho0_cell, kt, extra_density_mass)
-            if kind == "v1":
-                snap = build_snapshot_v1(mesh, i)
-            else:
-                snap = build_snapshot_v2(mesh, i, A)
-            t2 = time.perf_counter()
-            t_snap += t2 - t1
-            spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
-            solvers[spec.solver] += 1
-            while spec.n_complete < L and n_eig < snap.dim:
-                n_eig *= 2
-                resolves += 1
-                spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
-                solvers[spec.solver] += 1
-            t_eig += time.perf_counter() - t2
-            solved[key] = (select_offline_basis(snap, spec, L), spec.eigenvalues)
-            del A, M, snap, spec  # freed before the next patch's are built
-        psi, lam = solved[key]
-        psis.append(psi)
-        eigs.append(lam)
+    for i, lam in enumerate(eigs):
         starts = _cluster_starts(lam)
         for c, n in enumerate(counts):
             straddled[c] += n[i] < lam.size and n[i] not in starts
+    solvers = sum((s.solvers for s in solved.values()), Counter())
+    t_pass = time.perf_counter() - t0
     log.debug(
-        "offline %s pass over %d neighborhoods, %d reused from an equal "
-        "patch: local pencils and snapshot builds %.3f s, spectral solves "
-        "%.3f s (%d sparse, %d dense fallbacks); %d n_eig growth re-solves; "
-        "neighborhoods with a cluster across the cut: %s",
-        kind, mesh.n_neighborhoods, reused, t_snap, t_eig,
-        solvers["sparse"], solvers["fallback"], resolves,
+        "offline %s pass over %d neighborhoods on %d processes in %.3f s, %d "
+        "reused from an equal patch: local pencils and snapshot builds %.3f s, "
+        "spectral solves %.3f s, summed over the processes (%d sparse, %d "
+        "dense fallbacks); %d n_eig growth re-solves; neighborhoods with a "
+        "cluster across the cut: %s",
+        kind, mesh.n_neighborhoods, n_proc, t_pass,
+        mesh.n_neighborhoods - len(solved),
+        sum(s.t_snap for s in solved.values()),
+        sum(s.t_eig for s in solved.values()),
+        solvers["sparse"], solvers["fallback"],
+        sum(s.resolves for s in solved.values()),
         ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
     )
-    t_pass = time.perf_counter() - t0
 
     if dirichlet_nodes is None:
         dirichlet_nodes = np.empty(0, dtype=int)

@@ -177,7 +177,9 @@ def enrich_projection(
             # the round's Jacobian (assembled at p)
             projection.set_online(new_cols)
             R = projection.matrix()
-            p = p + R @ _KeptLU(R).solve(_Galerkin(R, J), -(R.T @ F))
+            p = p + R @ _KeptLU(projection.factor_order(mesh.coarse), R).solve(
+                _Galerkin(R, J), -(R.T @ F)
+            )
 
     # stable column order: neighborhood ascending, round order preserved
     new_cols.sort(key=lambda t: t[0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow import coarse, fem, online
+from msflow import coarse, fem, offline, online
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import NewtonConfig, solve_fine
@@ -45,8 +45,8 @@ def test_coarse_solve_frees_its_kept_lu(mesh4, fluid, uniform_perm4, monkeypatch
     built = []  # (weak reference, dimension) per kept LU
     kept_lu = coarse._KeptLU
 
-    def recording_kept_lu(R):
-        kept = kept_lu(R)
+    def recording_kept_lu(order, R):
+        kept = kept_lu(order, R)
         built.append((weakref.ref(kept), R.shape[1]))
         return kept
 
@@ -405,3 +405,37 @@ def test_forcing_term_cuts_the_logged_lu_solves(mesh8, fluid, caplog, monkeypatc
     assert [f[2] for f in forced] == [e[2] for e in exact] == [1, 2]
     for (systems, solves, _), (systems0, solves0, _) in zip(forced, exact):
         assert systems == systems0 and solves < solves0
+
+
+def test_projected_systems_factor_in_the_coarse_dissection_order(mesh8, fluid):
+    """`ProjectionMatrix.factor_order` lists matrix()'s columns, online ones
+    included, by their neighborhood's place in the coarse grid's
+    `dissection()`, each patch's columns together and in their order; the
+    kept LU of R^T J R factored in it solves the system as a dense solve
+    does, to 1e-10."""
+    prob, space = _channel_wells(mesh8, fluid)
+    projection = space.projection
+    enrich_projection(projection, mesh8, prob, prob.p0, 1)
+    R = projection.matrix()
+    # the neighborhood of each of matrix()'s columns: the independent
+    # offline ones, then the online ones
+    kept = offline._independent_columns(projection.offline)
+    nb = np.concatenate([
+        np.asarray(projection.col_nb)[kept],
+        [i for i, _, _ in projection.online_cols],
+    ])
+    assert nb.size == R.shape[1] and projection.n_online > 0
+    order = projection.factor_order(mesh8.coarse)
+    rank = np.argsort(mesh8.coarse.dissection())
+    assert np.array_equal(np.sort(order), np.arange(R.shape[1]))
+    assert np.all(np.diff(rank[nb[order]]) >= 0)
+    for i in np.unique(nb):
+        cols = order[nb[order] == i]
+        assert np.all(np.diff(cols) > 0)
+    J = fem.newton_jacobian(prob.p0 * 1.01, fluid, prob.perm, prob.time.dt,
+                            mesh8.fine, prob.boundary)
+    A = fem._Galerkin(R, J)
+    b = R.T @ np.ones(mesh8.fine.n_nodes)
+    x = fem._KeptLU(order, R).solve(A, b)
+    ref = np.linalg.solve(A.tocsc().toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)

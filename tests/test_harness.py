@@ -348,6 +348,8 @@ def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
         return solve(mesh, i, *args, n_eig=n_eig)
 
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
+    # counting sees the solves of this process only, so the pass runs in one
+    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     reports = sweep(small_config(tmp_path), ["2+0", "2+1", "4+0"])
     n_nb = 27
@@ -448,12 +450,14 @@ def test_cli_run_and_check(tmp_path, capsys):
 def test_cli_check_passes(capsys):
     """`msflow check`: partition of unity, Jacobian finite differences, the
     identity-projection equivalence of the coarse solver, the
-    driver-independent offline span, and the v2 harmonic extensions and
-    their Schur complement pencil on small grids."""
+    driver-independent offline span, the v2 harmonic extensions and their
+    Schur complement pencil, and an offline pass that gives the same bits on
+    one process and on two, on small grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 5 and all(line.startswith("[PASS]") for line in out)
+    assert len(out) == 6 and all(line.startswith("[PASS]") for line in out)
     assert out[4].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
+    assert out[5].startswith("[PASS] offline pass independent of process count ")
 
 
 def test_cli_sweep_prints_ratio(tmp_path, capsys):

@@ -557,6 +557,8 @@ def test_offline_pass_logs_clusters_and_resolves(
         return solve(*args, n_eig=n_eig)
 
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
+    # counting sees the solves of this process only, so the pass runs in one
+    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
     build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
@@ -741,6 +743,8 @@ def test_missed_cluster_copy_falls_back_to_the_dense_solve(
         return np.delete(vals, lo), np.delete(vecs, lo, axis=1)
 
     monkeypatch.setattr(offline, "eigsh", dropping)
+    # dropping sees the solves of this process only, so the pass runs in one
+    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     spaces = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
     assert len(dropped) == 1
@@ -864,6 +868,8 @@ def test_pass_assembles_each_distinct_patch_pencil_once(
                         spy("mass", offline.assemble_weighted_mass))
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
     monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
+    # the spies see the solves of this process only, so the pass runs in one
+    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     build_offline_spaces(mesh, perm, fluid, p0, [2, 4], kind=kind)
     m = re.search(r"(\d+) reused .* (\d+) n_eig growth re-solves", caplog.text)

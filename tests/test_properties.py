@@ -443,18 +443,18 @@ class _Factorization:
 
 class TrackedFactorizations:
     """Stands in for `spla.splu` (the one found at construction): counts the
-    calls, records their column orderings and checks at each one that every
-    earlier factorization has been freed."""
+    calls, records their diagonal pivot thresholds and checks at each one
+    that every earlier factorization has been freed."""
 
     def __init__(self):
         self.splu = spla.splu
         self.calls = 0
-        self.orderings = []  # permc_spec of each call
+        self.pivots = []  # diag_pivot_thresh of each call
         self.made = []  # weak references to the factorizations returned
 
     def __call__(self, A, **kwargs):
         self.calls += 1
-        self.orderings.append(kwargs.get("permc_spec"))
+        self.pivots.append(kwargs.get("diag_pivot_thresh"))
         assert self.all_freed(), "two sparse factorizations alive at once"
         lu = _Factorization(self.splu(A, **kwargs))
         self.made.append(weakref.ref(lu))
@@ -502,9 +502,9 @@ def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
     iterations to the same states as with a factorization of every
     projected system (cap 0).  The default factors once per basis (the
     offline basis, then one per online update; the projected systems are
-    the factorizations with the `MMD_ATA` column ordering, the online local
-    solves use "NATURAL"), and every LU is freed by the time the run
-    returns."""
+    the factorizations with the coarse diagonal pivot threshold, the online
+    local solves use SuperLU's default 1.0), and every LU is freed by the
+    time the run returns."""
     perm = generate_channel_field(mesh8.fine, seed=1, background=1.0,
                                   channel=1e4, n_channels=4, n_inclusions=4)
     problem = make_problem(mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=4),
@@ -518,7 +518,7 @@ def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
                 mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
             result = solve_gmsfem(problem, space, schedule)
         assert lus.all_freed()
-        runs[cap] = result, sum(spec == "MMD_ATA" for spec in lus.orderings)
+        runs[cap] = result, lus.pivots.count(fem._COARSE_PIVOT)
     (sol, kept), (ref, refactored) = runs[fem._REFINE_MAXSTEPS], runs[0]
     assert sol.newton_iters == ref.newton_iters
     bases = len(schedule.update_steps) if online else 1
