@@ -19,7 +19,7 @@ The v1 subset solves of patches above _SPARSE_MIN_NODES nodes run on the
 sparse operators: shift-invert Lanczos (`eigsh`) on one LU of A - sigma M,
 checked by a Sylvester inertia count at a cut below the last computed
 cluster (`_sparse_pairs`).  A patch that fails the check is solved densely,
-and the fallback is logged at INFO.  Smaller patches, v2 (its projected
+and the pass logs the fallback at INFO.  Smaller patches, v2 (its projected
 problem is dense) and the full spectrum use LAPACK's dense `eigh`.
 
 A v2 snapshot space is built from one dense Cholesky factorization of the
@@ -54,31 +54,36 @@ product, which uses no BLAS.
 
 The local problems of distinct patches are independent, so an offline pass
 solves them on every CPU this process may run on (`_solve_patches`): the
-parent lists the distinct patches by `_patch_key`, deals them in descending
-order of size to P = min(CPUs in the affinity mask, patches) shares, solves
-the first share itself and forks a helper (`multiprocessing`, "fork") for
-each other one, which sends its modes, eigenvalues, counts and log records
-back over a pipe; the parent puts them together in patch order.  For the
-pass, every process sets each loaded OpenBLAS to one thread (its
-`*_set_num_threads` function, found through `/proc/self/maps`), and the
-parent's counts are restored afterwards, so a patch's result is the same to
-the bit whichever process solves it, and the space is the same for any P;
-`taskset -c 0` gives one process.  Where no pin applies (another BLAS, no
-fork) the pass runs in one process at the default thread count.  The
-parent re-emits the helpers' log records in patch order, raises the error
-of the lowest failing neighborhood, solves the share of a helper that dies
-without a result itself (WARNING), and leaves no child process behind.  On
-the 16^3 benchmark fields (seed 0, 2 vCPUs, a fresh process, 5 runs) the
-sweep-wells pass took 1.12-2.64 s (median 1.46) on two processes against
-2.05-4.62 s (2.54) on one at the default threads, and the run-v2-mixed pass
-1.14-1.31 s (1.28) against 1.61-1.97 s (1.74).  A helper peaks at 58-68 MiB
-RSS, mostly pages it shares with the parent.
+parent lists the distinct patches by `_patch_key`, largest first, as one
+work list, forks P - 1 helpers (`multiprocessing`, "fork"; P = min(CPUs in
+the affinity mask, patches)), and every process claims the next job from
+one shared counter until none is left; a helper sends each of its patches'
+result, or the exception its solve raised, back over a pipe.  The results
+are plain data: the reason of a dense fallback travels in them
+(`SpectralDecomposition.fallback`), and the parent logs it at INFO in patch
+order.  For the pass, every process sets each loaded OpenBLAS to one thread
+(its `*_set_num_threads` function, found through `/proc/self/maps`), and
+the parent's counts are restored afterwards, so a patch's result is the
+same to the bit whichever process solves it, and the space is the same for
+any P; `taskset -c 0` gives one process.  Where no pin applies (another
+BLAS, no fork) the pass runs in one process at the default thread count.
+The parent raises the error of the lowest failing neighborhood, solves the
+jobs of a helper that dies without a result itself (WARNING), and leaves no
+child process behind.  On the 16^3 benchmark fields (seed 0, 2 vCPUs, a
+fresh process, 7 runs) the sweep-wells pass took 1.28-1.56 s (median 1.41)
+on two processes and the run-v2-mixed pass 1.07-1.58 s (1.20); in earlier
+runs one process at the default threads took 2.05-4.62 s (2.54) and
+1.61-1.97 s (1.74).  The two processes' solve seconds differ by at most
+0.012 s, where two shares dealt once (63 and 62 of run-v2-mixed's 125
+patches) differed by 0.03-0.36 s, and 1.56 s in one run.  A helper peaks at
+58-68 MiB RSS, mostly pages it shares with the parent.
 """
 
 import contextlib
 import ctypes
 import functools
 import hashlib
+import itertools
 import logging
 import multiprocessing
 import os
@@ -293,6 +298,7 @@ class SpectralDecomposition:
     # "dense" (eigh), "sparse" (shift-invert Lanczos, checked by the inertia
     # count) or "fallback" (eigh after a sparse solve that failed the check)
     solver: str = "dense"
+    fallback: str | None = None  # why the sparse solve failed, for "fallback"
 
 
 def _cluster_starts(eigenvalues):
@@ -399,7 +405,7 @@ def _count_below(A, M, cut):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _sparse_pairs(i, box, A, M, n_eig):
+def _sparse_pairs(box, A, M, n_eig):
     """The n_eig lowest pairs of the sparse pencil (A, M) on a box grid, and
     n_complete, by shift-invert Lanczos (ARPACK through `eigsh`) on one LU
     of A - sigma M in the grid's `dissection()` order, with the start
@@ -409,8 +415,8 @@ def _sparse_pairs(i, box, A, M, n_eig):
     the operators in natural node order), so the result is checked: the
     number of eigenvalues below a cut midway between the last two computed
     clusters (`_count_below`) must equal n_complete, the number computed
-    below it.  None, logged at INFO, if the count disagrees or the solve
-    fails; the caller then solves the patch densely."""
+    below it.  Returns (pairs, None), or (None, the reason) if the count
+    disagrees or the solve fails; the caller then solves the patch densely."""
     order = box.dissection()
     A, M = A[order][:, order], M[order][:, order]
     n = A.shape[0]
@@ -420,11 +426,7 @@ def _sparse_pairs(i, box, A, M, n_eig):
         op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = eigsh(A, n_eig, M, sigma=sigma, OPinv=op, v0=np.ones(n))
     except (SingularMatrixError, spla.ArpackError) as exc:
-        log.info(
-            "neighborhood %d: shift-invert Lanczos failed (%s); solved densely",
-            i, exc,
-        )
-        return None
+        return None, f"shift-invert Lanczos failed ({exc})"
     del lu, op  # one factorization alive at a time
     idx = np.argsort(vals)
     vals, vecs = vals[idx], vecs[:, idx]
@@ -433,15 +435,14 @@ def _sparse_pairs(i, box, A, M, n_eig):
         cut = 0.5 * (vals[n_complete - 1] + vals[n_complete])
         count = _count_below(A, M, cut)
         if count != n_complete:
-            log.info(
-                "neighborhood %d: shift-invert Lanczos found %d pairs below "
-                "%.6g, the inertia count %s; solved densely",
-                i, n_complete, cut, "failed" if count is None else f"gives {count}",
+            return None, (
+                f"shift-invert Lanczos found {n_complete} pairs below {cut:.6g}, "
+                f"the inertia count "
+                f"{'failed' if count is None else f'gives {count}'}"
             )
-            return None
     out = np.empty_like(vecs)
     out[order] = vecs
-    return vals, out, n_complete
+    return (vals, out, n_complete), None
 
 
 def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
@@ -459,15 +460,16 @@ def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
 
     A v1 subset solve of a patch with more than _SPARSE_MIN_NODES nodes runs
     on the sparse operators (`_sparse_pairs`), and densely (LAPACK's subset
-    eigh) if that fails its inertia check; every other solve is dense.
+    eigh) if that fails its inertia check, with the reason in `fallback`;
+    every other solve is dense.
     """
     nb = mesh.neighborhoods[i]
-    solver, pairs = "dense", None
+    solver, pairs, fallback = "dense", None, None
     if (
         snapshot.basis is None and n_eig is not None
         and _SPARSE_MIN_NODES < nb.n_local and n_eig < nb.n_local
     ):
-        pairs = _sparse_pairs(i, nb.box, A, M, n_eig)
+        pairs, fallback = _sparse_pairs(nb.box, A, M, n_eig)
         solver = "fallback" if pairs is None else "sparse"
     if pairs is None:
         if snapshot.basis is None:
@@ -490,7 +492,8 @@ def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
             vecs[:, lo:hi] = _canonical_cluster(vecs[:, lo:hi], probes)
     vecs *= _signs(vecs, probes)
     return SpectralDecomposition(
-        eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete, solver=solver
+        eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete,
+        solver=solver, fallback=fallback,
     )
 
 
@@ -675,12 +678,13 @@ def _patch_key(nb, kind, n_eig, perm, rho0_cell, kappa_tilde, extra_density_mass
 @dataclass
 class _Solved:
     """One distinct patch's offline modes and eigenvalues, with what the
-    pass record counts: its solvers, growth re-solves and seconds."""
+    pass record counts: its solvers, the reason of each dense fallback
+    (growth re-solves included) and seconds."""
 
     psi: np.ndarray
     eigenvalues: np.ndarray
     solvers: Counter
-    resolves: int
+    fallbacks: list
     t_snap: float
     t_eig: float
 
@@ -698,54 +702,33 @@ def _solve_patch(mesh, kind, perm, rho0_cell, kappa_tilde, extra_density_mass, i
     )
     snap = build_snapshot_v1(mesh, i) if kind == "v1" else build_snapshot_v2(mesh, i, A)
     t2 = time.perf_counter()
-    spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
-    solvers, resolves = Counter([spec.solver]), 0
-    while spec.n_complete < L and n_eig < snap.dim:
-        n_eig *= 2
-        resolves += 1
+    solvers, fallbacks = Counter(), []
+    while True:
         spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
         solvers[spec.solver] += 1
+        if spec.fallback is not None:
+            fallbacks.append(spec.fallback)
+        if spec.n_complete >= L or n_eig >= snap.dim:
+            break
+        n_eig *= 2
     psi = select_offline_basis(snap, spec, L)
     return _Solved(
-        psi, spec.eigenvalues, solvers, resolves, t2 - t1, time.perf_counter() - t2
+        psi, spec.eigenvalues, solvers, fallbacks, t2 - t1, time.perf_counter() - t2
     )
 
 
-class _HeldRecords(logging.Filter):
-    """Holds back every record of the offline logger, its message formatted
-    so that it can cross a pipe, for the pass to emit in patch order."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def filter(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-        return False
-
-
-def _solve_share(solve, jobs):
-    """Solve the (neighborhood, L) jobs of one process in the order given.
-
-    Returns ({i: _Solved}, {i: held log records}, the lowest (i, exception)
-    that failed, or None).  A job above a failed neighborhood is skipped:
-    it cannot hold the pass's lowest failure."""
-    solved, records, failed = {}, {}, None
-    held = _HeldRecords()
-    log.addFilter(held)
-    try:
-        for i, L in jobs:
-            if failed is not None and i > failed[0]:
-                continue
-            try:
-                solved[i] = solve(i, L)
-            except Exception as exc:
-                failed = (i, exc)
-            records[i], held.records = held.records, []
-    finally:
-        log.removeFilter(held)
-    return solved, records, failed
+def _solve_claimed(solve, jobs, claim):
+    """Solve the (neighborhood, L) jobs whose indices claim() returns, until
+    it returns one past the last: {neighborhood: its _Solved, or the
+    exception its solve raised}."""
+    results = {}
+    while (k := claim()) < len(jobs):
+        i, L = jobs[k]
+        try:
+            results[i] = solve(i, L)
+        except Exception as exc:
+            results[i] = exc
+    return results
 
 
 # (get, set) thread-count functions of an OpenBLAS build: the 64-bit-integer
@@ -830,20 +813,30 @@ def _parallel_pass():
     return None if pools is None else (pools, multiprocessing.get_context("fork"))
 
 
-def _helper(conn, pools, solve, jobs):
-    """A forked helper: solve its share at one BLAS thread and send it back.
-    It leaves Ctrl-C to the process that forked it, which ends it."""
+def _claim_next(counter):
+    """The next index of a work list that forked processes share through
+    counter, a `multiprocessing` Value."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value - 1
+
+
+def _helper(conn, pools, solve, jobs, claim):
+    """A forked helper: solve the jobs it claims at one BLAS thread and send
+    the results back, an error whose type cannot be rebuilt from its pickle
+    as an MsflowError.  It leaves Ctrl-C to the process that forked it,
+    which ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for _, set_threads in pools:
         set_threads(1)
-    solved, records, failed = _solve_share(solve, jobs)
-    if failed is not None:
-        i, exc = failed
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            failed = (i, MsflowError(f"{type(exc).__name__}: {exc}"))
-    conn.send((solved, records, failed))
+    results = _solve_claimed(solve, jobs, claim)
+    for i, result in results.items():
+        if isinstance(result, Exception):
+            try:
+                pickle.loads(pickle.dumps(result))
+            except Exception:
+                results[i] = MsflowError(f"{type(result).__name__}: {result}")
+    conn.send(results)
     conn.close()
 
 
@@ -852,68 +845,62 @@ def _solve_patches(solve, jobs, parallel):
     descending order of patch size; returns ({i: _Solved}, the process
     count).
 
-    With parallel (`_parallel_pass`), the jobs are dealt in their order to
-    P = min(`_pass_processes()`, jobs) shares: this process solves the
-    first, and a helper forked for each other share sends its results back
-    over a pipe.  Every process runs at one BLAS thread meanwhile, so a
-    patch's result is the same to the bit whichever process solved it.  A
-    helper that dies without a result has its share solved here, with a
-    WARNING.  No helper outlives the call, whatever it raises.  Log records
-    of the solves are emitted in patch order, and a failure raises the
-    exception of the lowest failing neighborhood, as a pass in one process
-    does."""
+    With parallel (`_parallel_pass`), this process and P - 1 helpers, P =
+    min(`_pass_processes()`, jobs), claim the jobs in their order from one
+    shared counter; each helper is forked and sends its results back over a
+    pipe.  Every process runs at one BLAS thread meanwhile, so a patch's
+    result is the same to the bit whichever process solved it.  The jobs of
+    a helper that dies without a result are solved here, with a WARNING.
+    No helper outlives the call, whatever it raises.  The dense fallbacks
+    are logged at INFO in patch order, and a failure raises the exception
+    of the lowest failing neighborhood, as a pass in one process does."""
     n_proc = min(_pass_processes(), len(jobs)) if parallel else 1
-    shares = [jobs[k::n_proc] for k in range(n_proc)]
     pools, ctx = parallel or ([], None)
-    outs, helpers = [], []
+    claim = itertools.count().__next__
+    if n_proc > 1:
+        claim = functools.partial(_claim_next, ctx.Value("l", 0))
+    helpers = []
     with _blas_threads(pools, 1):
         try:
-            for share in shares[1:]:
+            for _ in range(n_proc - 1):
                 recv, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
-                    target=_helper, args=(send, pools, solve, share), daemon=True
+                    target=_helper, args=(send, pools, solve, jobs, claim), daemon=True
                 )
-                helpers.append((proc, recv, share))
+                helpers.append((proc, recv))
                 try:
                     proc.start()
                 finally:
                     send.close()  # this end lives on in the helper only
-            outs.append(_solve_share(solve, shares[0]))
-            for proc, recv, share in helpers:
+            results = _solve_claimed(solve, jobs, claim)
+            for proc, recv in helpers:
                 try:
-                    outs.append(recv.recv())
+                    results.update(recv.recv())
                 except EOFError:  # the helper died without a result
                     proc.join()
                     log.warning(
                         "offline helper process %d exited with code %s before "
-                        "returning its %d patches; solving them in this process",
-                        proc.pid, proc.exitcode, len(share),
+                        "returning its patches; solving them in this process",
+                        proc.pid, proc.exitcode,
                     )
-                    outs.append(_solve_share(solve, share))
+            missing = [job for job in jobs if job[0] not in results]
+            results.update(_solve_claimed(solve, missing, itertools.count().__next__))
         except BaseException:
-            for proc, _, _ in helpers:
+            for proc, _ in helpers:
                 if proc.pid is not None:
                     proc.kill()
             raise
         finally:
-            for proc, recv, _ in helpers:
+            for proc, recv in helpers:
                 if proc.pid is not None:
                     proc.join()
                 recv.close()
-    solved, records, failures = {}, {}, []
-    for share_solved, share_records, failed in outs:
-        solved.update(share_solved)
-        records.update(share_records)
-        if failed is not None:
-            failures.append(failed)
-    lowest = min(failures, key=lambda f: f[0]) if failures else None
-    for i in sorted(records):
-        if lowest is None or i <= lowest[0]:
-            for record in records[i]:
-                log.handle(record)
-    if lowest is not None:
-        raise lowest[1]
-    return solved, n_proc
+    for i in sorted(results):
+        if isinstance(results[i], Exception):
+            raise results[i]
+        for reason in results[i].fallbacks:
+            log.info("neighborhood %d: %s; solved densely", i, reason)
+    return results, n_proc
 
 
 def build_offline_spaces(
@@ -946,6 +933,8 @@ def build_offline_spaces(
     fine = mesh.fine
     if kind not in ("v1", "v2"):
         raise ConfigError(f"unknown snapshot kind '{kind}'")
+    if not counts:
+        raise ConfigError("no offline basis count given")
     labels = [f"L={n}" if isinstance(n, int) else "per-neighborhood L" for n in counts]
     counts = [
         [n] * mesh.n_neighborhoods if isinstance(n, int) else list(n)
@@ -999,7 +988,7 @@ def build_offline_spaces(
         sum(s.t_snap for s in solved.values()),
         sum(s.t_eig for s in solved.values()),
         solvers["sparse"], solvers["fallback"],
-        sum(s.resolves for s in solved.values()),
+        solvers.total() - len(solved),
         ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
     )
 

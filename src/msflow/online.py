@@ -138,6 +138,10 @@ def enrich_projection(
 
     Returns the number of vectors added.
     """
+    if n_online < 0:
+        raise ConfigError(f"online vector count {n_online} below 0")
+    if top_k is not None and top_k < 1:
+        raise ConfigError(f"top-k enrichment of {top_k} neighborhoods, below 1")
     if n_online == 0:
         return 0
     top = top_k is not None and top_k < mesh.n_neighborhoods

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +11,25 @@ from msflow.model import FluidProps, PermeabilityField
 # property tests draw the same examples on every run and never time out
 settings.register_profile("msflow", deadline=None, derandomize=True, database=None)
 settings.load_profile("msflow")
+
+
+def _reaped():
+    """Every child of this process has been joined and reaped."""
+    if multiprocessing.active_children():
+        return False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture(autouse=True)
+def no_child_processes():
+    """Fails every test that leaves a child process behind; a test that asks
+    for it gets the check itself, to run between its steps."""
+    yield _reaped
+    assert _reaped(), "a child process outlived the test"
 
 
 @pytest.fixture(scope="session")

@@ -341,6 +341,14 @@ def test_offline_space_metadata(mesh8, fluid, uniform_perm8):
     assert ev[0] > 1e-10 * ev[-1]
 
 
+def test_offline_spaces_need_a_count(mesh4, fluid, uniform_perm4):
+    """An empty list of offline counts is a ConfigError, not a bare
+    ValueError from min()."""
+    p0 = np.full(mesh4.fine.n_nodes, fluid.p_ref)
+    with pytest.raises(ConfigError, match="no offline basis count"):
+        build_offline_spaces(mesh4, uniform_perm4, fluid, p0, [])
+
+
 @pytest.fixture(scope="module")
 def desk_patch():
     """The 16^3 high-contrast desk field and one interior neighborhood (8
@@ -762,6 +770,45 @@ def test_missed_cluster_copy_falls_back_to_the_dense_solve(
             a.projection.offline.toarray(), b.projection.offline.toarray()
         )
         assert np.array_equal(a.lambda_next, b.lambda_next)
+
+
+def test_failed_sparse_solves_are_data_logged_once_each(
+    mesh8, fluid, uniform_perm8, caplog, monkeypatch
+):
+    """A sparse solve whose Lanczos fails returns solver "fallback" with the
+    reason in `fallback`, and the pass logs one INFO line per failed sparse
+    solve, growth re-solves included, in patch order, whichever process
+    solved it."""
+
+    def failing_eigsh(*args, **kwargs):
+        raise offline.spla.ArpackError(-9999)
+
+    monkeypatch.setattr(offline, "eigsh", failing_eigsh)
+    monkeypatch.setattr(offline, "_SPARSE_MIN_NODES", 0)
+    rho0 = np.ones(mesh8.fine.n_cells)
+    kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
+    A, M = _local_operators(mesh8.neighborhoods[13], uniform_perm8, rho0, kt)
+    snap = build_snapshot_v1(mesh8, 13)
+    spec = solve_local_spectral(mesh8, 13, snap, A, M, n_eig=6)
+    assert spec.solver == "fallback"
+    assert spec.fallback.startswith("shift-invert Lanczos failed (ARPACK error -9999")
+
+    monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
+    p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
+    build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
+    m = re.search(r"\(0 sparse, (\d+) dense fallbacks\); (\d+) n_eig growth", caplog.text)
+    assert int(m.group(2)) > 0
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(infos) == int(m.group(1))
+    patches = [
+        int(re.fullmatch(
+            r"neighborhood (\d+): shift-invert Lanczos failed \(.+\); solved densely",
+            msg,
+        ).group(1))
+        for msg in infos
+    ]
+    assert patches == sorted(patches)
 
 
 def test_sparse_solve_counted_in_the_pass_record(mesh8, fluid, uniform_perm8, caplog):

@@ -261,6 +261,25 @@ def test_enrich_top_k_selection(mesh8, wells8, space8):
     proj.set_online([])
 
 
+@pytest.mark.parametrize(
+    "n_online, top_k, message",
+    [(1, -1, "top-k"), (1, 0, "top-k"), (-2, None, "online vector count")],
+)
+def test_enrich_rejects_negative_counts(
+    n_online, top_k, message, mesh8, wells8, space8
+):
+    """top_k < 1 and n_online < 0 are ConfigErrors, not a silent choice of
+    patches (top_k=-1 would take all but the lowest indicator) or none."""
+    prob, _, _ = wells8
+    proj = space8.projection
+    with pytest.raises(ConfigError, match=message):
+        enrich_projection(
+            proj, mesh8, prob, p_state=prob.p0, n_online=n_online,
+            top_k=top_k, lambda_next=space8.lambda_next,
+        )
+    assert proj.n_online == 0
+
+
 def test_top_k_vectors_equal_the_uniform_ones(mesh8, wells8, space8):
     """A top-k round solves the same local problems as a uniform round: its
     vectors equal, to the bit, the uniform round's on the chosen patches."""

@@ -1,11 +1,15 @@
 """The offline pass on several processes (`offline._solve_patches`): the same
-bits for any process count, the serial pass's errors and log records, and no
-process left behind on any path."""
+bits for any process count, one work list that keeps every process busy, the
+serial pass's errors and log records, and no process left behind on any
+path (the autouse `no_child_processes` fixture checks that after every
+test)."""
 
 import logging
-import multiprocessing
 import os
 import re
+import select
+import time
+import types
 
 import numpy as np
 import pytest
@@ -28,15 +32,45 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def no_child_processes():
-    """Every child of this process has been joined and reaped."""
-    if multiprocessing.active_children():
-        return False
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+class Signals:
+    """A pipe from forked helpers to this process, which orders the two:
+    a helper sends neighborhood numbers, this process waits for them."""
+
+    def __init__(self):
+        self.read_fd, self.write_fd = os.pipe()
+        self.received = []
+
+    def send(self, *neighborhoods):
+        """In any process of the pass: one write, so the numbers arrive
+        together."""
+        os.write(self.write_fd, b"".join(i.to_bytes(2, "little") for i in neighborhoods))
+
+    def _receive(self, data):
+        self.received += [
+            int.from_bytes(data[k:k + 2], "little") for k in range(0, len(data), 2)
+        ]
+
+    def wait(self, n):
+        """Receive the next n numbers, waiting up to a minute for each."""
+        data = b""
+        while len(data) < 2 * n:
+            ready, _, _ = select.select([self.read_fd], [], [], 60)
+            assert ready, "no helper sent a neighborhood within 60 s"
+            data += os.read(self.read_fd, 2 * n - len(data))
+        self._receive(data)
+
+    def all_sent(self):
+        """Every number the helpers sent, once they have exited."""
+        self.close()
+        self._receive(b"".join(iter(lambda: os.read(self.read_fd, 4096), b"")))
+        return self.received
+
+    def close(self):
+        """Close this process's write end: then a read ends once every
+        helper has exited."""
+        if self.write_fd is not None:
+            os.close(self.write_fd)
+            self.write_fd = None
 
 
 def processes(monkeypatch, n):
@@ -75,7 +109,8 @@ def channel6(mesh6, fluid):
 
 @pytest.mark.parametrize("kind", ["v1", "v2"])
 def test_spaces_are_the_same_bits_on_any_process_count(
-    kind, mesh6, mesh8, fluid, channel6, channel8, caplog, monkeypatch
+    kind, mesh6, mesh8, fluid, channel6, channel8, caplog, monkeypatch,
+    no_child_processes,
 ):
     """psi, the eigenvalues, lambda_next and the projection matrices of a
     pass are bit-identical on 1, 2 and 3 processes.  v1 on 8^3 r=4 with
@@ -109,7 +144,9 @@ def test_spaces_are_the_same_bits_on_any_process_count(
             assert (a.projection.matrix() != b.projection.matrix()).nnz == 0
 
 
-def test_sweep_rows_are_the_same_on_one_and_two_processes(tmp_path, monkeypatch):
+def test_sweep_rows_are_the_same_on_one_and_two_processes(
+    tmp_path, monkeypatch, no_child_processes
+):
     """A sweep writes the same CSV rows, timing columns aside, whether its
     offline pass runs on one process or two."""
     rows = []
@@ -144,17 +181,44 @@ def failing_at(neighborhoods, exc):
     return failing
 
 
+def in_helpers(act, signals, wait=1):
+    """A `_solve_patch` that calls act(i, solve) in a helper, and in this
+    process solves, waiting first for `wait` neighborhoods from the helpers'
+    signals so that they have claimed jobs before this process takes them
+    all.  Returns it and the list of neighborhoods this process solved."""
+    solve = offline._solve_patch
+    parent = os.getpid()
+    here = []
+
+    def patched(mesh, kind, perm, rho0, kt, extra, i, L):
+        args = (mesh, kind, perm, rho0, kt, extra, i, L)
+        if os.getpid() != parent:
+            return act(i, lambda: solve(*args))
+        if not here and wait:
+            signals.wait(wait)
+        here.append(i)
+        return solve(*args)
+
+    return patched, here
+
+
+@pytest.fixture
+def signals():
+    signals = Signals()
+    yield signals
+    signals.close()
+    os.close(signals.read_fd)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_failure_names_the_lowest_failing_neighborhood(
-    n, mesh8, fluid, channel8, monkeypatch
+    n, mesh8, fluid, channel8, monkeypatch, no_child_processes
 ):
-    """Patches failing on several processes raise the error of the lowest
-    failing neighborhood, with its type, as a pass on one process does, and
-    no helper is left running."""
+    """Patches failing in whichever processes claim them raise the error of
+    the lowest failing neighborhood, with its type, as a pass on one process
+    does, and no helper is left running."""
     perm, p0 = channel8
     processes(monkeypatch, n)
-    # the 729-node patch 13 is dealt first, to this process; on 2 processes
-    # 21 is a helper's, and on 3 so is 3, the lowest
     monkeypatch.setattr(offline, "_solve_patch",
                         failing_at({3, 13, 21}, SingularMatrixError))
     with pytest.raises(SingularMatrixError, match="neighborhood 3$"):
@@ -162,20 +226,19 @@ def test_failure_names_the_lowest_failing_neighborhood(
     assert no_child_processes()
 
 
-def test_helper_error_that_cannot_cross_the_pipe(mesh8, fluid, channel8, monkeypatch):
+def test_helper_error_that_cannot_cross_the_pipe(
+    mesh8, fluid, channel8, monkeypatch, signals, no_child_processes
+):
     """An error whose type cannot be rebuilt from its pickle reaches the
     caller as an MsflowError with the type and message."""
     perm, p0 = channel8
     processes(monkeypatch, 2)
-    solve = offline._solve_patch
-    parent = os.getpid()
 
-    def failing(*args):
-        if os.getpid() != parent:
-            raise NewtonConvergenceError(1, 2, 3.0)
-        return solve(*args)
+    def failing(i, solve):
+        signals.send(i)
+        raise NewtonConvergenceError(1, 2, 3.0)
 
-    monkeypatch.setattr(offline, "_solve_patch", failing)
+    monkeypatch.setattr(offline, "_solve_patch", in_helpers(failing, signals)[0])
     with pytest.raises(MsflowError, match="NewtonConvergenceError: Newton did not"):
         offline.build_offline_space(mesh8, perm, fluid, p0, 2)
     assert no_child_processes()
@@ -184,12 +247,19 @@ def test_helper_error_that_cannot_cross_the_pipe(mesh8, fluid, channel8, monkeyp
 @pytest.mark.parametrize(
     "exc, code", [(SingularMatrixError, 1), (ConfigError, 2)]
 )
-def test_helper_failure_exit_code(exc, code, tmp_path, capsys, monkeypatch):
+def test_helper_failure_exit_code(
+    exc, code, tmp_path, capsys, monkeypatch, signals, no_child_processes
+):
     """`msflow run` exits with the code of the error a helper raised, and
-    names the lowest failing neighborhood: 4, dealt to the helper after the
-    interior patch 13, not 22, which this process solves."""
+    names the lowest failing neighborhood: the helper fails on every job it
+    claims, this process on none."""
     processes(monkeypatch, 2)
-    monkeypatch.setattr(offline, "_solve_patch", failing_at({4, 22}, exc))
+
+    def failing(i, solve):
+        signals.send(i)
+        raise exc(f"patch failure at neighborhood {i}")
+
+    monkeypatch.setattr(offline, "_solve_patch", in_helpers(failing, signals)[0])
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 8\nmesh.ny = 8\nmesh.nz = 8\nmesh.ratio = 4\n"
@@ -197,25 +267,25 @@ def test_helper_failure_exit_code(exc, code, tmp_path, capsys, monkeypatch):
         f"output.dir = {tmp_path / 'out'}\n"
     )
     assert main(["run", "--config", str(cfgfile)]) == code
-    assert "patch failure at neighborhood 4\n" in capsys.readouterr().err
+    lowest = min(signals.all_sent())
+    assert f"patch failure at neighborhood {lowest}\n" in capsys.readouterr().err
     assert no_child_processes()
 
 
-def test_dead_helper_share_is_solved_here(mesh8, fluid, channel8, caplog, monkeypatch):
-    """A helper that dies without a result has its share solved by this
+def test_dead_helper_jobs_are_solved_here(
+    mesh8, fluid, channel8, caplog, monkeypatch, signals, no_child_processes
+):
+    """A helper that dies without a result has its jobs solved by this
     process, with a WARNING, and the spaces are the same bits."""
     perm, p0 = channel8
     processes(monkeypatch, 1)
     ref = offline.build_offline_spaces(mesh8, perm, fluid, p0, [2, 4])
-    solve = offline._solve_patch
-    parent = os.getpid()
 
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(9)
-        return solve(*args)
+    def dying(i, solve):
+        signals.send(i)
+        os._exit(9)
 
-    monkeypatch.setattr(offline, "_solve_patch", dying)
+    monkeypatch.setattr(offline, "_solve_patch", in_helpers(dying, signals, 2)[0])
     processes(monkeypatch, 3)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     spaces = offline.build_offline_spaces(mesh8, perm, fluid, p0, [2, 4])
@@ -228,12 +298,91 @@ def test_dead_helper_share_is_solved_here(mesh8, fluid, channel8, caplog, monkey
     assert no_child_processes()
 
 
+def test_jobs_a_dead_helper_claimed_are_solved_here(
+    mesh8, fluid, channel8, caplog, monkeypatch, signals
+):
+    """A helper that dies on its third job has solved two and claimed three:
+    this process solves those three, in their order, after every job it
+    claimed itself, and psi and the eigenvalues are the same bits as on one
+    process."""
+    perm, p0 = channel8
+    processes(monkeypatch, 1)
+    passes = recorded_pass(monkeypatch)
+    offline.build_offline_space(mesh8, perm, fluid, p0, 2)
+    claimed = []
+
+    def dying_third(i, solve):
+        claimed.append(i)
+        if len(claimed) == 3:
+            signals.send(*claimed)
+            os._exit(9)
+        return solve()
+
+    # this process waits for the helper's death before its first solve
+    patched, here = in_helpers(dying_third, signals, 3)
+    monkeypatch.setattr(offline, "_solve_patch", patched)
+    processes(monkeypatch, 2)
+    caplog.set_level(logging.WARNING, logger="msflow.offline")
+    offline.build_offline_space(mesh8, perm, fluid, p0, 2)
+    died = signals.all_sent()
+    assert len(died) == 3 and here[-3:] == died
+    assert len([r for r in caplog.records if "exited with code 9" in r.getMessage()]) == 1
+    ref, solved = passes
+    assert solved.keys() == ref.keys() and sorted(here) == sorted(solved)
+    for i, s in solved.items():
+        assert np.array_equal(s.psi, ref[i].psi)
+        assert np.array_equal(s.eigenvalues, ref[i].eigenvalues)
+
+
+def test_this_process_claims_while_a_helper_is_slow(
+    mesh8, fluid, channel8, monkeypatch
+):
+    """On two processes, while every solve of the helper sleeps a second,
+    this process solves all but a few jobs."""
+    perm, p0 = channel8
+    processes(monkeypatch, 2)
+    passes = recorded_pass(monkeypatch)
+
+    def slow(i, solve):
+        time.sleep(1.0)
+        return solve()
+
+    patched, here = in_helpers(slow, None, 0)
+    monkeypatch.setattr(offline, "_solve_patch", patched)
+    offline.build_offline_space(mesh8, perm, fluid, p0, 2)
+    (solved,) = passes
+    assert len(solved) > 10
+    assert len(here) >= len(solved) - 2
+
+
+def test_every_job_is_claimed_once_by_more_processes_than_cpus(
+    monkeypatch, signals
+):
+    """Six processes claim 3000 trivial jobs from the shared counter: each
+    job is solved exactly once, none twice (a lost update of the counter)
+    and none never."""
+    processes(monkeypatch, 6)
+    jobs = [(i, 1) for i in range(3000)]
+
+    def solve(i, L):
+        signals.send(i)
+        return types.SimpleNamespace(fallbacks=[])
+
+    start = time.perf_counter()
+    solved, n_proc = offline._solve_patches(solve, jobs, offline._parallel_pass())
+    assert n_proc == 6 and sorted(solved) == list(range(3000))
+    assert sorted(signals.all_sent()) == list(range(3000))
+    assert time.perf_counter() - start < 60
+
+
 class Interrupted(BaseException):
     """Stands in for KeyboardInterrupt, which pytest would act on."""
 
 
-def test_interrupted_pass_leaves_no_helper(mesh8, fluid, channel8, monkeypatch):
-    """An interruption of this process's share, while helpers solve theirs
+def test_interrupted_pass_leaves_no_helper(
+    mesh8, fluid, channel8, monkeypatch, no_child_processes
+):
+    """An interruption of this process's jobs, while helpers solve theirs
     or wait to send them, ends and reaps every helper before it is
     re-raised."""
     perm, p0 = channel8
