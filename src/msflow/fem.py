@@ -27,7 +27,8 @@ most of the snapshot time; at 24^3 r=8 the largest has 4096 nodes and is
 Every Newton iteration, fine or coarse, assembles the one sparse Jacobian J
 (`newton_jacobian`); a coarse system is its Galerkin projection R^T J R
 (`_Galerkin`), which refinement applies as R^T (J (R x)) and which is formed
-only when it is factored, once per basis in a normal run.
+only when it is factored, once per basis in a normal run.  The residual
+and the Jacobian read one per-cell state (`_cell_state`) of a checked p.
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
@@ -184,6 +185,30 @@ def cell_average(p, cn):
     return np.asarray(p)[cn].mean(axis=1)
 
 
+def _checked(name, p, fine):
+    """p as a float array, with one entry per fine node or an AssemblyError."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[0] != fine.n_nodes:
+        raise AssemblyError(f"{name} length {p.shape[0]} != fine node count {fine.n_nodes}")
+    return p
+
+
+def _cell_state(p, fluid, perm, dt, fine):
+    """The per-cell state that the residual and the Jacobian share: the cell
+    density rho_c at the cell mean of the (checked) state p, the flux weight
+    dt (kappa/mu) rho_c and Ke (p - cell mean) per cell, shape (n_cells, 8)."""
+    p = _checked("p", p, fine)
+    Ke, _ = element_matrices(fine.h)
+    p_loc = p[fine.cell_nodes()]
+    p_mean = p_loc.mean(axis=1)
+    rho_c = density(p_mean, fluid)
+    flux_w = dt * (perm.values / fluid.mu) * rho_c
+    # Subtract the cell mean before applying Ke (constants are in its kernel):
+    # analytically a no-op, numerically it keeps the large absolute pressure
+    # level out of the flux roundoff.
+    return rho_c, flux_w, np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
+
+
 def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     """Backward-Euler Newton residual of the compressible-flow weak form.
 
@@ -192,40 +217,20 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     with rho evaluated cell-wise at the nodal average.  Dirichlet rows are
     replaced by p_j - p_j^d.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape[0] != fine.n_nodes:
-        raise AssemblyError(
-            f"state length {p.shape[0]} != fine node count {fine.n_nodes}"
-        )
+    rho_c, flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
     cell_nodes = fine.cell_nodes()
-    Ke, _ = element_matrices(fine.h)
-
-    p_loc = p[cell_nodes]
-    p_mean = p_loc.mean(axis=1)
-    rho_c = density(p_mean, fluid)
-    rho_prev = density(cell_average(p_prev, cell_nodes), fluid)
-
-    vol8 = fine.h**3 / 8.0
-    acc_c = fluid.phi * (rho_c - rho_prev) * vol8
-
-    # Subtract the cell mean before applying Ke (constants are in its kernel):
-    # analytically a no-op, numerically it keeps the large absolute pressure
-    # level out of the flux roundoff.
-    flux_w = dt * (perm.values / fluid.mu) * rho_c
-    e_flux = flux_w[:, None] * np.einsum(
-        "ab,cb->ca", Ke, p_loc - p_mean[:, None]
-    )
+    rho_prev = density(cell_average(_checked("p_prev", p_prev, fine), cell_nodes), fluid)
+    acc_c = fluid.phi * (rho_c - rho_prev) * (fine.h**3 / 8.0)
 
     n = fine.n_nodes
     flat = cell_nodes.ravel()
     F = np.bincount(flat, weights=np.repeat(acc_c, 8), minlength=n)
-    F += np.bincount(flat, weights=e_flux.ravel(), minlength=n)
+    F += np.bincount(flat, weights=(flux_w[:, None] * kp).ravel(), minlength=n)
     F -= dt * load
 
     if boundary is not None and boundary.dirichlet_nodes.size:
-        F[boundary.dirichlet_nodes] = (
-            p[boundary.dirichlet_nodes] - boundary.dirichlet_values
-        )
+        d = boundary.dirichlet_nodes
+        F[d] = np.asarray(p, dtype=float)[d] - boundary.dirichlet_values
     return F
 
 
@@ -234,26 +239,19 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
 
     Dirichlet rows and columns are eliminated to the identity.
     """
-    p = np.asarray(p, dtype=float)
+    rho_c, flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
     Ke, _ = element_matrices(fine.h)
-
-    p_loc = p[fine.cell_nodes()]
-    p_mean = p_loc.mean(axis=1)
-    rho_c = density(p_mean, fluid)
-
-    vol8 = fine.h**3 / 8.0
     # flux, frozen density: dt (kappa/mu) rho_c Ke
-    flux_w = dt * (perm.values / fluid.mu) * rho_c
     blocks = flux_w[:, None, None] * Ke[None, :, :]
-    # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i
-    blocks += (fluid.phi * fluid.c * rho_c * vol8 / 8.0)[:, None, None]
+    # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i,
+    # with vol8 = h^3 / 8
+    blocks += (fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0)[:, None, None]
     # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
-    kp = np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
     blocks += ((fluid.c / 8.0) * flux_w[:, None] * kp)[:, :, None]
     # free the per-cell temporaries before the assembly allocates: kept alive,
     # they double the minor page faults of a cold 16^3 fine solve (42k
     # against 12-25k) through glibc's heap trimming
-    del p_loc, p_mean, rho_c, flux_w, kp
+    del rho_c, flux_w, kp
     return assemble_cells(
         fine, blocks, None if boundary is None else boundary.dirichlet_nodes
     )

@@ -241,10 +241,7 @@ def export_vtk(fine, nodal_field, path):
         "LOOKUP_TABLE default",
     ]
     lines.extend(f"{v:.12e}" for v in nodal_field)
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise MsflowError(f"cannot write VTK file {path}: {exc}") from exc
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -470,6 +467,11 @@ def sweep(config, variants, csv_path=None):
     plans = []
     for label in variants:
         offline, n_online, n_updates = parse_variant(label)
+        if n_online and n_updates > config["time.steps"]:
+            raise ConfigError(
+                f"bad sweep variant '{label}': {n_updates} updates in "
+                f"{config['time.steps']} time steps"
+            )
         schedule = (
             UpdateSchedule.evenly_spaced(n_online, n_updates, config["time.steps"])
             if n_online else UpdateSchedule.none()

@@ -61,9 +61,10 @@ one shared counter until none is left; a helper sends each of its patches'
 result, or the exception its solve raised, back over a pipe.  The results
 are plain data: the reason of a dense fallback travels in them
 (`SpectralDecomposition.fallback`), and the parent logs it at INFO in patch
-order.  For the pass, every process sets each loaded OpenBLAS to one thread
-(its `*_set_num_threads` function, found through `/proc/self/maps`), and
-the parent's counts are restored afterwards, so a patch's result is the
+order.  For the pass, the parent sets each loaded OpenBLAS to one thread
+(its `*_set_num_threads` function, found through `/proc/self/maps`) before
+it forks, so the helpers inherit the pin, and its counts are restored
+afterwards, so a patch's result is the
 same to the bit whichever process solves it, and the space is the same for
 any P; `taskset -c 0` gives one process.  Where no pin applies (another
 BLAS, no fork) the pass runs in one process at the default thread count.
@@ -821,14 +822,12 @@ def _claim_next(counter):
         return counter.value - 1
 
 
-def _helper(conn, pools, solve, jobs, claim):
-    """A forked helper: solve the jobs it claims at one BLAS thread and send
-    the results back, an error whose type cannot be rebuilt from its pickle
-    as an MsflowError.  It leaves Ctrl-C to the process that forked it,
-    which ends it."""
+def _helper(conn, solve, jobs, claim):
+    """A forked helper: solve the jobs it claims and send the results back,
+    an error whose type cannot be rebuilt from its pickle as an MsflowError.
+    It runs at the one BLAS thread of the process that forked it, and leaves
+    Ctrl-C to that process, which ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for _, set_threads in pools:
-        set_threads(1)
     results = _solve_claimed(solve, jobs, claim)
     for i, result in results.items():
         if isinstance(result, Exception):
@@ -865,7 +864,7 @@ def _solve_patches(solve, jobs, parallel):
             for _ in range(n_proc - 1):
                 recv, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
-                    target=_helper, args=(send, pools, solve, jobs, claim), daemon=True
+                    target=_helper, args=(send, solve, jobs, claim), daemon=True
                 )
                 helpers.append((proc, recv))
                 try:

@@ -58,13 +58,13 @@ class UpdateSchedule:
 
     @staticmethod
     def evenly_spaced(n_online, n_updates, n_steps):
-        """Updates at step 1 plus (n_updates - 1) evenly spaced later steps."""
+        """Updates at step 1 plus (n_updates - 1) evenly spaced later steps,
+        the last at step max(n_updates, n_steps (n_updates - 1) // n_updates):
+        n_updates distinct steps, inside the time grid if n_updates <= n_steps."""
         if n_updates <= 1:
             return UpdateSchedule(n_online=n_online, update_steps=(1,))
-        steps = np.unique(
-            np.round(np.linspace(1, max(1, n_steps * (n_updates - 1) // n_updates),
-                                 n_updates)).astype(int)
-        )
+        last = max(n_updates, n_steps * (n_updates - 1) // n_updates)
+        steps = np.unique(np.round(np.linspace(1, last, n_updates)).astype(int))
         return UpdateSchedule(n_online=n_online, update_steps=tuple(int(s) for s in steps))
 
 
@@ -83,6 +83,18 @@ def _free_rows(mesh, dirichlet_nodes):
     return rows
 
 
+def _local_solve(what, i, r, A):
+    """x with A x = r, the local system of patch i, or None when the load r
+    vanishes; a singular A raises a SingularMatrixError that says the
+    `what` failed on neighborhood i."""
+    if np.linalg.norm(r) == 0.0:
+        return None
+    try:
+        return linear_solve(A, r)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{what} failed on neighborhood {i}: {exc}") from exc
+
+
 def solve_online_vector(i, r, J_loc):
     """Solve the Jacobian block J_loc of patch i with its localized residual
     r as load, and normalize the solution in the local energy norm.
@@ -94,14 +106,9 @@ def solve_online_vector(i, r, J_loc):
     Returns the local vector, or None when the load vanishes (nothing to
     enrich).
     """
-    if np.linalg.norm(r) == 0.0:
+    x = _local_solve("online solve", i, r, J_loc)
+    if x is None:
         return None
-    try:
-        x = linear_solve(J_loc, r)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"online solve failed on neighborhood {i}: {exc}"
-        ) from exc
     energy = float(x @ (J_loc @ x))  # x . J_sym x without forming J_sym
     if energy <= 0:
         return None
@@ -111,16 +118,8 @@ def solve_online_vector(i, r, J_loc):
 def error_indicator(i, r, J_loc, lambda_next):
     """eta_i = ||r||^2 in the inverse norm of the symmetric part of J_loc,
     the Jacobian block of patch i, scaled by 1/lambda_{L_i+1}."""
-    if np.linalg.norm(r) == 0.0:
-        return 0.0
-    J_sym = 0.5 * (J_loc + J_loc.T)
-    try:
-        x = linear_solve(J_sym, r)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"error indicator solve failed on neighborhood {i}: {exc}"
-        ) from exc
-    return float(r @ x) / float(lambda_next)
+    x = _local_solve("error indicator solve", i, r, 0.5 * (J_loc + J_loc.T))
+    return 0.0 if x is None else float(r @ x) / float(lambda_next)
 
 
 def enrich_projection(

@@ -169,6 +169,24 @@ def test_residual_dimension_mismatch(mesh4, fluid, uniform_perm4):
         )
 
 
+@pytest.mark.parametrize("delta", [-5, 5])
+@pytest.mark.parametrize("arg", ["residual p", "residual p_prev", "jacobian p"])
+def test_wrong_length_state_raises(mesh4, fluid, uniform_perm4, arg, delta):
+    """A state shorter or longer than the node count is refused by name, in
+    the residual and the Jacobian alike (the Jacobian once took a long state
+    silently and raised a bare IndexError for a short one)."""
+    n = mesh4.fine.n_nodes
+    p = np.full(n, fluid.p_ref)
+    bad = np.full(n + delta, fluid.p_ref)
+    name = arg.split()[1]
+    with pytest.raises(AssemblyError, match=f"^{name} length {n + delta} != .* {n}$"):
+        if arg == "jacobian p":
+            newton_jacobian(bad, fluid, uniform_perm4, 1.0, mesh4.fine)
+        else:
+            states = (bad, p) if name == "p" else (p, bad)
+            newton_residual(*states, fluid, uniform_perm4, 1.0, np.zeros(n), mesh4.fine)
+
+
 def test_jacobian_finite_differences(mesh4, fluid):
     rng = np.random.default_rng(11)
     perm = PermeabilityField(rng.uniform(1.0, 3.0, mesh4.fine.n_cells))

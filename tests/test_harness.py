@@ -323,6 +323,7 @@ def test_sweep_writes_each_variants_per_step_errors(tmp_path):
     named by the variant as given, whose last row is its CSV row's errors."""
     cfg = small_config(tmp_path, **{"error.all_steps": True})
     reports = sweep(cfg, ["2+0", "2+1u2"])
+    assert reports[2].nb_label == "2+1(2 updates)"
     for label, report in zip(["2+0", "2+1u2"], reports[1:]):
         rows = (tmp_path / "out" / f"errors_per_step_{label}.csv").read_text()
         rows = rows.splitlines()
@@ -498,6 +499,14 @@ def test_cli_exit_codes(tmp_path):
         f"output.dir = {tmp_path / 'out'}\n"
     )
     assert main(["run", "--config", str(iocfg)]) == 4
+    # 4: IO error (a directory where a VTK file is to be written)
+    vtkcfg = tmp_path / "vtk.cfg"
+    vtkcfg.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        f"time.steps = 1\noutput.dir = {tmp_path / 'out4'}\n"
+    )
+    (tmp_path / "out4" / "fine_step000.vtk").mkdir(parents=True)
+    assert main(["fine-ref", "--config", str(vtkcfg), "--vtk", "0"]) == 4
     # 3: Newton non-convergence
     newtcfg = tmp_path / "newt.cfg"
     newtcfg.write_text(
@@ -580,17 +589,18 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     (["run", "--online", "-1"], "", "online.count"),
     (["sweep", "--nb", "2+0,2+-1"], "", "2+-1"),
     (["sweep", "--nb", "2+1u0"], "", "2+1u0"),
+    (["sweep", "--nb", "2+0,2+1u3"], "", "2+1u3"),
     (["run", "--online", "1", "--updates", "1,1"], "", "online.updates"),
 ], ids=["run-seed", "gen-field-seed", "uniform-background", "channel-count",
         "inclusion-count", "channels-background", "channels-channel",
         "gen-field-inclusion-count", "online-count", "variant-online",
-        "variant-updates", "repeated-update"])
+        "variant-updates", "variant-more-updates-than-steps", "repeated-update"])
 def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
     """A negative seed, online count, channel count or inclusion count, a
     non-positive uniform or channel-field permeability, a repeated online
     update step and a sweep variant with offline < 1, online < 0 or u<k>
-    with k < 1 are configuration errors (exit 2) that name the key or the
-    variant, raised before anything is written."""
+    with k < 1 or k > time.steps are configuration errors (exit 2) that
+    name the key or the variant, raised before anything is written."""
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"

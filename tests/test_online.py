@@ -37,6 +37,22 @@ def test_update_schedule_evenly_spaced():
     assert all(1 <= s <= 20 for s in sched.update_steps)
 
 
+@pytest.mark.parametrize("k, n_steps, steps", [
+    (2, 2, (1, 2)),
+    (2, 3, (1, 2)),
+    (3, 3, (1, 2, 3)),
+    (2, 20, (1, 10)),
+    (3, 6, (1, 2, 4)),
+])
+def test_evenly_spaced_runs_every_update(k, n_steps, steps):
+    """u<k> gives k distinct steps whenever k <= time.steps (at 2 or 3 steps
+    u2 once gave one update); a schedule that already had k steps keeps
+    them."""
+    schedule = UpdateSchedule.evenly_spaced(1, k, n_steps)
+    assert schedule.update_steps == steps
+    schedule.validate(n_steps)
+
+
 @pytest.fixture(scope="module")
 def wells8(mesh8, fluid):
     from msflow.model import generate_channel_field
@@ -333,5 +349,17 @@ def test_error_indicator_singular_block_raises(mesh8, wells8):
     prob, F, _ = wells8
     rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[13]
     r = -F[rows]
-    with pytest.raises(SingularMatrixError, match="neighborhood 13"):
+    with pytest.raises(
+        SingularMatrixError, match="^error indicator solve failed on neighborhood 13: "
+    ):
         error_indicator(13, r, sp.csr_matrix((r.size, r.size)), 1.0)
+
+
+def test_online_vector_singular_block_raises(mesh8, wells8):
+    """A singular local Jacobian block fails the online solve with an error
+    that names the neighborhood."""
+    prob, F, _ = wells8
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[13]
+    r = -F[rows]
+    with pytest.raises(SingularMatrixError, match="^online solve failed on neighborhood 13: "):
+        solve_online_vector(13, r, sp.csr_matrix((r.size, r.size)))

@@ -375,6 +375,39 @@ def test_every_job_is_claimed_once_by_more_processes_than_cpus(
     assert time.perf_counter() - start < 60
 
 
+def test_every_process_solves_at_one_blas_thread(
+    mesh8, fluid, channel8, monkeypatch, signals
+):
+    """Every process of a two-process pass solves at one BLAS thread, this
+    process at two threads before the pass included: the helper inherits
+    the pin of the process that forks it.  This process waits for the
+    helper's first solve, so the check runs in both."""
+    perm, p0 = channel8
+    processes(monkeypatch, 2)
+    pools, _ = offline._parallel_pass()
+    solve = offline._solve_patch
+    parent = os.getpid()
+    here = []
+
+    def pinned(*args):
+        if os.getpid() != parent:
+            signals.send(args[-2])
+        else:
+            if not here:
+                signals.wait(1)
+            here.append(args[-2])
+        threads = [get() for get, _ in pools]
+        if threads != [1] * len(pools):
+            raise MsflowError(f"process {os.getpid()} solves at {threads} BLAS threads")
+        return solve(*args)
+
+    monkeypatch.setattr(offline, "_solve_patch", pinned)
+    with offline._blas_threads(pools, 2):
+        offline.build_offline_space(mesh8, perm, fluid, p0, 2)
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    assert signals.all_sent() and here
+
+
 class Interrupted(BaseException):
     """Stands in for KeyboardInterrupt, which pytest would act on."""
 
