@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -149,11 +150,10 @@ def cmd_check(args):
         generate_channel_field,
         make_problem,
     )
-    from unittest import mock
 
     import scipy.linalg as la
     import scipy.sparse as sp
-    from . import offline
+    from . import offline, workers
     from .coarse import solve_gmsfem
     from .offline import (
         OfflineSpace,
@@ -279,9 +279,10 @@ def cmd_check(args):
         f"eigenvalues {eig_dev:.2e}",
     )
 
-    # the offline pass on one process and on two, each at one BLAS thread,
+    # the offline pass on one process (a one-CPU affinity mask, as `taskset
+    # -c 0` gives) and on every CPU of the mask, at one BLAS thread each,
     # gives the same spaces to the bit
-    parallel = offline._parallel_pass()
+    parallel = workers._parallel()
     if parallel is None:
         report(
             "offline pass independent of process count", True,
@@ -289,25 +290,30 @@ def cmd_check(args):
             "process at the default BLAS threads)",
         )
     else:
-        same = True
-        for mesh_, perm_, p0, kind in (
-            (mesh8, perm8, problem.p0, "v1"), (mesh6, perm6, problem6.p0, "v2")
-        ):
-            spaces = []
-            for n in (1, 2):
-                with mock.patch.object(offline, "_pass_processes", lambda: n):
-                    spaces.append(offline.build_offline_spaces(
+        cases = ((mesh8, perm8, problem.p0, "v1"), (mesh6, perm6, problem6.p0, "v2"))
+        cpus = os.sched_getaffinity(0)
+        runs = []
+        for mask in ({min(cpus)}, cpus):
+            os.sched_setaffinity(0, mask)
+            try:
+                runs.append([
+                    space for mesh_, perm_, p0, kind in cases
+                    for space in offline.build_offline_spaces(
                         mesh_, perm_, fluid, p0, [2, 4], kind=kind
-                    ))
-            same &= all(
-                np.array_equal(a.lambda_next, b.lambda_next)
-                and (a.projection.offline != b.projection.offline).nnz == 0
-                for a, b in zip(*spaces)
-            )
+                    )
+                ])
+            finally:
+                os.sched_setaffinity(0, cpus)
+        same = all(
+            np.array_equal(a.lambda_next, b.lambda_next)
+            and (a.projection.offline != b.projection.offline).nnz == 0
+            for a, b in zip(*runs)
+        )
         report(
             "offline pass independent of process count", same,
-            f"(1 and 2 processes, {len(parallel[0])} OpenBLAS pools pinned "
-            f"to one thread; v1 8^3 and v2 6^3)",
+            f"(one CPU and the {len(cpus)} of the affinity mask, "
+            f"{len(parallel[0])} OpenBLAS pools pinned to one thread; v1 8^3 "
+            f"and v2 6^3)",
         )
 
     return 1 if failures else 0

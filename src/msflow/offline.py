@@ -41,56 +41,16 @@ sparsity pattern.  An offline pass assembles the pencil once per distinct
 patch (`_local_operators`) and passes it down: A to the v2 snapshot build,
 and A and M to every spectral solve of the patch, growth re-solves included.
 
-The dense products of the v2 path (S^T M S and S V) are computed with
-scipy's `dgemm`, not numpy's `@`.  numpy and scipy wheels each bundle their
-own OpenBLAS with its own thread pool, and `eigh`, the Cholesky
-factorizations and solves, the SuperLU solves and `dpstrf` run on scipy's.
-A threaded numpy product between two of them leaves two pools contending
-for the same cores: on 2 vCPUs the 16^3 v2 pass took 4.7-6.1 s with `@` and
-1.9-2.7 s with `dgemm`, with the same space.  So keep these products on
-`dgemm`; a pass that cannot pin its BLAS threads (below) still runs them at
-the default thread count.  The Schur complement is a sparse-by-dense
-product, which uses no BLAS.
-
-The local problems of distinct patches are independent, so an offline pass
-solves them on every CPU this process may run on (`_solve_patches`): the
-parent lists the distinct patches by `_patch_key`, largest first, as one
-work list, forks P - 1 helpers (`multiprocessing`, "fork"; P = min(CPUs in
-the affinity mask, patches)), and every process claims the next job from
-one shared counter until none is left; a helper sends each of its patches'
-result, or the exception its solve raised, back over a pipe.  The results
-are plain data: the reason of a dense fallback travels in them
-(`SpectralDecomposition.fallback`), and the parent logs it at INFO in patch
-order.  For the pass, the parent sets each loaded OpenBLAS to one thread
-(its `*_set_num_threads` function, found through `/proc/self/maps`) before
-it forks, so the helpers inherit the pin, and its counts are restored
-afterwards, so a patch's result is the
-same to the bit whichever process solves it, and the space is the same for
-any P; `taskset -c 0` gives one process.  Where no pin applies (another
-BLAS, no fork) the pass runs in one process at the default thread count.
-The parent raises the error of the lowest failing neighborhood, solves the
-jobs of a helper that dies without a result itself (WARNING), and leaves no
-child process behind.  On the 16^3 benchmark fields (seed 0, 2 vCPUs, a
-fresh process, 7 runs) the sweep-wells pass took 1.28-1.56 s (median 1.41)
-on two processes and the run-v2-mixed pass 1.07-1.58 s (1.20); in earlier
-runs one process at the default threads took 2.05-4.62 s (2.54) and
-1.61-1.97 s (1.74).  The two processes' solve seconds differ by at most
-0.012 s, where two shares dealt once (63 and 62 of run-v2-mixed's 125
-patches) differed by 0.03-0.36 s, and 1.56 s in one run.  A helper peaks at
-58-68 MiB RSS, mostly pages it shares with the parent.
+The distinct patches are solved as one work list, largest first, on every
+CPU of the affinity mask (`workers.run`), to the same bits on any number.
+The reason of a dense fallback travels in the results, and the pass logs it
+at INFO in patch order and raises the error of the lowest failing
+neighborhood, as a pass in one process does.
 """
 
-import contextlib
-import ctypes
 import functools
 import hashlib
-import itertools
 import logging
-import multiprocessing
-import os
-import pickle
-import re
-import signal
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -101,10 +61,10 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import eigsh
 
-from .errors import ConfigError, MsflowError, SingularMatrixError
+from . import workers
+from .errors import ConfigError, SingularMatrixError
 from .fem import (
     _factor,
     assemble_weighted_mass,
@@ -367,7 +327,7 @@ def _signs(vecs, P):
     which mirror nodes of a symmetric patch tie: a probe either clearly
     passes the threshold or is zero but for rounding."""
     tol = _PROBE_MIN * np.linalg.norm(vecs, axis=0)
-    C = np.vstack([dgemm(1.0, P.T, vecs), vecs])  # probes, then components
+    C = np.vstack([P.T @ vecs, vecs])  # probes, then components
     first = np.argmax(np.abs(C) > tol, axis=0)
     return np.sign(C[first, np.arange(C.shape[1])])
 
@@ -478,12 +438,10 @@ def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
         else:
             # S^T A S is the Schur complement A_bb + A_bf X = (A S)[bnd],
             # because S is the identity on the constrained nodes and the
-            # free rows of A S vanish (A_ff X = -A_fb).  S^T (M S) by scipy's
-            # dgemm (module docstring); the transposes of the C-ordered S
-            # and M S are the Fortran-ordered views BLAS reads as is
+            # free rows of A S vanish (A_ff X = -A_fb)
             S = snapshot.basis
             Ad = A[snapshot.nodes] @ S
-            Md = dgemm(1.0, S.T, (M @ S).T, trans_b=True)
+            Md = S.T @ (M @ S)
         pairs = _dense_pairs(i, Ad, Md, n_eig)
     vals, vecs, n_complete = pairs
     starts = _cluster_starts(vals)
@@ -509,8 +467,7 @@ def select_offline_basis(snapshot, spectral, n_basis):
     vecs = spectral.eigenvectors[:, :n_basis]
     if snapshot.basis is None:
         return vecs
-    # S V by scipy's dgemm (module docstring), S read through its transpose
-    return dgemm(1.0, snapshot.basis.T, vecs, trans_a=True)
+    return snapshot.basis @ vecs
 
 
 class ProjectionMatrix:
@@ -718,190 +675,6 @@ def _solve_patch(mesh, kind, perm, rho0_cell, kappa_tilde, extra_density_mass, i
     )
 
 
-def _solve_claimed(solve, jobs, claim):
-    """Solve the (neighborhood, L) jobs whose indices claim() returns, until
-    it returns one past the last: {neighborhood: its _Solved, or the
-    exception its solve raised}."""
-    results = {}
-    while (k := claim()) < len(jobs):
-        i, L = jobs[k]
-        try:
-            results[i] = solve(i, L)
-        except Exception as exc:
-            results[i] = exc
-    return results
-
-
-# (get, set) thread-count functions of an OpenBLAS build: the 64-bit-integer
-# and the plain builds that numpy's and scipy's wheels bundle, and system ones
-_OPENBLAS_SYMBOLS = tuple(
-    (f"{prefix}openblas_get_num_threads{suffix}",
-     f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("scipy_", "") for suffix in ("64_", "")
-)
-# BLAS libraries whose threads the pass cannot pin
-_OTHER_BLAS = re.compile(r"mkl|blis|flexiblas|atlas|libc?blas\.", re.IGNORECASE)
-
-
-def _openblas_pools():
-    """The (get, set) thread-count functions of every OpenBLAS mapped into
-    this process (`/proc/self/maps`), or None if there is none, another
-    BLAS is mapped, or an OpenBLAS lacks the functions: then no pin."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "/" in ln})
-    except OSError:
-        return None
-    pools = []
-    for path in paths:
-        name = os.path.basename(path)
-        if "openblas" not in name.lower():
-            if _OTHER_BLAS.search(name):
-                return None
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            return None
-        names = next(
-            ((g, s) for g, s in _OPENBLAS_SYMBOLS if hasattr(lib, g) and hasattr(lib, s)),
-            None,
-        )
-        if names is None:
-            return None
-        get, set_threads = getattr(lib, names[0]), getattr(lib, names[1])
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        pools.append((get, set_threads))
-    return pools or None
-
-
-@contextlib.contextmanager
-def _blas_threads(pools, n):
-    """Every OpenBLAS of pools at n threads, the counts restored on exit."""
-    before = [get() for get, _ in pools]
-    for _, set_threads in pools:
-        set_threads(n)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(pools, before):
-            set_threads(count)
-
-
-def _pass_processes():
-    """The processes an offline pass may use: the CPUs this process may run
-    on, so `taskset` restricts it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _parallel_pass():
-    """(BLAS pools, fork context) of a pass that may run on several
-    processes, each at one BLAS thread, or None: then the pass runs in this
-    process at the default thread count.
-
-    The helpers are forked, not spawned: they inherit the mesh, the field
-    and the loaded libraries, where a spawned one would import numpy and
-    scipy again and receive the pass's inputs pickled.  The process's only
-    other threads are OpenBLAS's, whose pools OpenBLAS itself stops around
-    fork."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    pools = _openblas_pools()
-    return None if pools is None else (pools, multiprocessing.get_context("fork"))
-
-
-def _claim_next(counter):
-    """The next index of a work list that forked processes share through
-    counter, a `multiprocessing` Value."""
-    with counter.get_lock():
-        counter.value += 1
-        return counter.value - 1
-
-
-def _helper(conn, solve, jobs, claim):
-    """A forked helper: solve the jobs it claims and send the results back,
-    an error whose type cannot be rebuilt from its pickle as an MsflowError.
-    It runs at the one BLAS thread of the process that forked it, and leaves
-    Ctrl-C to that process, which ends it."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    results = _solve_claimed(solve, jobs, claim)
-    for i, result in results.items():
-        if isinstance(result, Exception):
-            try:
-                pickle.loads(pickle.dumps(result))
-            except Exception:
-                results[i] = MsflowError(f"{type(result).__name__}: {result}")
-    conn.send(results)
-    conn.close()
-
-
-def _solve_patches(solve, jobs, parallel):
-    """Solve the (neighborhood, L) jobs of the distinct patches, given in
-    descending order of patch size; returns ({i: _Solved}, the process
-    count).
-
-    With parallel (`_parallel_pass`), this process and P - 1 helpers, P =
-    min(`_pass_processes()`, jobs), claim the jobs in their order from one
-    shared counter; each helper is forked and sends its results back over a
-    pipe.  Every process runs at one BLAS thread meanwhile, so a patch's
-    result is the same to the bit whichever process solved it.  The jobs of
-    a helper that dies without a result are solved here, with a WARNING.
-    No helper outlives the call, whatever it raises.  The dense fallbacks
-    are logged at INFO in patch order, and a failure raises the exception
-    of the lowest failing neighborhood, as a pass in one process does."""
-    n_proc = min(_pass_processes(), len(jobs)) if parallel else 1
-    pools, ctx = parallel or ([], None)
-    claim = itertools.count().__next__
-    if n_proc > 1:
-        claim = functools.partial(_claim_next, ctx.Value("l", 0))
-    helpers = []
-    with _blas_threads(pools, 1):
-        try:
-            for _ in range(n_proc - 1):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_helper, args=(send, solve, jobs, claim), daemon=True
-                )
-                helpers.append((proc, recv))
-                try:
-                    proc.start()
-                finally:
-                    send.close()  # this end lives on in the helper only
-            results = _solve_claimed(solve, jobs, claim)
-            for proc, recv in helpers:
-                try:
-                    results.update(recv.recv())
-                except EOFError:  # the helper died without a result
-                    proc.join()
-                    log.warning(
-                        "offline helper process %d exited with code %s before "
-                        "returning its patches; solving them in this process",
-                        proc.pid, proc.exitcode,
-                    )
-            missing = [job for job in jobs if job[0] not in results]
-            results.update(_solve_claimed(solve, missing, itertools.count().__next__))
-        except BaseException:
-            for proc, _ in helpers:
-                if proc.pid is not None:
-                    proc.kill()
-            raise
-        finally:
-            for proc, recv in helpers:
-                if proc.pid is not None:
-                    proc.join()
-                recv.close()
-    for i in sorted(results):
-        if isinstance(results[i], Exception):
-            raise results[i]
-        for reason in results[i].fallbacks:
-            log.info("neighborhood %d: %s; solved densely", i, reason)
-    return results, n_proc
-
-
 def build_offline_spaces(
     mesh,
     perm,
@@ -926,7 +699,7 @@ def build_offline_spaces(
     space equals the one a single-count build gives, up to rounding.  A
     neighborhood with the `_patch_key` of an earlier one reuses its first L
     modes and its eigenvalues; only those two arrays are kept per key.  The
-    distinct patches are solved on several processes (`_solve_patches`).
+    distinct patches are solved on several processes (`workers.run`).
     """
     t0 = time.perf_counter()
     fine = mesh.fine
@@ -965,7 +738,13 @@ def build_offline_spaces(
         ((i, Ls[i]) for i in first.values()),
         key=lambda job: -mesh.neighborhoods[job[0]].n_local,
     )
-    solved, n_proc = _solve_patches(solve, jobs, _parallel_pass())
+    results, n_proc = workers.run(solve, jobs, workers.cpu_count())
+    solved = {i: result for (i, _), result in zip(jobs, results)}
+    for i in sorted(solved):
+        if isinstance(solved[i], Exception):
+            raise solved[i]
+        for reason in solved[i].fallbacks:
+            log.info("neighborhood %d: %s; solved densely", i, reason)
 
     psis = [solved[k].psi for k in source]
     eigs = [solved[k].eigenvalues for k in source]

@@ -13,6 +13,7 @@ Jacobian block J[rows, rows] once, and passes them down to the error
 indicator and the local solve alike.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .fem import (
     newton_jacobian,
     newton_residual,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class UpdateSchedule:
 
     def validate(self, n_steps):
         for s in self.update_steps:
-            if not 1 <= s <= max(1, n_steps):
+            if not 1 <= s <= n_steps:
                 raise ConfigError(
                     f"online update step {s} outside time grid [1, {n_steps}]"
                 )
@@ -104,13 +107,15 @@ def solve_online_vector(i, r, J_loc):
     weak residual dt*(q, v) - (phi*drho, v) - dt*(flux, grad v).
 
     Returns the local vector, or None when the load vanishes (nothing to
-    enrich).
+    enrich) or the solution has no positive energy (dropped, with a WARNING).
     """
     x = _local_solve("online solve", i, r, J_loc)
     if x is None:
         return None
     energy = float(x @ (J_loc @ x))  # x . J_sym x without forming J_sym
     if energy <= 0:
+        log.warning("neighborhood %d: online vector dropped, its local energy "
+                    "%.6g is not positive", i, energy)
         return None
     return x / np.sqrt(energy)
 

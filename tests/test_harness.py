@@ -1,11 +1,15 @@
+import ast
 import logging
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from msflow import harness, offline
+import msflow
+from msflow import harness, offline, workers
 from msflow.cli import main
 from msflow.errors import ConfigError, MsflowError
 from msflow.model import PermeabilityField, save_field_to_file
@@ -350,7 +354,7 @@ def test_sweep_builds_each_offline_space_once(tmp_path, monkeypatch, caplog):
 
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
     # counting sees the solves of this process only, so the pass runs in one
-    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     reports = sweep(small_config(tmp_path), ["2+0", "2+1", "4+0"])
     n_nb = 27
@@ -453,12 +457,54 @@ def test_cli_check_passes(capsys):
     identity-projection equivalence of the coarse solver, the
     driver-independent offline span, the v2 harmonic extensions and their
     Schur complement pencil, and an offline pass that gives the same bits on
-    one process and on two, on small grids."""
+    one CPU and on every CPU of the affinity mask, on small grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 6 and all(line.startswith("[PASS]") for line in out)
     assert out[4].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
     assert out[5].startswith("[PASS] offline pass independent of process count ")
+
+
+@pytest.mark.skipif(
+    workers._parallel() is None, reason="no OpenBLAS thread pin or no fork"
+)
+def test_cli_check_restores_the_affinity_mask(monkeypatch, capsys):
+    """`msflow check` runs its one-process passes under a one-CPU affinity
+    mask and its others under the mask it found, which it leaves as it
+    found it, also when a pass raises."""
+    mask = os.sched_getaffinity(0)
+    seen = []
+    run = workers.run
+
+    def recording(solve, jobs, n):
+        seen.append((n, os.sched_getaffinity(0)))
+        return run(solve, jobs, n)
+
+    monkeypatch.setattr(workers, "run", recording)
+    assert main(["check"]) == 0
+    assert os.sched_getaffinity(0) == mask
+    assert [n for n, _ in seen] == [1, 1, len(mask), len(mask)]
+    assert [m for _, m in seen] == [{min(mask)}] * 2 + [mask] * 2
+
+    def failing(*args, **kwargs):
+        raise MsflowError("pass failed")
+
+    monkeypatch.setattr(offline, "build_offline_spaces", failing)
+    assert main(["check"]) == 1
+    assert "pass failed" in capsys.readouterr().err
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_no_module_imports_unittest():
+    """Shipped code patches nothing: no msflow module imports unittest."""
+    for path in sorted(Path(msflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            assert not any(n.split(".")[0] == "unittest" for n in names), path
 
 
 def test_cli_sweep_prints_ratio(tmp_path, capsys):
@@ -591,15 +637,20 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     (["sweep", "--nb", "2+1u0"], "", "2+1u0"),
     (["sweep", "--nb", "2+0,2+1u3"], "", "2+1u3"),
     (["run", "--online", "1", "--updates", "1,1"], "", "online.updates"),
+    (["run", "--online", "1", "--updates", "1"], "time.steps = 0\n",
+     "online update step 1"),
+    (["sweep", "--nb", "4+1u1"], "time.steps = 0\n", "4+1u1"),
 ], ids=["run-seed", "gen-field-seed", "uniform-background", "channel-count",
         "inclusion-count", "channels-background", "channels-channel",
         "gen-field-inclusion-count", "online-count", "variant-online",
-        "variant-updates", "variant-more-updates-than-steps", "repeated-update"])
+        "variant-updates", "variant-more-updates-than-steps", "repeated-update",
+        "update-at-zero-steps", "variant-update-at-zero-steps"])
 def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
     """A negative seed, online count, channel count or inclusion count, a
     non-positive uniform or channel-field permeability, a repeated online
-    update step and a sweep variant with offline < 1, online < 0 or u<k>
-    with k < 1 or k > time.steps are configuration errors (exit 2) that
+    update step, an update step past time.steps (also at 0 steps) and a
+    sweep variant with offline < 1, online < 0 or u<k> with k < 1 or
+    k > time.steps are configuration errors (exit 2) that
     name the key or the variant, raised before anything is written."""
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(

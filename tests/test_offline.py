@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from msflow import offline
+from msflow import offline, workers
 from msflow.cli import main
 from msflow.errors import ConfigError, SingularMatrixError
 from msflow.grid import build_two_scale_mesh
@@ -566,7 +566,7 @@ def test_offline_pass_logs_clusters_and_resolves(
 
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
     # counting sees the solves of this process only, so the pass runs in one
-    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
     build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
@@ -621,25 +621,25 @@ def uniform6(mesh6, fluid):
     return perm, p0
 
 
-def einsum_dgemm(alpha, a, b, trans_a=False, trans_b=False):
-    """scipy.linalg.blas.dgemm's result, computed by numpy's einsum loop.
-
-    numpy's `@` calls the same OpenBLAS kernel as dgemm and rounds the same
-    at these sizes; einsum sums in another order."""
-    return alpha * np.einsum(
-        "ik,kj->ij", a.T if trans_a else a, b.T if trans_b else b
-    )
-
-
-def test_space_does_not_depend_on_the_product_kernel(
+def test_space_does_not_depend_on_the_product_rounding(
     mesh6, fluid, uniform6, monkeypatch
 ):
-    """Computing the v2 products by another kernel moves their rounding; the
-    offline columns stay the same to 1e-10 relative, signs included, on
-    patches whose mirror nodes tie."""
+    """Nudging every harmonic entry of the v2 snapshot basis S by one ulp
+    moves the rounding of the products S^T M S and S V; the offline columns
+    stay the same to 1e-10 relative, signs included, on patches whose
+    mirror nodes tie."""
     perm, p0 = uniform6
     ref = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
-    monkeypatch.setattr(offline, "dgemm", einsum_dgemm)
+    build = offline.build_snapshot_v2
+
+    def nudged(mesh, i, A):
+        snap = build(mesh, i, A)
+        free = mesh.neighborhoods[i].free_mask
+        # one ulp away from zero; exact zeros stay
+        snap.basis[free] = np.nextafter(snap.basis[free], 2.0 * snap.basis[free])
+        return snap
+
+    monkeypatch.setattr(offline, "build_snapshot_v2", nudged)
     other = build_offline_space(mesh6, perm, fluid, p0, 4, kind="v2")
     Ra = ref.projection.offline.toarray()
     Rb = other.projection.offline.toarray()
@@ -752,7 +752,7 @@ def test_missed_cluster_copy_falls_back_to_the_dense_solve(
 
     monkeypatch.setattr(offline, "eigsh", dropping)
     # dropping sees the solves of this process only, so the pass runs in one
-    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     spaces = build_offline_spaces(mesh8, uniform_perm8, fluid, p0, [4, 8])
     assert len(dropped) == 1
@@ -916,7 +916,7 @@ def test_pass_assembles_each_distinct_patch_pencil_once(
     monkeypatch.setattr(offline, "solve_local_spectral", counting)
     monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
     # the spies see the solves of this process only, so the pass runs in one
-    monkeypatch.setattr(offline, "_pass_processes", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     caplog.set_level(logging.DEBUG, logger="msflow.offline")
     build_offline_spaces(mesh, perm, fluid, p0, [2, 4], kind=kind)
     m = re.search(r"(\d+) reused .* (\d+) n_eig growth re-solves", caplog.text)

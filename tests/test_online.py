@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -93,6 +95,22 @@ def test_online_vector_zero_residual_skips(mesh8, wells8):
     rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[0]
     r, J_loc = local_problem(np.zeros(mesh8.fine.n_nodes), J, rows)
     assert solve_online_vector(0, r, J_loc) is None
+
+
+def test_online_vector_without_positive_energy_is_dropped_with_a_warning(caplog):
+    """A negative-definite block gives x . J x < 0: the vector is dropped,
+    and a WARNING names the neighborhood and the energy."""
+    J_loc = -sp.diags([2.0, 3.0, 4.0]).tocsr()
+    r = np.array([1.0, 1.0, 1.0])
+    caplog.set_level(logging.WARNING, logger="msflow.online")
+    assert solve_online_vector(7, r, J_loc) is None
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    energy = -(1 / 2 + 1 / 3 + 1 / 4)
+    assert record.getMessage() == (
+        f"neighborhood 7: online vector dropped, its local energy {energy:.6g} "
+        f"is not positive"
+    )
 
 
 def test_online_vector_solves_local_system(mesh8, wells8):

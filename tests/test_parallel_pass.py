@@ -1,5 +1,5 @@
-"""The offline pass on several processes (`offline._solve_patches`): the same
-bits for any process count, one work list that keeps every process busy, the
+"""The offline pass on several processes (`workers.run`): the same bits for
+any process count, one work list that keeps every process busy, the
 serial pass's errors and log records, and no process left behind on any
 path (the autouse `no_child_processes` fixture checks that after every
 test)."""
@@ -9,12 +9,11 @@ import os
 import re
 import select
 import time
-import types
 
 import numpy as np
 import pytest
 
-from msflow import harness, offline
+from msflow import harness, offline, workers
 from msflow.cli import main
 from msflow.errors import (
     ConfigError,
@@ -27,7 +26,7 @@ from msflow.harness import ExperimentConfig
 from msflow.model import generate_channel_field
 
 pytestmark = pytest.mark.skipif(
-    offline._parallel_pass() is None,
+    workers._parallel() is None,
     reason="no OpenBLAS thread pin or no fork: the pass runs in one process",
 )
 
@@ -74,20 +73,20 @@ class Signals:
 
 
 def processes(monkeypatch, n):
-    monkeypatch.setattr(offline, "_pass_processes", lambda: n)
+    monkeypatch.setattr(workers, "cpu_count", lambda: n)
 
 
 def recorded_pass(monkeypatch):
     """Record the {neighborhood: _Solved} of every pass."""
     passes = []
-    solve_patches = offline._solve_patches
+    run = workers.run
 
-    def recording(*args):
-        solved, n_proc = solve_patches(*args)
-        passes.append(solved)
-        return solved, n_proc
+    def recording(solve, jobs, n):
+        results, n_proc = run(solve, jobs, n)
+        passes.append({i: result for (i, _), result in zip(jobs, results)})
+        return results, n_proc
 
-    monkeypatch.setattr(offline, "_solve_patches", recording)
+    monkeypatch.setattr(workers, "run", recording)
     return passes
 
 
@@ -355,24 +354,45 @@ def test_this_process_claims_while_a_helper_is_slow(
     assert len(here) >= len(solved) - 2
 
 
-def test_every_job_is_claimed_once_by_more_processes_than_cpus(
-    monkeypatch, signals
-):
+def test_every_job_is_claimed_once_by_more_processes_than_cpus(signals):
     """Six processes claim 3000 trivial jobs from the shared counter: each
     job is solved exactly once, none twice (a lost update of the counter)
-    and none never."""
-    processes(monkeypatch, 6)
+    and none never, and its result lands at its index."""
     jobs = [(i, 1) for i in range(3000)]
 
     def solve(i, L):
         signals.send(i)
-        return types.SimpleNamespace(fallbacks=[])
+        return i
 
     start = time.perf_counter()
-    solved, n_proc = offline._solve_patches(solve, jobs, offline._parallel_pass())
-    assert n_proc == 6 and sorted(solved) == list(range(3000))
+    solved, n_proc = workers.run(solve, jobs, 6)
+    assert n_proc == 6 and solved == list(range(3000))
     assert sorted(signals.all_sent()) == list(range(3000))
     assert time.perf_counter() - start < 60
+
+
+def test_results_are_in_job_order_failures_included(no_child_processes):
+    """On three processes, results[k] is the value of jobs[k] or the
+    exception its solve raised, with its type; one whose type cannot be
+    rebuilt from its pickle arrives as an MsflowError."""
+    def solve(k):
+        if k % 7 == 3:
+            raise ConfigError(f"job {k}")
+        if k % 7 == 5:
+            raise NewtonConvergenceError(k, 2, 3.0)
+        return -k
+
+    results, n_proc = workers.run(solve, [(k,) for k in range(40)], 3)
+    assert n_proc == 3 and len(results) == 40
+    for k, result in enumerate(results):
+        if k % 7 == 3:
+            assert type(result) is ConfigError and str(result) == f"job {k}"
+        elif k % 7 == 5:
+            assert isinstance(result, MsflowError)
+            assert f"Newton did not converge at time step {k}:" in str(result)
+        else:
+            assert result == -k
+    assert no_child_processes()
 
 
 def test_every_process_solves_at_one_blas_thread(
@@ -384,7 +404,7 @@ def test_every_process_solves_at_one_blas_thread(
     helper's first solve, so the check runs in both."""
     perm, p0 = channel8
     processes(monkeypatch, 2)
-    pools, _ = offline._parallel_pass()
+    pools, _ = workers._parallel()
     solve = offline._solve_patch
     parent = os.getpid()
     here = []
@@ -402,7 +422,7 @@ def test_every_process_solves_at_one_blas_thread(
         return solve(*args)
 
     monkeypatch.setattr(offline, "_solve_patch", pinned)
-    with offline._blas_threads(pools, 2):
+    with workers._blas_threads(pools, 2):
         offline.build_offline_space(mesh8, perm, fluid, p0, 2)
         assert [get() for get, _ in pools] == [2] * len(pools)
     assert signals.all_sent() and here
