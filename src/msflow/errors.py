@@ -36,3 +36,8 @@ class NewtonConvergenceError(MsflowError):
             f"Newton did not converge at time step {step}: "
             f"{iterations} iterations, last residual norm {residual_norm:.3e}"
         )
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it crosses a process boundary
+        # (a pipe from a forked helper) with its type and fields
+        return type(self), (self.step, self.iterations, self.residual_norm)

@@ -1,6 +1,7 @@
 """Experiment harness: configuration, error metrics, reference caching,
 CSV reporting and VTK export."""
 
+import functools
 import hashlib
 import logging
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .coarse import solve_gmsfem
 from .errors import ConfigError, MsflowError
 from .fem import (
@@ -373,9 +375,12 @@ def run_experiment(config, vtk_steps=(), csv_path=None):
         mesh, problem.perm, problem.fluid, problem.p0, offline,
         **_offline_options(config, problem),
     )
-    norms = _error_operators(config, problem, mesh)
-    return _coarse_run(config, offline, schedule, problem, mesh, ref_states, space,
-                       norms, vtk_steps, csv_path)
+    out_dir = Path(config["output.dir"])
+    (report,) = _coarse_runs(
+        config, [(offline, schedule, space, out_dir / "errors_per_step.csv")],
+        problem, mesh, ref_states, csv_path or out_dir / "report.csv", vtk_steps,
+    )
+    return report
 
 
 def _error_operators(config, problem, mesh):
@@ -387,14 +392,44 @@ def _error_operators(config, problem, mesh):
             assemble_weighted_stiffness(mesh.fine, h1_w))
 
 
-def _coarse_run(
-    config, offline, schedule, problem, mesh, ref_states, space, norms,
-    vtk_steps=(), csv_path=None, steps_path=None,
-):
+def _coarse_runs(config, runs, problem, mesh, ref_states, csv_path, vtk_steps=()):
+    """The coarse runs, (offline count, online schedule, offline space,
+    per-step errors file) each; returns their reports, and appends their CSV
+    rows to csv_path, in list order.
+
+    The error-norm operators are built once, here.  The runs are the jobs of
+    one `workers.run` on every CPU of the affinity mask, each at one BLAS
+    thread, the longest first: the most online rounds, then the most bases
+    per neighborhood.  A lone run is made in this process.  A failed run
+    raises its error after the rows of the runs before it, as runs made one
+    after another would; no row of a later run is written."""
+    norms = _error_operators(config, problem, mesh)
+    solve = functools.partial(
+        _coarse_run, config, problem, mesh, ref_states, norms, vtk_steps
+    )
+
+    def longest_first(k):
+        offline, schedule = runs[k][:2]
+        return (-schedule.n_online * len(schedule.update_steps),
+                -(offline + schedule.n_online))
+
+    order = sorted(range(len(runs)), key=longest_first)
+    results, _ = workers.run(solve, [runs[k] for k in order], workers.cpu_count())
+    reports = [report for _, report in sorted(zip(order, results))]
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+        _append_csv(csv_path, report)
+    return reports
+
+
+def _coarse_run(config, problem, mesh, ref_states, norms, vtk_steps, offline,
+                schedule, space, steps_path):
     """The coarse loop of one run, planned as `offline` bases per
-    neighborhood (the given offline space) and the online `schedule`; its
-    error metrics with the `_error_operators` norms, CSV row, per-step errors
-    (error.all_steps) and VTK snapshots."""
+    neighborhood (the given offline space) and the online `schedule`: its
+    report, with the error metrics in the `_error_operators` norms; the
+    per-step errors go to steps_path (error.all_steps) and the VTK snapshots
+    to the output directory."""
     out_dir = Path(config["output.dir"])
     result = solve_gmsfem(problem, space, schedule, config.newton())
     mass, stiff = norms
@@ -408,9 +443,7 @@ def _coarse_run(
             f"{relative_h1_error(result.states[n], ref_states[n], stiff):.17g}\n"
             for n in range(1, len(result.states))
         ]
-        Path(steps_path or out_dir / "errors_per_step.csv").write_text(
-            "step,e_l2,e_h1\n" + "".join(rows)
-        )
+        steps_path.write_text("step,e_l2,e_h1\n" + "".join(rows))
 
     label = f"{offline}+{schedule.n_online}"
     if len(schedule.update_steps) > 1:
@@ -425,7 +458,6 @@ def _coarse_run(
         e_h1=e_h1,
         newton_total=int(sum(result.newton_iters)),
     )
-    _append_csv(csv_path or out_dir / "report.csv", report)
 
     for step in vtk_steps:
         for kind, states in (("coarse", result.states), ("fine", ref_states)):
@@ -463,7 +495,16 @@ def sweep(config, variants, csv_path=None):
     One offline pass (`build_offline_spaces`: one spectral solve per
     neighborhood for all the variants' offline counts) builds one space per
     offline count, and variants with the same count share its space; each
-    run's t_basis reports its space's t_basis plus the run's online time."""
+    run's t_basis reports its space's t_basis plus the run's online time.
+
+    The coarse runs then go one per CPU of the affinity mask, at one BLAS
+    thread each, the longest first (`_coarse_runs`); this process writes
+    their rows in variant order, the same bits on any process count.  A
+    row's timing columns are the seconds of its own run, in whichever
+    process ran it.  A failing variant raises its error after the rows of
+    the variants before it, and no later row is written (their per-step
+    files may be)."""
+    out_dir = Path(config["output.dir"])
     plans = []
     for label in variants:
         offline, n_online, n_updates = parse_variant(label)
@@ -476,12 +517,11 @@ def sweep(config, variants, csv_path=None):
             UpdateSchedule.evenly_spaced(n_online, n_updates, config["time.steps"])
             if n_online else UpdateSchedule.none()
         )
-        plans.append((label, offline, schedule))
+        plans.append((offline, schedule, out_dir / f"errors_per_step_{label}.csv"))
 
     (ref_states, ref_iters, ref_t_ass, ref_t_solve), problem, mesh = fine_reference(
         config
     )
-    out_dir = Path(config["output.dir"])
     csv_path = Path(csv_path or out_dir / "sweep.csv")
     fine_row = ExperimentReport(
         nb_label="fine",
@@ -497,18 +537,11 @@ def sweep(config, variants, csv_path=None):
 
     # the variants differ only in their plans, so one offline pass and one
     # pair of error-norm operators serve them all
-    counts = sorted({offline for _, offline, _ in plans})
+    counts = sorted({offline for offline, _, _ in plans})
     spaces = dict(zip(counts, build_offline_spaces(
         mesh, problem.perm, problem.fluid, problem.p0, counts,
         **_offline_options(config, problem),
     )))
-    norms = _error_operators(config, problem, mesh)
-
-    reports = [fine_row]
-    for label, offline, schedule in plans:
-        reports.append(_coarse_run(
-            config, offline, schedule, problem, mesh, ref_states, spaces[offline],
-            norms, csv_path=csv_path,
-            steps_path=out_dir / f"errors_per_step_{label}.csv",
-        ))
-    return reports
+    runs = [(offline, schedule, spaces[offline], steps_path)
+            for offline, schedule, steps_path in plans]
+    return [fine_row] + _coarse_runs(config, runs, problem, mesh, ref_states, csv_path)

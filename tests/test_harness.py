@@ -1,6 +1,8 @@
 import ast
+import inspect
 import logging
 import os
+import pickle
 import re
 from pathlib import Path
 
@@ -9,9 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 import msflow
-from msflow import harness, offline, workers
+from msflow import errors, harness, offline, workers
 from msflow.cli import main
-from msflow.errors import ConfigError, MsflowError
+from msflow.errors import ConfigError, MsflowError, NewtonConvergenceError
 from msflow.model import PermeabilityField, save_field_to_file
 from msflow.harness import (
     CSV_HEADER,
@@ -389,6 +391,8 @@ def test_error_operators_built_once_before_the_coarse_runs(tmp_path, monkeypatch
     for name in ("assemble_weighted_mass", "assemble_weighted_stiffness",
                  "solve_gmsfem"):
         recording(name)
+    # events sees the calls of this process only, so the runs go in one
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     cfg = small_config(tmp_path)
     if variants is None:
         run_experiment(cfg)
@@ -572,6 +576,21 @@ def test_cli_exit_codes(tmp_path):
         f"output.dir = {tmp_path / 'out5'}\n"
     )
     assert main(["run", "--config", str(v2cfg), "--snapshot", "v2"]) == 2
+
+
+def test_every_error_type_survives_pickling():
+    """Every MsflowError type of msflow.errors is rebuilt from its pickle
+    with its type, message and fields, as a helper process's pipe needs."""
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, MsflowError)]
+    assert NewtonConvergenceError in types and len(types) > 5
+    for typ in types:
+        params = [p for p in inspect.signature(typ.__init__).parameters.values()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD and p.name != "self"]
+        exc = typ(*range(1, len(params) + 1)) if params else typ(f"a {typ.__name__}")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is typ and str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 @pytest.mark.parametrize("argv", [

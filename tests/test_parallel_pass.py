@@ -1,8 +1,8 @@
-"""The offline pass on several processes (`workers.run`): the same bits for
-any process count, one work list that keeps every process busy, the
-serial pass's errors and log records, and no process left behind on any
-path (the autouse `no_child_processes` fixture checks that after every
-test)."""
+"""The offline pass and a sweep's coarse runs on several processes
+(`workers.run`): the same bits for any process count, one work list that
+keeps every process busy, the serial errors, rows and log records, and no
+process left behind on any path (the autouse `no_child_processes` fixture
+checks that after every test)."""
 
 import logging
 import os
@@ -29,6 +29,14 @@ pytestmark = pytest.mark.skipif(
     workers._parallel() is None,
     reason="no OpenBLAS thread pin or no fork: the pass runs in one process",
 )
+
+
+class TwoPartError(MsflowError):
+    """An error whose pickle cannot rebuild it: its __init__ takes two
+    arguments and passes one message up."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
 
 
 class Signals:
@@ -147,9 +155,10 @@ def test_sweep_rows_are_the_same_on_one_and_two_processes(
     tmp_path, monkeypatch, no_child_processes
 ):
     """A sweep writes the same CSV rows, timing columns aside, whether its
-    offline pass runs on one process or two."""
+    offline pass and its coarse variants run on one process, two or
+    three."""
     rows = []
-    for n in (1, 2):
+    for n in (1, 2, 3):
         processes(monkeypatch, n)
         cfg = ExperimentConfig.default()
         cfg.values.update({
@@ -164,7 +173,102 @@ def test_sweep_rows_are_the_same_on_one_and_two_processes(
             for line in csv.read_text().splitlines()
         ])
         assert no_child_processes()
-    assert len(rows[0]) == 5 and rows[0] == rows[1]
+    assert len(rows[0]) == 5 and rows[0] == rows[1] == rows[2]
+
+
+def sweep_config(tmp_path):
+    cfg = ExperimentConfig.default()
+    cfg.values.update({
+        "mesh.nx": 8, "mesh.ny": 8, "mesh.nz": 8, "mesh.ratio": 4,
+        "time.steps": 2, "field.n_channels": 2, "field.n_inclusions": 2,
+        "output.dir": str(tmp_path / "out"),
+    })
+    return cfg
+
+
+@pytest.mark.parametrize("variants", [None, ["2+0", "2+1"]])
+def test_coarse_runs_solve_at_one_blas_thread(variants, tmp_path, monkeypatch):
+    """A lone run, and the coarse runs of a sweep on one process, solve at
+    one BLAS thread, this process at two before and after included."""
+    processes(monkeypatch, 1)
+    pools, _ = workers._parallel()
+    solve = harness.solve_gmsfem
+    seen = []
+
+    def recording(*args):
+        seen.append([get() for get, _ in pools])
+        return solve(*args)
+
+    monkeypatch.setattr(harness, "solve_gmsfem", recording)
+    cfg = sweep_config(tmp_path)
+    with workers._blas_threads(pools, 2):
+        if variants is None:
+            harness.run_experiment(cfg)
+        else:
+            harness.sweep(cfg, variants)
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    assert seen == [[1] * len(pools)] * len(variants or [None])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_failing_variant_keeps_the_rows_before_it(
+    n, tmp_path, monkeypatch, no_child_processes
+):
+    """Variants failing in whichever processes run them raise the error of
+    the first failing variant, with its type and fields, after the rows of
+    the variants before it, as a sweep on one process does; no row of a
+    later variant is written.  The second and fourth variants fail, and the
+    fourth, which has more online rounds, runs first."""
+    processes(monkeypatch, n)
+    solve = harness.solve_gmsfem
+
+    def failing(problem, space, schedule, newton):
+        if schedule.n_online:
+            raise NewtonConvergenceError(len(schedule.update_steps), 25, 1.0)
+        return solve(problem, space, schedule, newton)
+
+    monkeypatch.setattr(harness, "solve_gmsfem", failing)
+    cfg = sweep_config(tmp_path)
+    with pytest.raises(NewtonConvergenceError) as exc:
+        harness.sweep(cfg, ["2+0", "2+1", "4+0", "2+1u2"])
+    assert (exc.value.step, exc.value.iterations) == (1, 25)
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("fine,") and rows[2].startswith("2+0,54,")
+    assert no_child_processes()
+
+
+def test_sweep_exit_code_of_a_variant_failing_in_a_helper(
+    tmp_path, capsys, monkeypatch, signals, no_child_processes
+):
+    """`msflow sweep` exits 3 when a coarse variant does not converge in a
+    helper: the error reaches this process as a NewtonConvergenceError.
+    This process waits for the helper's failure before its own run."""
+    processes(monkeypatch, 2)
+    solve = harness.solve_gmsfem
+    parent = os.getpid()
+    here = []
+
+    def failing_in_helper(problem, space, schedule, newton):
+        if os.getpid() != parent:
+            signals.send(schedule.n_online)
+            raise NewtonConvergenceError(2, 25, 1.0)
+        if not here:
+            signals.wait(1)
+        here.append(schedule.n_online)
+        return solve(problem, space, schedule, newton)
+
+    monkeypatch.setattr(harness, "solve_gmsfem", failing_in_helper)
+    cfg = sweep_config(tmp_path)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in cfg.values.items()))
+    assert main(["sweep", "--config", str(cfgfile), "--nb", "2+0,2+1"]) == 3
+    assert "solver error: Newton did not converge at time step 2" in capsys.readouterr().err
+    (failed,) = signals.all_sent()
+    assert here == [1 - failed]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2 + failed  # the 2+0 row only when 2+1 failed
+    assert no_child_processes()
 
 
 def failing_at(neighborhoods, exc):
@@ -235,10 +339,10 @@ def test_helper_error_that_cannot_cross_the_pipe(
 
     def failing(i, solve):
         signals.send(i)
-        raise NewtonConvergenceError(1, 2, 3.0)
+        raise TwoPartError("patch failure", i)
 
     monkeypatch.setattr(offline, "_solve_patch", in_helpers(failing, signals)[0])
-    with pytest.raises(MsflowError, match="NewtonConvergenceError: Newton did not"):
+    with pytest.raises(MsflowError, match="TwoPartError: patch failure at"):
         offline.build_offline_space(mesh8, perm, fluid, p0, 2)
     assert no_child_processes()
 
@@ -373,12 +477,14 @@ def test_every_job_is_claimed_once_by_more_processes_than_cpus(signals):
 
 def test_results_are_in_job_order_failures_included(no_child_processes):
     """On three processes, results[k] is the value of jobs[k] or the
-    exception its solve raised, with its type; one whose type cannot be
-    rebuilt from its pickle arrives as an MsflowError."""
+    exception its solve raised, with its type and fields; one whose type
+    cannot be rebuilt from its pickle arrives as an MsflowError."""
     def solve(k):
         if k % 7 == 3:
             raise ConfigError(f"job {k}")
         if k % 7 == 5:
+            raise TwoPartError("job", k)
+        if k % 7 == 6:
             raise NewtonConvergenceError(k, 2, 3.0)
         return -k
 
@@ -388,8 +494,11 @@ def test_results_are_in_job_order_failures_included(no_child_processes):
         if k % 7 == 3:
             assert type(result) is ConfigError and str(result) == f"job {k}"
         elif k % 7 == 5:
-            assert isinstance(result, MsflowError)
-            assert f"Newton did not converge at time step {k}:" in str(result)
+            assert type(result) in (TwoPartError, MsflowError)
+            assert str(result).endswith(f"job at {k}")
+        elif k % 7 == 6:
+            assert type(result) is NewtonConvergenceError
+            assert (result.step, result.iterations, result.residual_norm) == (k, 2, 3.0)
         else:
             assert result == -k
     assert no_child_processes()
