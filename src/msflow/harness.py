@@ -279,7 +279,7 @@ def _load_reference(cache, problem):
     (logged at WARNING) if the file cannot be read or its arrays have the
     wrong shape."""
     try:
-        with np.load(cache) as data:
+        with open(cache, "rb") as fh, np.load(fh) as data:
             states, iters = data["states"], data["newton_iters"]
             t_ass, t_solve = float(data["t_ass"]), float(data["t_solve"])
     except (OSError, EOFError, KeyError, TypeError, ValueError,
@@ -414,7 +414,7 @@ def _coarse_runs(config, runs, problem, mesh, ref_states, csv_path, vtk_steps=()
                 -(offline + schedule.n_online))
 
     order = sorted(range(len(runs)), key=longest_first)
-    results, _ = workers.run(solve, [runs[k] for k in order], workers.cpu_count())
+    results, _ = workers.run(solve, [runs[k] for k in order])
     reports = [report for _, report in sorted(zip(order, results))]
     for report in reports:
         if isinstance(report, Exception):

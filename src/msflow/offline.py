@@ -127,11 +127,10 @@ class PartitionOfUnity:
         return total.ravel()
 
 
-def compute_kappa_tilde(mesh, perm, rho0_cell, pou=None):
+def compute_kappa_tilde(mesh, perm, rho0_cell):
     """Cell-wise spectral mass coefficient:
     rho0 * kappa * sum_i |grad chi_i|^2."""
-    pou = pou or PartitionOfUnity(mesh)
-    return np.asarray(rho0_cell) * perm.values * pou.grad_sq_sum()
+    return np.asarray(rho0_cell) * perm.values * PartitionOfUnity(mesh).grad_sq_sum()
 
 
 @dataclass
@@ -144,27 +143,13 @@ class SnapshotSpace:
     nodes: np.ndarray  # local node of each snapshot coordinate
 
 
-def _stiffness_weights(nb, perm, rho0_cell):
-    """rho0 * kappa on the cells of a neighborhood."""
-    return rho0_cell[nb.cells] * perm.values[nb.cells]
-
-
-def _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass):
-    """The spectral mass coefficient on the cells of a neighborhood."""
-    w_mass = kappa_tilde[nb.cells]
-    if extra_density_mass:
-        w_mass = w_mass * rho0_cell[nb.cells]
-    return w_mass
-
-
-def _local_operators(nb, perm, rho0_cell, kappa_tilde, extra_density_mass=False):
+def _local_operators(nb, w_stiff, w_mass):
     """The pencil (A, M) of the local eigenproblem of a neighborhood, local
-    numbering: the rho0 * kappa weighted stiffness and the spectral mass."""
+    numbering, from the cell weights of the whole fine grid: the stiffness
+    weighted by w_stiff (rho0 * kappa) and the spectral mass by w_mass."""
     return (
-        assemble_weighted_stiffness(nb.box, _stiffness_weights(nb, perm, rho0_cell)),
-        assemble_weighted_mass(
-            nb.box, _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass)
-        ),
+        assemble_weighted_stiffness(nb.box, w_stiff[nb.cells]),
+        assemble_weighted_mass(nb.box, w_mass[nb.cells]),
     )
 
 
@@ -589,14 +574,15 @@ def _column_block(n_rows, columns):
     return block.tocsr()
 
 
-def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
-    """Stack chi_i * psi_l columns into the sparse projection matrix; rows at
-    global Dirichlet nodes are zeroed.  Columns that are linearly dependent on
-    the others (hats times modes can coincide on small patches, and Dirichlet
-    rows remove more) stay counted in dim but are left out of matrix()."""
+def assemble_projection(mesh, psis, dirichlet_nodes):
+    """Stack chi_i * psi_l columns into the sparse projection matrix, psis[i]
+    the local modes of neighborhood i; rows at global Dirichlet nodes are
+    zeroed.  Columns that are linearly dependent on the others (hats times
+    modes can coincide on small patches, and Dirichlet rows remove more) stay
+    counted in dim but are left out of matrix()."""
+    pou = PartitionOfUnity(mesh)
     columns, col_nb = [], []
-    for i, psi in local_sets:
-        nb = mesh.neighborhoods[i]
+    for i, (nb, psi) in enumerate(zip(mesh.neighborhoods, psis)):
         chi = pou.chi_local(i)
         keep = (chi != 0.0) & ~np.isin(nb.nodes, dirichlet_nodes)
         rows = nb.nodes[keep]
@@ -617,17 +603,16 @@ def assemble_projection(mesh, pou, local_sets, dirichlet_nodes):
     return ProjectionMatrix(R, col_nb, independent=keep)
 
 
-def _patch_key(nb, kind, n_eig, perm, rho0_cell, kappa_tilde, extra_density_mass):
+def _patch_key(nb, kind, w_stiff, w_mass):
     """sha256 digest of everything the snapshot build and the spectral solve
-    of a neighborhood read: its box (shape and cell edge), the stiffness and
-    mass cell weights, n_eig and, for v2, the constrained boundary nodes.
-    Patches with one key have one local problem, and its solve is
-    deterministic, so the first patch's result serves them all, to the bit."""
-    digest = hashlib.sha256(repr((kind, nb.box, n_eig)).encode())
-    digest.update(_stiffness_weights(nb, perm, rho0_cell).tobytes())
-    digest.update(
-        _mass_weights(nb, rho0_cell, kappa_tilde, extra_density_mass).tobytes()
-    )
+    of a neighborhood read, but the pair count, which is one per pass: its
+    box (shape and cell edge), the stiffness and mass cell weights on its
+    cells and, for v2, the constrained boundary nodes.  Patches with one key
+    have one local problem, and its solve is deterministic, so the first
+    patch's result serves them all, to the bit."""
+    digest = hashlib.sha256(repr((kind, nb.box)).encode())
+    digest.update(w_stiff[nb.cells].tobytes())
+    digest.update(w_mass[nb.cells].tobytes())
     if kind == "v2":
         digest.update(nb.constrained_mask.tobytes())
     return digest.digest()
@@ -647,7 +632,7 @@ class _Solved:
     t_eig: float
 
 
-def _solve_patch(mesh, kind, perm, rho0_cell, kappa_tilde, extra_density_mass, i, L):
+def _solve_patch(mesh, kind, w_stiff, w_mass, L, i):
     """The first L offline modes of neighborhood i: its pencil, snapshot
     space and spectral solve for L + _EXTRA_PAIRS pairs, asked again for
     twice as many while the cluster of equal eigenvalues that holds pair L
@@ -655,9 +640,7 @@ def _solve_patch(mesh, kind, perm, rho0_cell, kappa_tilde, extra_density_mass, i
     on return, before the next patch's are built."""
     n_eig = L + _EXTRA_PAIRS
     t1 = time.perf_counter()
-    A, M = _local_operators(
-        mesh.neighborhoods[i], perm, rho0_cell, kappa_tilde, extra_density_mass
-    )
+    A, M = _local_operators(mesh.neighborhoods[i], w_stiff, w_mass)
     snap = build_snapshot_v1(mesh, i) if kind == "v1" else build_snapshot_v2(mesh, i, A)
     t2 = time.perf_counter()
     solvers, fallbacks = Counter(), []
@@ -686,15 +669,15 @@ def build_offline_spaces(
     extra_density_mass=False,
 ):
     """Offline spaces for several offline counts from one offline pass:
-    partition of unity, spectral coefficient, then per neighborhood one
-    local pencil, one snapshot space and one spectral solve for the largest
-    count, sliced for every count; one projection matrix per count.
+    partition of unity, the stiffness and spectral mass cell weights, then
+    per neighborhood one local pencil, one snapshot space and one spectral
+    solve for the largest count L, sliced for every count; one projection
+    matrix per count.
 
-    Each entry of counts is a uniform per-neighborhood offline count (an int)
-    or a per-neighborhood list.  Returns one OfflineSpace per entry, in
-    order, each with t_basis = the shared pass time plus its own projection
-    assembly.  A solve asks for L + _EXTRA_PAIRS pairs (L the largest count
-    of the neighborhood) and asks again for twice as many while the cluster
+    Each count is the number of offline modes of every neighborhood, an int
+    >= 1.  Returns one OfflineSpace per count, in order, each with t_basis =
+    the shared pass time plus its own projection assembly.  A solve asks for
+    L + _EXTRA_PAIRS pairs and asks again for twice as many while the cluster
     of equal eigenvalues that holds pair L is not computed whole, so every
     space equals the one a single-count build gives, up to rounding.  A
     neighborhood with the `_patch_key` of an earlier one reuses its first L
@@ -702,44 +685,33 @@ def build_offline_spaces(
     distinct patches are solved on several processes (`workers.run`).
     """
     t0 = time.perf_counter()
-    fine = mesh.fine
     if kind not in ("v1", "v2"):
         raise ConfigError(f"unknown snapshot kind '{kind}'")
     if not counts:
         raise ConfigError("no offline basis count given")
-    labels = [f"L={n}" if isinstance(n, int) else "per-neighborhood L" for n in counts]
-    counts = [
-        [n] * mesh.n_neighborhoods if isinstance(n, int) else list(n)
-        for n in counts
-    ]
-    if any(len(n) != mesh.n_neighborhoods for n in counts):
-        raise ConfigError("per-neighborhood basis count has wrong length")
-    if min(min(n) for n in counts) < 1:
-        raise ConfigError("offline basis count below 1")
+    for n in counts:
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"offline basis count {n!r} is not an integer >= 1")
+    L = max(counts)
 
-    rho0_cell = density(cell_average(p0, fine.cell_nodes()), fluid)
-    pou = PartitionOfUnity(mesh)
-    kt = compute_kappa_tilde(mesh, perm, rho0_cell, pou)
+    rho0_cell = density(cell_average(p0, mesh.fine.cell_nodes()), fluid)
+    w_stiff = rho0_cell * perm.values
+    w_mass = compute_kappa_tilde(mesh, perm, rho0_cell)
+    if extra_density_mass:
+        w_mass = w_mass * rho0_cell
 
-    Ls = [max(n[i] for n in counts) for i in range(mesh.n_neighborhoods)]
     first = {}  # _patch_key -> the first neighborhood with it
     source = [  # per neighborhood, the one whose solve it takes
-        first.setdefault(
-            _patch_key(nb, kind, L + _EXTRA_PAIRS, perm, rho0_cell, kt,
-                       extra_density_mass),
-            i,
-        )
-        for i, (nb, L) in enumerate(zip(mesh.neighborhoods, Ls))
+        first.setdefault(_patch_key(nb, kind, w_stiff, w_mass), i)
+        for i, nb in enumerate(mesh.neighborhoods)
     ]
-    solve = functools.partial(
-        _solve_patch, mesh, kind, perm, rho0_cell, kt, extra_density_mass
-    )
+    solve = functools.partial(_solve_patch, mesh, kind, w_stiff, w_mass, L)
     jobs = sorted(
-        ((i, Ls[i]) for i in first.values()),
+        ((i,) for i in first.values()),
         key=lambda job: -mesh.neighborhoods[job[0]].n_local,
     )
-    results, n_proc = workers.run(solve, jobs, workers.cpu_count())
-    solved = {i: result for (i, _), result in zip(jobs, results)}
+    results, n_proc = workers.run(solve, jobs)
+    solved = {i: result for (i,), result in zip(jobs, results)}
     for i in sorted(solved):
         if isinstance(solved[i], Exception):
             raise solved[i]
@@ -748,11 +720,11 @@ def build_offline_spaces(
 
     psis = [solved[k].psi for k in source]
     eigs = [solved[k].eigenvalues for k in source]
-    straddled = [0] * len(counts)
-    for i, lam in enumerate(eigs):
-        starts = _cluster_starts(lam)
-        for c, n in enumerate(counts):
-            straddled[c] += n[i] < lam.size and n[i] not in starts
+    starts = [_cluster_starts(lam) for lam in eigs]
+    straddled = [
+        sum(n < lam.size and n not in s for lam, s in zip(eigs, starts))
+        for n in counts
+    ]
     solvers = sum((s.solvers for s in solved.values()), Counter())
     t_pass = time.perf_counter() - t0
     log.debug(
@@ -767,7 +739,7 @@ def build_offline_spaces(
         sum(s.t_eig for s in solved.values()),
         solvers["sparse"], solvers["fallback"],
         solvers.total() - len(solved),
-        ", ".join(f"{k} at {label}" for k, label in zip(straddled, labels)),
+        ", ".join(f"{k} at L={n}" for k, n in zip(straddled, counts)),
     )
 
     if dirichlet_nodes is None:
@@ -776,15 +748,12 @@ def build_offline_spaces(
     for n in counts:
         t1 = time.perf_counter()
         projection = assemble_projection(
-            mesh, pou, [(i, psi[:, :L]) for i, (psi, L) in enumerate(zip(psis, n))],
-            dirichlet_nodes,
+            mesh, [psi[:, :n] for psi in psis], dirichlet_nodes
         )
         spaces.append(OfflineSpace(
             mesh=mesh,
             projection=projection,
-            lambda_next=np.array(
-                [lam[min(L, lam.size - 1)] for lam, L in zip(eigs, n)]
-            ),
+            lambda_next=np.array([lam[min(n, lam.size - 1)] for lam in eigs]),
             t_basis=t_pass + time.perf_counter() - t1,
         ))
     return spaces
@@ -801,11 +770,8 @@ def build_offline_space(
     extra_density_mass=False,
 ):
     """Full offline stage for one offline count: `build_offline_spaces` with
-    counts [n_basis].
-
-    n_basis is the uniform per-neighborhood offline count (an int) or a
-    per-neighborhood list.
-    """
+    counts [n_basis], n_basis the number of offline modes of every
+    neighborhood, an int >= 1."""
     return build_offline_spaces(
         mesh, perm, fluid, p0, [n_basis], kind=kind,
         dirichlet_nodes=dirichlet_nodes, extra_density_mass=extra_density_mass,

@@ -2,10 +2,10 @@
 the distinct patches of an offline pass, and the coarse runs of a sweep
 (a lone run is a one-job list, solved here at one BLAS thread).
 
-`run(solve, jobs, processes)` calls solve(*job) for every job on P =
-min(processes, jobs) processes: this one and P - 1 helpers forked for the
-call, each claiming the next job, in list order, from one shared counter
-until none is left; a helper sends each result, or the exception its solve
+`run(solve, jobs)` calls solve(*job) for every job on P = min(CPUs, jobs)
+processes (`cpu_count`): this one and P - 1 helpers forked for the call,
+each claiming the next job, in list order, from one shared counter until
+none is left; a helper sends each result, or the exception its solve
 raised, back over a pipe.  Forked, not spawned: the helpers inherit the
 caller's data and loaded libraries, where a spawned one would import numpy
 and scipy again and receive its inputs pickled.  The process's only other
@@ -163,15 +163,16 @@ def _helper(conn, solve, jobs, claim):
     conn.close()
 
 
-def run(solve, jobs, processes):
-    """Call solve(*job) for every job of the list, on at most `processes`
-    processes; returns (results, the process count), where results[k] is
-    the result of jobs[k], or the exception its solve raised.
+def run(solve, jobs):
+    """Call solve(*job) for every job of the list, on one process per CPU
+    of the affinity mask (`cpu_count`), at most one per job; returns
+    (results, the process count), where results[k] is the result of
+    jobs[k], or the exception its solve raised.
 
     The jobs start in list order, so give the longest first.  Every process
     runs at one BLAS thread meanwhile (module docstring)."""
     pools, ctx = _parallel() or ([], None)
-    n_proc = min(processes, len(jobs)) if ctx is not None else 1
+    n_proc = min(cpu_count(), len(jobs)) if ctx is not None else 1
     claim = itertools.count().__next__
     if n_proc > 1:
         claim = functools.partial(_claim_next, ctx.Value("l", 0))

@@ -224,15 +224,14 @@ def test_local_spectral_suite(desk):
     coefficient-scaling invariance, and discrete-harmonic snapshots."""
     mesh, perm, fluid = desk["mesh"], desk["perm"], desk["fluid"]
     rho0 = np.ones(mesh.fine.n_cells)
-    pou = PartitionOfUnity(mesh)
-    kt = compute_kappa_tilde(mesh, perm, rho0, pou)
+    kt = compute_kappa_tilde(mesh, perm, rho0)
     i = next(
         j for j, nb in enumerate(mesh.neighborhoods) if nb.n_coarse_cells == 8
     )
     nb = mesh.neighborhoods[i]
 
     snap = build_snapshot_v1(mesh, i)
-    A, M = _local_operators(nb, perm, rho0, kt)
+    A, M = _local_operators(nb, rho0 * perm.values, kt)
     spec = solve_local_spectral(mesh, i, snap, A, M)
     lam = spec.eigenvalues
     assert abs(lam[0]) <= 1e-10 * lam[-1]
@@ -244,9 +243,9 @@ def test_local_spectral_suite(desk):
     assert np.abs(V.T @ (M @ V) - np.eye(12)).max() <= 1e-8
 
     scaled = PermeabilityField(137.0 * perm.values)
-    kt_s = compute_kappa_tilde(mesh, scaled, rho0, pou)
+    kt_s = compute_kappa_tilde(mesh, scaled, rho0)
     spec_s = solve_local_spectral(
-        mesh, i, snap, *_local_operators(nb, scaled, rho0, kt_s)
+        mesh, i, snap, *_local_operators(nb, rho0 * scaled.values, kt_s)
     )
     assert np.abs(spec_s.eigenvalues[:30] - lam[:30]).max() <= 1e-10 * np.abs(
         lam[:30]

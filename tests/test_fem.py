@@ -334,6 +334,27 @@ def test_solve_fine_nonconvergence_reports_step(mesh4, fluid, uniform_perm4):
     assert exc.value.residual_norm > 0
 
 
+def test_failed_line_search_above_the_stall_ratio_fails_newton(
+    mesh4, fluid, uniform_perm4, caplog
+):
+    """A damped step that no longer reduces the residual while the residual
+    is still above stall_ratio times its scale fails Newton at once, before
+    max_iter: the error names the step and the iterations made, and no
+    stall is accepted."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    cfg = NewtonConfig(tol=1e-300, max_iter=25, stall_ratio=1e-300)
+    with caplog.at_level(logging.WARNING, logger="msflow"):
+        with pytest.raises(NewtonConvergenceError) as exc:
+            solve_fine(prob, cfg)
+    assert exc.value.step == 1
+    assert 0 < exc.value.iterations < cfg.max_iter
+    assert exc.value.residual_norm > 0
+    assert not caplog.records
+
+
 @pytest.mark.parametrize("cap", [0, 1])
 def test_fine_refactorization_logged_at_debug(mesh4, fluid, uniform_perm4, caplog,
                                               monkeypatch, cap):

@@ -454,6 +454,16 @@ def test_cli_run_and_check(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == CSV_HEADER
     assert out[1].startswith("2+0,")
+    # fine-ref into the --out directory: summary line, cache, VTK steps
+    ref_dir = tmp_path / "ref"
+    argv = ["fine-ref", "--config", str(cfgfile), "--out", str(ref_dir), "--vtk", "0,2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("fine reference: 729 DOFs, 2 steps, ")
+    assert len(list(ref_dir.glob("fine_ref_*.npz"))) == 1
+    assert sorted(p.name for p in ref_dir.glob("*.vtk")) == [
+        "fine_step000.vtk", "fine_step002.vtk"
+    ]
 
 
 def test_cli_check_passes(capsys):
@@ -480,9 +490,9 @@ def test_cli_check_restores_the_affinity_mask(monkeypatch, capsys):
     seen = []
     run = workers.run
 
-    def recording(solve, jobs, n):
-        seen.append((n, os.sched_getaffinity(0)))
-        return run(solve, jobs, n)
+    def recording(solve, jobs):
+        seen.append((workers.cpu_count(), os.sched_getaffinity(0)))
+        return run(solve, jobs)
 
     monkeypatch.setattr(workers, "run", recording)
     assert main(["check"]) == 0
@@ -533,7 +543,7 @@ def test_cli_gen_field_round_trip(tmp_path, capsys):
     assert path.stat().st_size == 8 * 8**3
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # 2: configuration error
     badcfg = tmp_path / "bad.cfg"
     badcfg.write_text("mesh.bogus = 1\n")
@@ -557,6 +567,12 @@ def test_cli_exit_codes(tmp_path):
     )
     (tmp_path / "out4" / "fine_step000.vtk").mkdir(parents=True)
     assert main(["fine-ref", "--config", str(vtkcfg), "--vtk", "0"]) == 4
+    # 4: IO error (a field file in a directory that does not exist)
+    missing = tmp_path / "no_such_dir" / "field.bin"
+    capsys.readouterr()
+    assert main(["gen-field", "--config", str(vtkcfg), str(missing)]) == 4
+    assert f"cannot write field file {missing}" in capsys.readouterr().err
+    assert not missing.parent.exists()
     # 3: Newton non-convergence
     newtcfg = tmp_path / "newt.cfg"
     newtcfg.write_text(
@@ -659,18 +675,26 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     (["run", "--online", "1", "--updates", "1"], "time.steps = 0\n",
      "online update step 1"),
     (["sweep", "--nb", "4+1u1"], "time.steps = 0\n", "4+1u1"),
+    (["run", "--vtk", "1,x"], "", "--vtk"),
+    (["sweep", "--nb", ","], "", "--nb"),
+    (["run", "--online", "1", "--updates", "1,x"], "", "online.updates"),
+    (["run"], "basis.snapshot = v3\n", "basis.snapshot"),
+    (["run"], "field.kind = file\n", "field.path"),
 ], ids=["run-seed", "gen-field-seed", "uniform-background", "channel-count",
         "inclusion-count", "channels-background", "channels-channel",
         "gen-field-inclusion-count", "online-count", "variant-online",
         "variant-updates", "variant-more-updates-than-steps", "repeated-update",
-        "update-at-zero-steps", "variant-update-at-zero-steps"])
+        "update-at-zero-steps", "variant-update-at-zero-steps", "vtk-list",
+        "empty-variant-list", "updates-list", "snapshot-kind", "field-file-path"])
 def test_cli_rejects_bad_values_naming_them(tmp_path, capsys, argv, lines, name):
     """A negative seed, online count, channel count or inclusion count, a
     non-positive uniform or channel-field permeability, a repeated online
     update step, an update step past time.steps (also at 0 steps) and a
     sweep variant with offline < 1, online < 0 or u<k> with k < 1 or
-    k > time.steps are configuration errors (exit 2) that
-    name the key or the variant, raised before anything is written."""
+    k > time.steps, a --vtk or online.updates list that is not integers, an
+    empty --nb list, an unknown snapshot kind and a file field without a
+    path are configuration errors (exit 2) that name the key, the option or
+    the variant, raised before anything is written."""
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"

@@ -103,21 +103,21 @@ def test_grad_sq_sum_matches_per_hat_sum(mesh8, pou8):
     assert pou8.grad_sq_sum().min() > 0.0
 
 
-def test_kappa_tilde_scaling(mesh8, pou8, uniform_perm8):
+def test_kappa_tilde_scaling(mesh8, uniform_perm8):
     rho0 = np.full(mesh8.fine.n_cells, 2.0)
-    kt1 = compute_kappa_tilde(mesh8, uniform_perm8, rho0, pou8)
+    kt1 = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
     kt3 = compute_kappa_tilde(
-        mesh8, PermeabilityField(3.0 * uniform_perm8.values), rho0, pou8
+        mesh8, PermeabilityField(3.0 * uniform_perm8.values), rho0
     )
     assert np.allclose(kt3, 3.0 * kt1, rtol=1e-14)
     assert np.all(kt1 > 0.0)
 
 
-def test_kappa_tilde_interior_cell_value(mesh8, pou8, uniform_perm8):
+def test_kappa_tilde_interior_cell_value(mesh8, uniform_perm8):
     """Cell at a coarse vertex: the hat with value ~1 there has its largest
     slope 1/H per axis; the tensor formula gives g*(sy*sz + sx*sz + sx*sy)
     with s(t) = (1-t)^2 + t^2 at the cell-center offsets."""
-    kt = compute_kappa_tilde(mesh8, uniform_perm8, np.ones(mesh8.fine.n_cells), pou8)
+    kt = compute_kappa_tilde(mesh8, uniform_perm8, np.ones(mesh8.fine.n_cells))
     r, H = mesh8.coarse.r, mesh8.coarse.H
     g = 2.0 / H**2
 
@@ -140,7 +140,7 @@ def test_snapshot_v2_columns(mesh8, fluid, uniform_perm8):
     rho0 = np.ones(mesh8.fine.n_cells)
     i = 0  # corner patch: three constrained faces
     nb = mesh8.neighborhoods[i]
-    A, _ = _local_operators(nb, uniform_perm8, rho0, rho0)
+    A, _ = _local_operators(nb, rho0 * uniform_perm8.values, rho0)
     snap = build_snapshot_v2(mesh8, i, A)
     S = snap.basis
     bnd = np.flatnonzero(nb.constrained_mask)
@@ -164,10 +164,9 @@ def test_snapshot_v2_columns(mesh8, fluid, uniform_perm8):
 def spectral13(mesh8):
     perm = PermeabilityField(np.ones(mesh8.fine.n_cells))
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = PartitionOfUnity(mesh8)
-    kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
+    kt = compute_kappa_tilde(mesh8, perm, rho0)
     snap = build_snapshot_v1(mesh8, 13)
-    A, M = _local_operators(mesh8.neighborhoods[13], perm, rho0, kt)
+    A, M = _local_operators(mesh8.neighborhoods[13], rho0 * perm.values, kt)
     spec = solve_local_spectral(mesh8, 13, snap, A, M)
     return mesh8, perm, rho0, kt, snap, spec
 
@@ -185,7 +184,7 @@ def test_spectral_ascending_orthonormal(spectral13):
     mesh, perm, rho0, kt, snap, spec = spectral13
     assert np.all(np.diff(spec.eigenvalues) >= -1e-10 * spec.eigenvalues[-1])
     nb = mesh.neighborhoods[13]
-    _, M = _local_operators(nb, perm, rho0, kt)
+    _, M = _local_operators(nb, rho0 * perm.values, kt)
     V = spec.eigenvectors[:, :10]
     G = V.T @ (M @ V)
     assert np.abs(G - np.eye(10)).max() <= 1e-8
@@ -193,13 +192,12 @@ def test_spectral_ascending_orthonormal(spectral13):
 
 def test_spectral_kappa_scale_invariance(mesh8):
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = PartitionOfUnity(mesh8)
     snap = build_snapshot_v1(mesh8, 0)
     vals = {}
     for s in (1.0, 100.0):
         perm = PermeabilityField(np.full(mesh8.fine.n_cells, s))
-        kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
-        A, M = _local_operators(mesh8.neighborhoods[0], perm, rho0, kt)
+        kt = compute_kappa_tilde(mesh8, perm, rho0)
+        A, M = _local_operators(mesh8.neighborhoods[0], rho0 * perm.values, kt)
         spec = solve_local_spectral(mesh8, 0, snap, A, M)
         vals[s] = spec.eigenvalues[:20]
     denom = np.abs(vals[1.0]).max()
@@ -227,11 +225,10 @@ def test_eigenvalue_decay_on_contrast_field(mesh8):
     perm = generate_channel_field(mesh8.fine, seed=0, background=1.0,
                                   channel=1e4, n_channels=6, n_inclusions=8)
     rho0 = np.ones(mesh8.fine.n_cells)
-    pou = PartitionOfUnity(mesh8)
-    kt = compute_kappa_tilde(mesh8, perm, rho0, pou)
+    kt = compute_kappa_tilde(mesh8, perm, rho0)
     i = 13
     snap = build_snapshot_v1(mesh8, i)
-    A, M = _local_operators(mesh8.neighborhoods[i], perm, rho0, kt)
+    A, M = _local_operators(mesh8.neighborhoods[i], rho0 * perm.values, kt)
     spec = solve_local_spectral(mesh8, i, snap, A, M)
     lam = spec.eigenvalues
     first = max(lam[1], 1e-300)  # skip the zero mode
@@ -243,7 +240,7 @@ def test_select_offline_basis(spectral13):
     psi = select_offline_basis(snap, spec, 4)
     assert psi.shape == (mesh.neighborhoods[13].n_local, 4)
     nb = mesh.neighborhoods[13]
-    _, M = _local_operators(nb, perm, rho0, kt)
+    _, M = _local_operators(nb, rho0 * perm.values, kt)
     G = psi.T @ (M @ psi)
     assert np.abs(G - np.eye(4)).max() <= 1e-8
     with pytest.raises(ConfigError):
@@ -255,7 +252,7 @@ def test_select_offline_basis(spectral13):
 def test_v2_within_v1_span(mesh8, uniform_perm8):
     # V1 is the full local space, so every V2 column already lies in it
     rho0 = np.ones(mesh8.fine.n_cells)
-    A, _ = _local_operators(mesh8.neighborhoods[0], uniform_perm8, rho0, rho0)
+    A, _ = _local_operators(mesh8.neighborhoods[0], rho0 * uniform_perm8.values, rho0)
     snap2 = build_snapshot_v2(mesh8, 0, A)
     v1_dim = build_snapshot_v1(mesh8, 0).dim
     assert snap2.dim < v1_dim
@@ -343,10 +340,17 @@ def test_offline_space_metadata(mesh8, fluid, uniform_perm8):
 
 def test_offline_spaces_need_a_count(mesh4, fluid, uniform_perm4):
     """An empty list of offline counts is a ConfigError, not a bare
-    ValueError from min()."""
+    ValueError from min(); so are an unknown snapshot kind, a count below 1
+    and a count that is not an int (a per-neighborhood list)."""
     p0 = np.full(mesh4.fine.n_nodes, fluid.p_ref)
-    with pytest.raises(ConfigError, match="no offline basis count"):
-        build_offline_spaces(mesh4, uniform_perm4, fluid, p0, [])
+    for counts, kind, match in [
+        ([], "v1", "no offline basis count"),
+        ([2], "v3", "unknown snapshot kind 'v3'"),
+        ([2, 0], "v1", "offline basis count 0 is not an integer >= 1"),
+        ([[2] * 27], "v1", r"offline basis count \[2, .*\] is not an integer >= 1"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            build_offline_spaces(mesh4, uniform_perm4, fluid, p0, counts, kind=kind)
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +376,7 @@ def test_partial_spectrum_matches_full_oracle(desk_patch, kind):
     spectrum has a gap at L."""
     mesh, perm, rho0, kt, i = desk_patch
     nb = mesh.neighborhoods[i]
-    A, M = _local_operators(nb, perm, rho0, kt)
+    A, M = _local_operators(nb, rho0 * perm.values, kt)
     if kind == "v1":
         snap = build_snapshot_v1(mesh, i)
     else:
@@ -403,7 +407,7 @@ def test_subset_larger_than_snapshot_space(mesh8, uniform_perm8):
     """n_eig beyond the snapshot dimension returns the whole spectrum."""
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
-    A, M = _local_operators(mesh8.neighborhoods[0], uniform_perm8, rho0, kt)
+    A, M = _local_operators(mesh8.neighborhoods[0], rho0 * uniform_perm8.values, kt)
     snap = build_snapshot_v2(mesh8, 0, A)
     full = solve_local_spectral(mesh8, 0, snap, A, M)
     part = solve_local_spectral(mesh8, 0, snap, A, M, n_eig=snap.dim + 5)
@@ -586,7 +590,9 @@ def test_offline_pass_logs_clusters_and_resolves(
     inside = {4: 0, 8: 0}
     for i in range(mesh8.n_neighborhoods):
         snap = build_snapshot_v1(mesh8, i)
-        A, M = _local_operators(mesh8.neighborhoods[i], uniform_perm8, rho0, kt)
+        A, M = _local_operators(
+            mesh8.neighborhoods[i], rho0 * uniform_perm8.values, kt
+        )
         starts = _cluster_starts(solve(mesh8, i, snap, A, M).eigenvalues)
         for L in inside:
             inside[L] += L not in starts
@@ -659,7 +665,7 @@ def test_failed_interior_factorization_names_the_neighborhood(
     monkeypatch.setattr(offline, "cho_factor", not_positive_definite)
     perm, _ = uniform6
     rho0 = np.ones(mesh6.fine.n_cells)
-    A, _ = _local_operators(mesh6.neighborhoods[5], perm, rho0, rho0)
+    A, _ = _local_operators(mesh6.neighborhoods[5], rho0 * perm.values, rho0)
     with pytest.raises(SingularMatrixError, match="interior block of neighborhood 5 "):
         build_snapshot_v2(mesh6, 5, A)
     cfgfile = tmp_path / "exp.cfg"
@@ -683,7 +689,7 @@ def test_v2_kernel_matches_dense_reference(mesh6, uniform6):
     kt = compute_kappa_tilde(mesh6, perm, rho0)
     L = 4
     for i, nb in enumerate(mesh6.neighborhoods):
-        A, M = _local_operators(nb, perm, rho0, kt)
+        A, M = _local_operators(nb, rho0 * perm.values, kt)
         snap = build_snapshot_v2(mesh6, i, A)
         spec = solve_local_spectral(mesh6, i, snap, A, M, n_eig=L + 4)
         S = snap.basis
@@ -787,7 +793,9 @@ def test_failed_sparse_solves_are_data_logged_once_each(
     monkeypatch.setattr(offline, "_SPARSE_MIN_NODES", 0)
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
-    A, M = _local_operators(mesh8.neighborhoods[13], uniform_perm8, rho0, kt)
+    A, M = _local_operators(
+        mesh8.neighborhoods[13], rho0 * uniform_perm8.values, kt
+    )
     snap = build_snapshot_v1(mesh8, 13)
     spec = solve_local_spectral(mesh8, 13, snap, A, M, n_eig=6)
     assert spec.solver == "fallback"
@@ -870,7 +878,7 @@ def test_v2_patches_with_other_constrained_nodes_are_not_shared(
     assert a.box == b.box and not np.array_equal(a.constrained_mask, b.constrained_mask)
 
     def key(nb, kind):
-        return offline._patch_key(nb, kind, 8, perm, rho0, kt, False)
+        return offline._patch_key(nb, kind, rho0 * perm.values, kt)
 
     assert key(a, "v1") == key(b, "v1")
     assert key(a, "v2") != key(b, "v2")

@@ -89,9 +89,9 @@ def recorded_pass(monkeypatch):
     passes = []
     run = workers.run
 
-    def recording(solve, jobs, n):
-        results, n_proc = run(solve, jobs, n)
-        passes.append({i: result for (i, _), result in zip(jobs, results)})
+    def recording(solve, jobs):
+        results, n_proc = run(solve, jobs)
+        passes.append({i: result for (i,), result in zip(jobs, results)})
         return results, n_proc
 
     monkeypatch.setattr(workers, "run", recording)
@@ -276,10 +276,10 @@ def failing_at(neighborhoods, exc):
     whichever process solves them."""
     solve = offline._solve_patch
 
-    def failing(mesh, kind, perm, rho0, kt, extra, i, L):
+    def failing(mesh, kind, w_stiff, w_mass, L, i):
         if i in neighborhoods:
             raise exc(f"patch failure at neighborhood {i}")
-        return solve(mesh, kind, perm, rho0, kt, extra, i, L)
+        return solve(mesh, kind, w_stiff, w_mass, L, i)
 
     return failing
 
@@ -293,8 +293,8 @@ def in_helpers(act, signals, wait=1):
     parent = os.getpid()
     here = []
 
-    def patched(mesh, kind, perm, rho0, kt, extra, i, L):
-        args = (mesh, kind, perm, rho0, kt, extra, i, L)
+    def patched(mesh, kind, w_stiff, w_mass, L, i):
+        args = (mesh, kind, w_stiff, w_mass, L, i)
         if os.getpid() != parent:
             return act(i, lambda: solve(*args))
         if not here and wait:
@@ -458,7 +458,7 @@ def test_this_process_claims_while_a_helper_is_slow(
     assert len(here) >= len(solved) - 2
 
 
-def test_every_job_is_claimed_once_by_more_processes_than_cpus(signals):
+def test_every_job_is_claimed_once_by_more_processes_than_cpus(signals, monkeypatch):
     """Six processes claim 3000 trivial jobs from the shared counter: each
     job is solved exactly once, none twice (a lost update of the counter)
     and none never, and its result lands at its index."""
@@ -468,14 +468,15 @@ def test_every_job_is_claimed_once_by_more_processes_than_cpus(signals):
         signals.send(i)
         return i
 
+    processes(monkeypatch, 6)
     start = time.perf_counter()
-    solved, n_proc = workers.run(solve, jobs, 6)
+    solved, n_proc = workers.run(solve, jobs)
     assert n_proc == 6 and solved == list(range(3000))
     assert sorted(signals.all_sent()) == list(range(3000))
     assert time.perf_counter() - start < 60
 
 
-def test_results_are_in_job_order_failures_included(no_child_processes):
+def test_results_are_in_job_order_failures_included(monkeypatch, no_child_processes):
     """On three processes, results[k] is the value of jobs[k] or the
     exception its solve raised, with its type and fields; one whose type
     cannot be rebuilt from its pickle arrives as an MsflowError."""
@@ -488,7 +489,8 @@ def test_results_are_in_job_order_failures_included(no_child_processes):
             raise NewtonConvergenceError(k, 2, 3.0)
         return -k
 
-    results, n_proc = workers.run(solve, [(k,) for k in range(40)], 3)
+    processes(monkeypatch, 3)
+    results, n_proc = workers.run(solve, [(k,) for k in range(40)])
     assert n_proc == 3 and len(results) == 40
     for k, result in enumerate(results):
         if k % 7 == 3:
@@ -520,11 +522,11 @@ def test_every_process_solves_at_one_blas_thread(
 
     def pinned(*args):
         if os.getpid() != parent:
-            signals.send(args[-2])
+            signals.send(args[-1])
         else:
             if not here:
                 signals.wait(1)
-            here.append(args[-2])
+            here.append(args[-1])
         threads = [get() for get, _ in pools]
         if threads != [1] * len(pools):
             raise MsflowError(f"process {os.getpid()} solves at {threads} BLAS threads")

@@ -745,7 +745,7 @@ def test_offline_span_is_driver_independent(shape, mode, scale, seed):
     rng = np.random.default_rng(seed)
     worst, inside = 0.0, 0
     for i, nb in enumerate(mesh.neighborhoods):
-        A, M = offline._local_operators(nb, perm, rho0, kt)
+        A, M = offline._local_operators(nb, rho0 * perm.values, kt)
         if kind == "v1":
             snap = build_snapshot_v1(mesh, i)
         else:
@@ -795,7 +795,7 @@ def test_sparse_solve_matches_dense(shape, field, n_eig, seed):
     sparse_solves = 0
     for i, nb in enumerate(mesh.neighborhoods):
         snap = build_snapshot_v1(mesh, i)
-        A, M = offline._local_operators(nb, perm, rho0, kt)
+        A, M = offline._local_operators(nb, rho0 * perm.values, kt)
         k = min(n_eig, nb.n_local - 2)
         dense = solve_local_spectral(mesh, i, snap, A, M)
         with mock.patch.object(offline, "_SPARSE_MIN_NODES", 0):
@@ -857,7 +857,7 @@ def test_v2_cholesky_and_schur_pencil_match_the_sparse_formulation(
     rho0 = np.ones(mesh.fine.n_cells)
     kt = compute_kappa_tilde(mesh, perm, rho0)
     for i, nb in enumerate(mesh.neighborhoods):
-        A, M = offline._local_operators(nb, perm, rho0, kt)
+        A, M = offline._local_operators(nb, rho0 * perm.values, kt)
         snap = build_snapshot_v2(mesh, i, A)
         S = superlu_snapshot_v2(nb, A)
         assert np.abs(snap.basis - S).max() <= 1e-12 * np.abs(S).max()
