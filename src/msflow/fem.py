@@ -160,21 +160,25 @@ def assemble_cells(fine, blocks, dirichlet_nodes=None):
 
 
 def assemble_weighted_stiffness(fine, w_cell):
-    """Global stiffness with a positive cell-wise weight (symmetric PSD;
-    constants are in the kernel before any Dirichlet elimination)."""
+    """Global stiffness with a positive finite cell-wise weight (symmetric
+    PSD; constants are in the kernel before any Dirichlet elimination)."""
     w_cell = np.asarray(w_cell, dtype=float)
-    if np.any(w_cell <= 0):
-        bad = int(np.argmax(w_cell <= 0))
-        raise AssemblyError(f"non-positive stiffness weight at cell {bad}")
+    bad = ~np.isfinite(w_cell) | (w_cell <= 0)
+    if np.any(bad):
+        raise AssemblyError(
+            f"non-positive or non-finite stiffness weight at cell {int(np.argmax(bad))}"
+        )
     Ke, _ = element_matrices(fine.h)
     return assemble_cells(fine, w_cell[:, None, None] * Ke)
 
 
 def assemble_weighted_mass(fine, w_cell):
-    """Global consistent mass with a nonnegative cell-wise weight."""
+    """Global consistent mass with a finite nonnegative cell-wise weight."""
     w_cell = np.asarray(w_cell, dtype=float)
-    if np.any(w_cell < 0) or not np.any(w_cell > 0):
-        raise AssemblyError("mass weight must be nonnegative and not identically zero")
+    if not np.all(np.isfinite(w_cell) & (w_cell >= 0)) or not np.any(w_cell > 0):
+        raise AssemblyError(
+            "mass weight must be finite, nonnegative and not identically zero"
+        )
     _, Me = element_matrices(fine.h)
     return assemble_cells(fine, w_cell[:, None, None] * Me)
 

@@ -18,6 +18,7 @@ vertex grid (`CoarseGrid.dissection()`).
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,16 @@ class FineGrid:
         for name, n in (("nx", self.nx), ("ny", self.ny), ("nz", self.nz)):
             if n < 2:
                 raise ConfigError(f"{name} must be >= 2, got {n}")
-        if self.h <= 0:
-            raise ConfigError(f"h must be positive, got {self.h}")
+        # the cell volume h**3 scales every mass and load term
+        try:
+            volume = float(self.h) ** 3
+        except OverflowError:
+            volume = math.inf
+        if not 0.0 < volume < math.inf:  # h <= 0, nan, or h**3 out of range
+            raise ConfigError(
+                f"h must be positive with a positive finite cell volume h**3, "
+                f"got {self.h}"
+            )
 
     @property
     def n_nodes(self):

@@ -400,9 +400,11 @@ def _coarse_runs(config, runs, problem, mesh, ref_states, csv_path, vtk_steps=()
     The error-norm operators are built once, here.  The runs are the jobs of
     one `workers.run` on every CPU of the affinity mask, each at one BLAS
     thread, the longest first: the most online rounds, then the most bases
-    per neighborhood.  A lone run is made in this process.  A failed run
-    raises its error after the rows of the runs before it, as runs made one
-    after another would; no row of a later run is written."""
+    per neighborhood.  A lone run is made in this process.  Every run's log
+    records reach this process's handlers when the last run ends, in that
+    order, on any process count.  A failed run raises its error after the
+    rows of the runs before it, as runs made one after another would; no
+    row of a later run is written."""
     norms = _error_operators(config, problem, mesh)
     solve = functools.partial(
         _coarse_run, config, problem, mesh, ref_states, norms, vtk_steps

@@ -19,7 +19,7 @@ The v1 subset solves of patches above _SPARSE_MIN_NODES nodes run on the
 sparse operators: shift-invert Lanczos (`eigsh`) on one LU of A - sigma M,
 checked by a Sylvester inertia count at a cut below the last computed
 cluster (`_sparse_pairs`).  A patch that fails the check is solved densely,
-and the pass logs the fallback at INFO.  Smaller patches, v2 (its projected
+and the fallback is logged at INFO.  Smaller patches, v2 (its projected
 problem is dense) and the full spectrum use LAPACK's dense `eigh`.
 
 A v2 snapshot space is built from one dense Cholesky factorization of the
@@ -43,9 +43,9 @@ and A and M to every spectral solve of the patch, growth re-solves included.
 
 The distinct patches are solved as one work list, largest first, on every
 CPU of the affinity mask (`workers.run`), to the same bits on any number.
-The reason of a dense fallback travels in the results, and the pass logs it
-at INFO in patch order and raises the error of the lowest failing
-neighborhood, as a pass in one process does.
+What a patch's solve logs, such as a dense fallback, is emitted in job
+order (largest patch first) on any number, and the pass raises the error
+of the lowest failing neighborhood, as a pass in one process does.
 """
 
 import functools
@@ -244,7 +244,6 @@ class SpectralDecomposition:
     # "dense" (eigh), "sparse" (shift-invert Lanczos, checked by the inertia
     # count) or "fallback" (eigh after a sparse solve that failed the check)
     solver: str = "dense"
-    fallback: str | None = None  # why the sparse solve failed, for "fallback"
 
 
 def _cluster_starts(eigenvalues):
@@ -275,16 +274,20 @@ def _probes(nb, snapshot):
     return P / np.linalg.norm(P, axis=0)
 
 
-def _canonical_cluster(V, P):
+def _canonical_cluster(i, V, P):
     """The M-orthonormal basis of span(V) that the probes P fix, given the
-    M-orthonormal columns V of one eigenvalue cluster.
+    M-orthonormal columns V of one eigenvalue cluster of neighborhood i.
 
     Each probe p is projected onto span(V), with coefficients (V^T V)^-1 V^T p
     in the basis V; the projections are M-orthonormalized in probe order,
     then the unit vectors follow, and a probe that adds less than _PROBE_MIN
     of its length is skipped.  V^T M V = I makes the M-inner product of
     coefficient vectors the Euclidean one, so M is not needed, and the result
-    depends on span(V) only, not on which basis of it V is."""
+    depends on span(V) only, not on which basis of it V is.
+
+    Computed vectors that span fewer dimensions than they count, which an
+    M that rounding leaves indefinite gives at extreme contrast, raise
+    SingularMatrixError naming the neighborhood."""
     m = V.shape[1]
     pinv = np.linalg.pinv(V)
     C = np.hstack([pinv @ P, pinv])  # unit vector probes: columns of pinv
@@ -300,7 +303,11 @@ def _canonical_cluster(V, P):
         k += 1
         if k == m:
             return V @ Q
-    raise AssertionError("the unit vectors span every cluster")
+    raise SingularMatrixError(
+        f"local pencil of neighborhood {i} is too ill-conditioned: the "
+        f"{m} computed eigenvectors of one eigenvalue cluster span a space "
+        f"of dimension {k} (is the permeability contrast too extreme?)"
+    )
 
 
 def _signs(vecs, P):
@@ -406,17 +413,19 @@ def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
 
     A v1 subset solve of a patch with more than _SPARSE_MIN_NODES nodes runs
     on the sparse operators (`_sparse_pairs`), and densely (LAPACK's subset
-    eigh) if that fails its inertia check, with the reason in `fallback`;
+    eigh), with the reason logged at INFO, if that fails its inertia check;
     every other solve is dense.
     """
     nb = mesh.neighborhoods[i]
-    solver, pairs, fallback = "dense", None, None
+    solver, pairs = "dense", None
     if (
         snapshot.basis is None and n_eig is not None
         and _SPARSE_MIN_NODES < nb.n_local and n_eig < nb.n_local
     ):
-        pairs, fallback = _sparse_pairs(nb.box, A, M, n_eig)
+        pairs, reason = _sparse_pairs(nb.box, A, M, n_eig)
         solver = "fallback" if pairs is None else "sparse"
+        if pairs is None:
+            log.info("neighborhood %d: %s; solved densely", i, reason)
     if pairs is None:
         if snapshot.basis is None:
             Ad, Md = A.toarray(), M.toarray()
@@ -433,11 +442,11 @@ def solve_local_spectral(mesh, i, snapshot, A, M, n_eig=None):
     probes = _probes(nb, snapshot)
     for lo, hi in zip(starts[:-1], starts[1:]):
         if hi - lo > 1 and hi <= n_complete:
-            vecs[:, lo:hi] = _canonical_cluster(vecs[:, lo:hi], probes)
+            vecs[:, lo:hi] = _canonical_cluster(i, vecs[:, lo:hi], probes)
     vecs *= _signs(vecs, probes)
     return SpectralDecomposition(
         eigenvalues=vals, eigenvectors=vecs, n_complete=n_complete,
-        solver=solver, fallback=fallback,
+        solver=solver,
     )
 
 
@@ -621,13 +630,12 @@ def _patch_key(nb, kind, w_stiff, w_mass):
 @dataclass
 class _Solved:
     """One distinct patch's offline modes and eigenvalues, with what the
-    pass record counts: its solvers, the reason of each dense fallback
-    (growth re-solves included) and seconds."""
+    pass record counts: its solvers (growth re-solves included) and
+    seconds."""
 
     psi: np.ndarray
     eigenvalues: np.ndarray
     solvers: Counter
-    fallbacks: list
     t_snap: float
     t_eig: float
 
@@ -643,19 +651,15 @@ def _solve_patch(mesh, kind, w_stiff, w_mass, L, i):
     A, M = _local_operators(mesh.neighborhoods[i], w_stiff, w_mass)
     snap = build_snapshot_v1(mesh, i) if kind == "v1" else build_snapshot_v2(mesh, i, A)
     t2 = time.perf_counter()
-    solvers, fallbacks = Counter(), []
+    solvers = Counter()
     while True:
         spec = solve_local_spectral(mesh, i, snap, A, M, n_eig=n_eig)
         solvers[spec.solver] += 1
-        if spec.fallback is not None:
-            fallbacks.append(spec.fallback)
         if spec.n_complete >= L or n_eig >= snap.dim:
             break
         n_eig *= 2
     psi = select_offline_basis(snap, spec, L)
-    return _Solved(
-        psi, spec.eigenvalues, solvers, fallbacks, t2 - t1, time.perf_counter() - t2
-    )
+    return _Solved(psi, spec.eigenvalues, solvers, t2 - t1, time.perf_counter() - t2)
 
 
 def build_offline_spaces(
@@ -715,8 +719,6 @@ def build_offline_spaces(
     for i in sorted(solved):
         if isinstance(solved[i], Exception):
             raise solved[i]
-        for reason in solved[i].fallbacks:
-            log.info("neighborhood %d: %s; solved densely", i, reason)
 
     psis = [solved[k].psi for k in source]
     eigs = [solved[k].eigenvalues for k in source]

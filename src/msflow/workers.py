@@ -6,10 +6,21 @@ the distinct patches of an offline pass, and the coarse runs of a sweep
 processes (`cpu_count`): this one and P - 1 helpers forked for the call,
 each claiming the next job, in list order, from one shared counter until
 none is left; a helper sends each result, or the exception its solve
-raised, back over a pipe.  Forked, not spawned: the helpers inherit the
-caller's data and loaded libraries, where a spawned one would import numpy
-and scipy again and receive its inputs pickled.  The process's only other
-threads are OpenBLAS's, whose pools OpenBLAS itself stops around fork.
+raised, back over a pipe.
+
+A job's log records take the same way back.  While a job runs, in
+whichever process, every record that reaches the `msflow` logger is held
+with the job's result instead of going to that logger's handlers or its
+parents' (`_held_records`).  When the last job is done, this process emits
+each job's records, in job order, through the logger that made them, so a
+caller's handlers get the same records in the same order on any process
+count, a failed job's before the caller raises its error.  A record's
+message is formatted when it is held, a traceback included as text.
+
+Forked, not spawned: the helpers inherit the caller's data and loaded
+libraries, where a spawned one would import numpy and scipy again and
+receive its inputs pickled.  The process's only other threads are
+OpenBLAS's, whose pools OpenBLAS itself stops around fork.
 
 For the call, this process sets each loaded OpenBLAS to one thread (its
 `*_set_num_threads` function, found through `/proc/self/maps`) before it
@@ -38,6 +49,7 @@ import ctypes
 import functools
 import itertools
 import logging
+import logging.handlers
 import multiprocessing
 import os
 import pickle
@@ -58,16 +70,42 @@ def cpu_count():
         return os.cpu_count() or 1
 
 
+class _Held(logging.handlers.QueueHandler):
+    """Keeps every record it handles in the list `queue`, prepared as for a
+    queue between processes so that it pickles: its message formatted, a
+    traceback included as text, and its arguments dropped."""
+
+    def enqueue(self, record):
+        self.queue.append(record)
+
+
+@contextlib.contextmanager
+def _held_records():
+    """Yields the list of the records that reach the `msflow` logger
+    meanwhile, which go nowhere else: that logger's own handlers are set
+    aside and it stops propagating, both restored on exit."""
+    logger = logging.getLogger("msflow")
+    held = _Held([])
+    handlers, propagate = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [held], False
+    try:
+        yield held.queue
+    finally:
+        logger.handlers, logger.propagate = handlers, propagate
+
+
 def _solve_claimed(solve, jobs, claim):
     """Solve the jobs whose indices claim() returns, until it returns one
-    past the last: {index: the job's result, or the exception its solve
-    raised}."""
+    past the last: {index: (the job's result, or the exception its solve
+    raised; the records it logged)}."""
     results = {}
     while (k := claim()) < len(jobs):
-        try:
-            results[k] = solve(*jobs[k])
-        except Exception as exc:
-            results[k] = exc
+        with _held_records() as records:
+            try:
+                value = solve(*jobs[k])
+            except Exception as exc:
+                value = exc
+        results[k] = value, records
     return results
 
 
@@ -153,12 +191,12 @@ def _helper(conn, solve, jobs, claim):
     Ctrl-C to that process, which ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     results = _solve_claimed(solve, jobs, claim)
-    for k, result in results.items():
+    for k, (result, records) in results.items():
         if isinstance(result, Exception):
             try:
                 pickle.loads(pickle.dumps(result))
             except Exception:
-                results[k] = MsflowError(f"{type(result).__name__}: {result}")
+                results[k] = MsflowError(f"{type(result).__name__}: {result}"), records
     conn.send(results)
     conn.close()
 
@@ -167,7 +205,8 @@ def run(solve, jobs):
     """Call solve(*job) for every job of the list, on one process per CPU
     of the affinity mask (`cpu_count`), at most one per job; returns
     (results, the process count), where results[k] is the result of
-    jobs[k], or the exception its solve raised.
+    jobs[k], or the exception its solve raised.  The records each job
+    logged are emitted here, in job order, before it returns.
 
     The jobs start in list order, so give the longest first.  Every process
     runs at one BLAS thread meanwhile (module docstring)."""
@@ -212,4 +251,7 @@ def run(solve, jobs):
                 if proc.pid is not None:
                     proc.join()
                 recv.close()
-    return [results[k] for k in range(len(jobs))], n_proc
+    for k in range(len(jobs)):
+        for record in results[k][1]:
+            logging.getLogger(record.name).handle(record)
+    return [results[k][0] for k in range(len(jobs))], n_proc

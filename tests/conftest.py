@@ -1,3 +1,4 @@
+import logging
 import multiprocessing
 import os
 
@@ -30,6 +31,18 @@ def no_child_processes():
     for it gets the check itself, to run between its steps."""
     yield _reaped
     assert _reaped(), "a child process outlived the test"
+
+
+@pytest.fixture(autouse=True)
+def msflow_logger_restored():
+    """Fails every test that leaves the `msflow` logger's handlers,
+    propagation or level other than it found them, such as a work list
+    whose hold on a job's records was not undone."""
+    logger = logging.getLogger("msflow")
+    before = list(logger.handlers), logger.propagate, logger.level
+    yield
+    after = list(logger.handlers), logger.propagate, logger.level
+    assert after == before, "the test left the msflow logger changed"
 
 
 @pytest.fixture(scope="session")

@@ -73,10 +73,14 @@ def test_stiffness_matches_hand_assembly(mesh4):
 
 
 def test_stiffness_rejects_nonpositive_weight(mesh4):
-    w = np.ones(mesh4.fine.n_cells)
-    w[5] = -1.0
-    with pytest.raises(AssemblyError, match="cell 5"):
-        assemble_weighted_stiffness(mesh4.fine, w)
+    """A negative, NaN or infinite weight is named by its cell."""
+    for bad in (-1.0, np.nan, np.inf):
+        w = np.ones(mesh4.fine.n_cells)
+        w[5] = bad
+        with pytest.raises(AssemblyError, match="cell 5"):
+            assemble_weighted_stiffness(mesh4.fine, w)
+    with pytest.raises(AssemblyError, match="cell 0"):
+        assemble_weighted_stiffness(mesh4.fine, np.full(mesh4.fine.n_cells, np.nan))
 
 
 def test_mass_linearity_and_spd(mesh4):
@@ -88,8 +92,14 @@ def test_mass_linearity_and_spd(mesh4):
 
 
 def test_mass_rejects_bad_weight(mesh4):
+    """An all-zero weight, and one with a negative, NaN or infinite cell."""
     with pytest.raises(AssemblyError):
         assemble_weighted_mass(mesh4.fine, np.zeros(mesh4.fine.n_cells))
+    for bad in (-1.0, np.nan, np.inf):
+        w = np.ones(mesh4.fine.n_cells)
+        w[5] = bad
+        with pytest.raises(AssemblyError):
+            assemble_weighted_mass(mesh4.fine, w)
 
 
 @pytest.mark.parametrize("face", [False, True])

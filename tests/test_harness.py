@@ -658,6 +658,39 @@ def test_cli_rejects_bad_config_values_before_solving(tmp_path, capsys, key, val
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("h", ["1e120", "1e-120"])
+def test_cli_rejects_a_cell_volume_out_of_range(tmp_path, capsys, h):
+    """A cell edge whose volume h**3 overflows or underflows to zero is a
+    configuration error (exit 2) that names the value, raised before the
+    output directory is made."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        f"time.steps = 1\nmesh.h = {h}\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"got {float(h)}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_extreme_contrast_is_a_typed_error(tmp_path, capsys):
+    """A background permeability of 1e-300 on a 4^3 r=2 mesh leaves the
+    local spectral mass numerically indefinite, so the computed vectors of
+    an eigenvalue cluster are dependent: `msflow run` exits 1 with one
+    `error:` line naming the neighborhood and its ill-conditioned pencil."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        "time.steps = 1\nfield.background = 1e-300\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: local pencil of neighborhood \d+ is too ill-conditioned", err)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, lines, name", [
     (["run", "--seed", "-1"], "", "seed"),
     (["gen-field", "--seed", "-1", "FIELD"], "", "seed"),

@@ -778,19 +778,20 @@ def test_missed_cluster_copy_falls_back_to_the_dense_solve(
         assert np.array_equal(a.lambda_next, b.lambda_next)
 
 
-def test_failed_sparse_solves_are_data_logged_once_each(
+def test_failed_sparse_solves_are_logged_once_each(
     mesh8, fluid, uniform_perm8, caplog, monkeypatch
 ):
-    """A sparse solve whose Lanczos fails returns solver "fallback" with the
-    reason in `fallback`, and the pass logs one INFO line per failed sparse
-    solve, growth re-solves included, in patch order, whichever process
-    solved it."""
+    """A sparse solve whose Lanczos fails returns solver "fallback" and logs
+    the reason at INFO, and a pass emits one INFO line per failed sparse
+    solve, growth re-solves included, in job order (largest patch first),
+    the same on one process and on three."""
 
     def failing_eigsh(*args, **kwargs):
         raise offline.spla.ArpackError(-9999)
 
     monkeypatch.setattr(offline, "eigsh", failing_eigsh)
     monkeypatch.setattr(offline, "_SPARSE_MIN_NODES", 0)
+    caplog.set_level(logging.DEBUG, logger="msflow.offline")
     rho0 = np.ones(mesh8.fine.n_cells)
     kt = compute_kappa_tilde(mesh8, uniform_perm8, rho0)
     A, M = _local_operators(
@@ -799,24 +800,37 @@ def test_failed_sparse_solves_are_data_logged_once_each(
     snap = build_snapshot_v1(mesh8, 13)
     spec = solve_local_spectral(mesh8, 13, snap, A, M, n_eig=6)
     assert spec.solver == "fallback"
-    assert spec.fallback.startswith("shift-invert Lanczos failed (ARPACK error -9999")
+    (info,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert info.startswith(
+        "neighborhood 13: shift-invert Lanczos failed (ARPACK error -9999"
+    )
 
     monkeypatch.setattr(offline, "_EXTRA_PAIRS", 1)
-    caplog.set_level(logging.DEBUG, logger="msflow.offline")
     p0 = np.full(mesh8.fine.n_nodes, fluid.p_ref)
-    build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
-    m = re.search(r"\(0 sparse, (\d+) dense fallbacks\); (\d+) n_eig growth", caplog.text)
-    assert int(m.group(2)) > 0
-    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert len(infos) == int(m.group(1))
-    patches = [
-        int(re.fullmatch(
-            r"neighborhood (\d+): shift-invert Lanczos failed \(.+\); solved densely",
-            msg,
-        ).group(1))
-        for msg in infos
-    ]
-    assert patches == sorted(patches)
+    logged = []
+    for n in (1, 3):
+        monkeypatch.setattr(workers, "cpu_count", lambda: n)
+        caplog.clear()
+        build_offline_space(mesh8, uniform_perm8, fluid, p0, 2)
+        m = re.search(
+            r"\(0 sparse, (\d+) dense fallbacks\); (\d+) n_eig growth", caplog.text
+        )
+        assert int(m.group(2)) > 0
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(infos) == int(m.group(1))
+        logged.append([
+            int(re.fullmatch(
+                r"neighborhood (\d+): shift-invert Lanczos failed \(.+\); "
+                r"solved densely",
+                msg,
+            ).group(1))
+            for msg in infos
+        ])
+    job_order = sorted(
+        set(logged[0]), key=lambda i: (-mesh8.neighborhoods[i].n_local, i)
+    )
+    assert sorted(set(logged[0]), key=logged[0].index) == job_order
+    assert logged[0] == logged[1]
 
 
 def test_sparse_solve_counted_in_the_pass_record(mesh8, fluid, uniform_perm8, caplog):

@@ -565,10 +565,10 @@ def test_interrupted_pass_leaves_no_helper(
     assert no_child_processes()
 
 
-def test_helper_records_are_emitted_in_patch_order(fluid, caplog, monkeypatch):
+def test_helper_records_are_emitted_in_job_order(fluid, caplog, monkeypatch):
     """The INFO records of dense fallbacks, solved on three processes, are
-    emitted by this process in patch order, as a pass on one process emits
-    them, before the pass record."""
+    emitted by this process in job order (largest patch first), as a pass
+    on one process emits them, before the pass record."""
     mesh = build_two_scale_mesh(8, 8, 8, r=2)
     perm = generate_channel_field(mesh.fine, seed=0, background=1.0,
                                   channel=1e4, n_channels=2, n_inclusions=2)
@@ -593,5 +593,111 @@ def test_helper_records_are_emitted_in_patch_order(fluid, caplog, monkeypatch):
         int(re.match(r"neighborhood (\d+): shift-invert Lanczos failed", m).group(1))
         for m in logged[1]
     ]
-    assert len(fallbacks) > 10 and fallbacks == sorted(fallbacks)
+    job_order = sorted(fallbacks, key=lambda i: (-mesh.neighborhoods[i].n_local, i))
+    assert len(fallbacks) > 10 and fallbacks == job_order != sorted(fallbacks)
     assert logged[0] == logged[1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_job_records_are_emitted_in_job_order(n, caplog, monkeypatch):
+    """Every record a job logs, in whichever process solves it, reaches this
+    process's handlers once, in job order, before `run` returns: a failed
+    job's records included."""
+    log = logging.getLogger("msflow.online")
+
+    def solve(k):
+        log.warning("job %d", k)
+        if k % 5 == 2:
+            raise ConfigError(f"job {k}")
+        return k
+
+    processes(monkeypatch, n)
+    results, n_proc = workers.run(solve, [(k,) for k in range(20)])
+    assert n_proc == n
+    assert [type(r) for r in results[2::5]] == [ConfigError] * 4
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("msflow.online", f"job {k}") for k in range(20)
+    ]
+
+
+def test_sweep_records_are_the_same_on_any_process_count(tmp_path, caplog, monkeypatch):
+    """Around a sweep whose variants each log a WARNING on `msflow.online`,
+    this process's handler gets the same `msflow.fem` and `msflow.online`
+    records (name, level and message), in the same order, on one process,
+    two and three.  On more than one, this process waits for a helper to
+    start a variant before it solves its own, so a helper logs one."""
+    solve = harness.solve_gmsfem
+    parent = os.getpid()
+    online_log = logging.getLogger("msflow.online")
+    caplog.set_level(logging.DEBUG, logger="msflow")
+    records = []
+    for n in (1, 2, 3):
+        processes(monkeypatch, n)
+        signals, here = Signals(), []
+
+        def warning(problem, space, schedule, newton):
+            variant = (space.projection.n_offline, schedule.n_online)
+            if os.getpid() != parent:
+                signals.send(*variant)
+            else:
+                if n > 1 and not here:
+                    signals.wait(2)
+                here.extend(variant)
+            online_log.warning("variant of %d offline and %d online vectors", *variant)
+            return solve(problem, space, schedule, newton)
+
+        monkeypatch.setattr(harness, "solve_gmsfem", warning)
+        cfg = ExperimentConfig.default()
+        cfg.values.update({
+            "mesh.nx": 8, "mesh.ny": 8, "mesh.nz": 8, "mesh.ratio": 4,
+            "time.steps": 3, "problem.preset": "neumann-wells",
+            "output.dir": str(tmp_path / f"out{n}"),
+        })
+        caplog.clear()
+        harness.sweep(cfg, ["2+0", "4+0", "2+1u2"])
+        in_helpers = signals.all_sent()
+        os.close(signals.read_fd)
+        assert sorted(here + in_helpers) == [0, 0, 1, 54, 54, 108]
+        assert bool(in_helpers) == (n > 1)
+        records.append([
+            (r.name, r.levelno, r.getMessage()) for r in caplog.records
+            if r.name in ("msflow.fem", "msflow.online")
+        ])
+    warnings = [m for _, level, m in records[0] if level == logging.WARNING]
+    assert warnings == [  # job order: the most online rounds, then bases
+        f"variant of {d} offline and {k} online vectors"
+        for d, k in ((54, 1), (108, 0), (54, 0))
+    ]
+    assert any(level == logging.DEBUG for _, level, _ in records[0])
+    assert records[0] == records[1] == records[2]
+
+
+def test_failing_variant_records_reach_the_caller(
+    tmp_path, caplog, monkeypatch, signals
+):
+    """A variant that logs a WARNING in a helper and then fails: the record
+    reaches this process's handlers before the sweep raises its error."""
+    processes(monkeypatch, 2)
+    solve = harness.solve_gmsfem
+    parent = os.getpid()
+    here = []
+
+    def failing_in_helper(problem, space, schedule, newton):
+        if os.getpid() != parent:
+            logging.getLogger("msflow.online").warning(
+                "giving up the variant with %d online vectors", schedule.n_online
+            )
+            signals.send(schedule.n_online)
+            raise NewtonConvergenceError(2, 25, 1.0)
+        if not here:
+            signals.wait(1)
+        here.append(schedule.n_online)
+        return solve(problem, space, schedule, newton)
+
+    monkeypatch.setattr(harness, "solve_gmsfem", failing_in_helper)
+    with pytest.raises(NewtonConvergenceError):
+        harness.sweep(sweep_config(tmp_path), ["2+0", "2+1"])
+    (failed,) = signals.all_sent()
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        f"giving up the variant with {failed} online vectors"
+    ]
