@@ -24,11 +24,14 @@ factorization (`offline.build_snapshot_v2`): at 16^3 r=4 they have 64-512
 nodes and 61-386 right-hand sides, where SuperLU's triangular solves took
 most of the snapshot time; at 24^3 r=8 the largest has 4096 nodes and is
 128 MiB dense (the offline docstring gives the pass's peak memory).
-Every Newton iteration, fine or coarse, assembles the one sparse Jacobian J
-(`newton_jacobian`); a coarse system is its Galerkin projection R^T J R
-(`_Galerkin`), which refinement applies as R^T (J (R x)) and which is formed
-only when it is factored, once per basis in a normal run.  The residual
-and the Jacobian read one per-cell state (`_cell_state`) of a checked p.
+A fine Newton system is the Jacobian operator `_Jacobian`: refinement
+applies it cell by cell without assembling it, and the sparse Jacobian J
+(`newton_jacobian`) is assembled only when it is factored, once per
+`solve_fine` in a normal run.  Every coarse Newton iteration assembles J,
+and a coarse system is its Galerkin projection R^T J R (`_Galerkin`),
+which refinement applies as R^T (J (R x)) and which is formed only when it
+is factored, once per basis in a normal run.  The residual, the Jacobian
+and its operator read one per-cell state (`_cell_state`) of a checked p.
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
@@ -57,6 +60,7 @@ from .errors import (
     AssemblyError,
     ConfigError,
     NewtonConvergenceError,
+    NumericRangeError,
     SingularMatrixError,
 )
 from .model import density
@@ -209,8 +213,9 @@ def _cell_state(p, fluid, perm, dt, fine):
     flux_w = dt * (perm.values / fluid.mu) * rho_c
     # Subtract the cell mean before applying Ke (constants are in its kernel):
     # analytically a no-op, numerically it keeps the large absolute pressure
-    # level out of the flux roundoff.
-    return rho_c, flux_w, np.einsum("ab,cb->ca", Ke, p_loc - p_mean[:, None])
+    # level out of the flux roundoff.  Ke is symmetric, so the rows of
+    # (p_loc - mean) Ke are the cells' Ke (p_loc - mean).
+    return rho_c, flux_w, (p_loc - p_mean[:, None]) @ Ke
 
 
 def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
@@ -252,13 +257,60 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     blocks += (fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0)[:, None, None]
     # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
     blocks += ((fluid.c / 8.0) * flux_w[:, None] * kp)[:, :, None]
-    # free the per-cell temporaries before the assembly allocates: kept alive,
-    # they double the minor page faults of a cold 16^3 fine solve (42k
-    # against 12-25k) through glibc's heap trimming
+    # free the per-cell temporaries before the assembly allocates: every
+    # coarse Newton iteration gets here, and on the 16^3 run-v2-mixed
+    # benchmark workload (2 vCPUs, 6 runs each) the peak RSS was 93.2-94.5
+    # MiB (median 93.3) with the del and 93.9-95.9 (94.2) without; a cold
+    # 16^3 fine reference, which assembles once, takes 7.0-7.5k minor page
+    # faults either way
     del rho_c, flux_w, kp
     return assemble_cells(
         fine, blocks, None if boundary is None else boundary.dirichlet_nodes
     )
+
+
+class _Jacobian:
+    """The fine Jacobian `newton_jacobian(p, fluid, perm, dt, fine,
+    boundary)` as an operator: `@` applies it without assembling it,
+    `tocsc()` assembles it (only to be factored).
+
+    The cell block of `newton_jacobian` is flux_w Ke plus two rank-one
+    terms, the accumulation and the density sensitivity, each a column per
+    cell times the row of ones; so the product gathers x per cell
+    (`cell_nodes()`), takes flux_w (Ke x_c) plus that column times sum(x_c),
+    and scatters the cell results with `np.bincount`.  Dirichlet rows and
+    columns act as the identity: those entries of x are zeroed before the
+    gather and copied into the result.  At 16^3 (2 vCPUs) a build and a
+    product take about 0.3 ms each, where an assembly takes 1.8-3.3 ms and
+    a product with the assembled J 0.06 ms."""
+
+    def __init__(self, p, fluid, perm, dt, fine, boundary=None):
+        self.args = (p, fluid, perm, dt, fine, boundary)
+        rho_c, self.flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
+        # per cell: the rows of the two rank-one terms, times sum(x_c)
+        self.rank_one = (fluid.c / 8.0) * self.flux_w[:, None] * kp
+        self.rank_one += (fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0)[:, None]
+        self.dirichlet = (
+            np.empty(0, dtype=np.int64) if boundary is None else boundary.dirichlet_nodes
+        )
+
+    def __matmul__(self, x):
+        fine = self.args[4]
+        Ke, _ = element_matrices(fine.h)
+        cell_nodes = fine.cell_nodes()
+        free = x
+        if self.dirichlet.size:
+            free = x.copy()
+            free[self.dirichlet] = 0.0
+        x_c = free[cell_nodes]
+        y_c = self.flux_w[:, None] * (x_c @ Ke)
+        y_c += self.rank_one * x_c.sum(axis=1)[:, None]
+        y = np.bincount(cell_nodes.ravel(), weights=y_c.ravel(), minlength=fine.n_nodes)
+        y[self.dirichlet] = x[self.dirichlet]
+        return y
+
+    def tocsc(self):
+        return newton_jacobian(*self.args).tocsc()
 
 
 def _factor(A, diag_pivot_thresh=1.0):
@@ -377,10 +429,10 @@ class _KeptLU:
 
     def solve(self, J, b, step=0, it=0, target=0.0):
         """Solve J x = b; refinement on the kept LU stops once
-        ||b - J x|| <= max(_REFINE_RTOL ||b||, target).  J is a sparse matrix
-        or a `_Galerkin`; refinement only applies it, and it is formed
-        (`tocsc`) only to be factored.  step and it (time step, Newton
-        iteration) name a refactored system in the log."""
+        ||b - J x|| <= max(_REFINE_RTOL ||b||, target).  J is a sparse
+        matrix, a `_Jacobian` or a `_Galerkin`; refinement only applies it,
+        and it is formed (`tocsc`) only to be factored.  step and it (time
+        step, Newton iteration) name a refactored system in the log."""
         system = "fine Jacobian" if self.R is None else "projected Newton system"
         if self.lu is not None:
             nb = np.linalg.norm(b)
@@ -476,15 +528,27 @@ def _newton_step(p_prev, problem, config, sol, step, kept):
 
     Each Newton system is solved with the `_KeptLU` kept, to _FORCING times
     the absolute tolerance config.tol * scale; without a basis matrix it is
-    the fine system.  Given the basis matrix R of the kept LU, the residual
-    and the Jacobian are still assembled on the fine grid, each Newton
-    system is Galerkin-projected (`_Galerkin`: R^T J R, and R^T F) and the
-    update is prolonged with R; convergence, damping and the stall guard
-    then act on ||R^T F||.  The residual at the accepted line-search
-    point is the next iteration's.  Appends the iteration count to
+    the fine system, the Jacobian operator `_Jacobian`, which is assembled
+    only when the kept LU factors it.  Given the basis matrix R of the kept
+    LU, the residual and the Jacobian are still assembled on the fine grid,
+    each Newton system is Galerkin-projected (`_Galerkin`: R^T J R, and
+    R^T F) and the update is prolonged with R; convergence, damping and the
+    stall guard then act on ||R^T F||.  The residual at the accepted
+    line-search point is the next iteration's.  A residual whose norm is
+    not finite raises NumericRangeError.  Appends the iteration count to
     sol.newton_iters and the assembly (every residual, line-search trials
-    included, and every Jacobian) and solve (projection and refinement
-    included) wall time to sol.t_ass/sol.t_solve.
+    included, every fine Jacobian operator and every coarse iteration's
+    Jacobian) and solve (assembly for a factorization, projection and
+    refinement included) wall time to sol.t_ass/sol.t_solve.
+
+    The coarse systems keep the assembled J on purpose.  With R^T (J (R x))
+    on the operator as well (a prototype, 16^3 benchmark, 2 vCPUs), each
+    coarse run's t_ass fell by 0.05-0.08 s and its t_solve rose by
+    0.04-0.10 s, and the benchmark wall time did not move over 10 pairs;
+    and on the near-singular systems of two online rounds with dependent
+    online columns the kept-LU and the refactored coarse states were
+    1.1e-10 apart, against 8.3e-11 (`tests/test_properties.py` bounds the
+    gap at 1e-10).
     """
     fine = problem.fine
     R = kept.R
@@ -498,7 +562,14 @@ def _newton_step(p_prev, problem, config, sol, step, kept):
         )
         sol.t_ass += time.perf_counter() - t0
         Fc = F if R is None else R.T @ F
-        return F, Fc, np.linalg.norm(Fc)
+        with np.errstate(over="ignore"):
+            nF = np.linalg.norm(Fc)
+        if not np.isfinite(nF):
+            raise NumericRangeError(
+                f"Newton residual norm at time step {step} is not finite "
+                f"({nF}): the problem's values are out of floating-point range"
+            )
+        return F, Fc, nF
 
     p = p_prev.copy()
     F, Fc, nF = residual(p)
@@ -508,13 +579,10 @@ def _newton_step(p_prev, problem, config, sol, step, kept):
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
-        J = newton_jacobian(
-            p, problem.fluid, problem.perm, problem.time.dt, fine,
-            problem.boundary,
-        )
+        args = (p, problem.fluid, problem.perm, problem.time.dt, fine, problem.boundary)
+        A = _Jacobian(*args) if R is None else _Galerkin(R, newton_jacobian(*args))
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
-        A = J if R is None else _Galerkin(R, J)
         delta = kept.solve(A, -Fc, step, iters + 1, _FORCING * config.tol * scale)
         sol.t_solve += time.perf_counter() - t0
         if R is not None:

@@ -9,13 +9,14 @@ none is left; a helper sends each result, or the exception its solve
 raised, back over a pipe.
 
 A job's log records take the same way back.  While a job runs, in
-whichever process, every record that reaches the `msflow` logger is held
-with the job's result instead of going to that logger's handlers or its
-parents' (`_held_records`).  When the last job is done, this process emits
-each job's records, in job order, through the logger that made them, so a
-caller's handlers get the same records in the same order on any process
-count, a failed job's before the caller raises its error.  A record's
-message is formatted when it is held, a traceback included as text.
+whichever process, every record logged on `msflow` or a child of it is
+held with the job's result instead of going to any handler of those
+loggers or their parents (`_held_records`).  When the last job is done,
+this process emits each job's records, in job order, through the logger
+that made them, so a caller's handlers get each record once, in the same
+order on any process count, a failed job's before the caller raises its
+error.  A record's message is formatted when it is held, a traceback
+included as text.
 
 Forked, not spawned: the helpers inherit the caller's data and loaded
 libraries, where a spawned one would import numpy and scipy again and
@@ -81,17 +82,25 @@ class _Held(logging.handlers.QueueHandler):
 
 @contextlib.contextmanager
 def _held_records():
-    """Yields the list of the records that reach the `msflow` logger
-    meanwhile, which go nowhere else: that logger's own handlers are set
-    aside and it stops propagating, both restored on exit."""
-    logger = logging.getLogger("msflow")
+    """Yields the list of the records logged on `msflow` and its child
+    loggers meanwhile, which go nowhere else: the handlers of every existing
+    `msflow.*` logger are set aside and each propagates, while `msflow`
+    itself holds them and stops propagating; all restored on exit."""
+    top = logging.getLogger("msflow")
+    children = [
+        logger for name, logger in list(logging.Logger.manager.loggerDict.items())
+        if name.startswith("msflow.") and isinstance(logger, logging.Logger)
+    ]
+    saved = [(logger, logger.handlers, logger.propagate) for logger in (top, *children)]
+    for child in children:
+        child.handlers, child.propagate = [], True
     held = _Held([])
-    handlers, propagate = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [held], False
+    top.handlers, top.propagate = [held], False
     try:
         yield held.queue
     finally:
-        logger.handlers, logger.propagate = handlers, propagate
+        for logger, handlers, propagate in saved:
+            logger.handlers, logger.propagate = handlers, propagate
 
 
 def _solve_claimed(solve, jobs, claim):

@@ -8,7 +8,11 @@ import scipy.sparse as sp
 
 from msflow import coarse, fem, offline, online
 from msflow.coarse import solve_gmsfem
-from msflow.errors import NewtonConvergenceError, SingularMatrixError
+from msflow.errors import (
+    NewtonConvergenceError,
+    NumericRangeError,
+    SingularMatrixError,
+)
 from msflow.fem import NewtonConfig, solve_fine
 from msflow.model import TimeGrid, generate_channel_field, make_problem
 from msflow.offline import OfflineSpace, ProjectionMatrix, build_offline_space
@@ -55,6 +59,25 @@ def test_coarse_solve_frees_its_kept_lu(mesh4, fluid, uniform_perm4, monkeypatch
     assert len(built) == 2 and built[0][1] < built[1][1]  # offline, enriched
     gc.collect()
     assert all(ref() is None for ref, _ in built)
+
+
+@pytest.mark.parametrize("run", ["fine", "coarse"])
+def test_overflowing_residual_norm_raises(run, mesh4, fluid, uniform_perm4, monkeypatch):
+    """A Newton residual whose norm overflows raises NumericRangeError
+    naming the time step, on the fine and the coarse path, without numpy's
+    overflow warning (an error under this suite's warning filter)."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=2),
+        "neumann-wells", well_rate=1e8,
+    )
+    space = build_offline_space(mesh4, uniform_perm4, fluid, prob.p0, 2)
+    residual = fem.newton_residual
+    monkeypatch.setattr(fem, "newton_residual", lambda *args: 1e200 * residual(*args))
+    with pytest.raises(NumericRangeError, match="at time step 1 is not finite"):
+        if run == "fine":
+            solve_fine(prob)
+        else:
+            solve_gmsfem(prob, space)
 
 
 def test_coarse_newton_uses_the_one_sparse_jacobian(mesh8, fluid, uniform_perm8,

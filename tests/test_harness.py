@@ -4,6 +4,7 @@ import logging
 import os
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,26 @@ def test_cli_extreme_contrast_is_a_typed_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.match(r"error: local pencil of neighborhood \d+ is too ill-conditioned", err)
     assert "Traceback" not in err
+
+
+def test_cli_overflowing_residual_norm_is_a_typed_error(tmp_path, capsys):
+    """A channel permeability of 1e200 on a 4^3 r=2 mesh makes the fine
+    Newton residual's norm overflow: `msflow fine-ref` exits 1 with one
+    `error:` line naming the time step, numpy warns of nothing, and no
+    reference is cached (an infinite norm used to pass every step's
+    convergence test and cache the initial state)."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 2\n"
+        f"field.channel = 1e200\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fine-ref", "--config", str(cfgfile)]) == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: Newton residual norm at time step 1 is not finite .*\n", err)
+    assert not list((tmp_path / "out").glob("fine_ref_*.npz"))
 
 
 @pytest.mark.parametrize("argv, lines, name", [

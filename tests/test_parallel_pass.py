@@ -620,6 +620,39 @@ def test_job_records_are_emitted_in_job_order(n, caplog, monkeypatch):
     ]
 
 
+class _ListHandler(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_child_logger_handler_gets_each_job_record_once(n, caplog, monkeypatch):
+    """A handler on a child logger of `msflow` gets each record a job logs
+    on that logger once, in job order, in whichever process the job runs:
+    the child's handlers are held with `msflow`'s while a job runs, so a
+    record reaches them only when `run` emits it, and propagates on once."""
+    child = logging.getLogger("msflow.fem")
+    handler = _ListHandler()
+
+    def solve(k):
+        child.warning("job %d", k)
+        return k
+
+    processes(monkeypatch, n)
+    child.addHandler(handler)
+    try:
+        _, n_proc = workers.run(solve, [(k,) for k in range(6)])
+    finally:
+        child.removeHandler(handler)
+    assert n_proc == n
+    assert handler.messages == [f"job {k}" for k in range(6)]
+    assert [r.getMessage() for r in caplog.records] == handler.messages
+
+
 def test_sweep_records_are_the_same_on_any_process_count(tmp_path, caplog, monkeypatch):
     """Around a sweep whose variants each log a WARNING on `msflow.online`,
     this process's handler gets the same `msflow.fem` and `msflow.online`

@@ -1,10 +1,10 @@
 """Property tests on small random grids, weights, states and Dirichlet node
 sets: the Q1 connectivity, the cell-block assembler and its CSR pattern, the
-Jacobian, its Galerkin projection on a basis matrix, the fine solver's kept
-factorization, mass balance, the partition of unity, the driver-independent
-offline span, the nested dissection node order, the v2 snapshots and their
-Schur complement pencil, and the coarse solver's identity-projection
-equivalence and determinism."""
+Jacobian, its matrix-free operator, its Galerkin projection on a basis
+matrix, the fine solver's kept factorization, mass balance, the partition of
+unity, the driver-independent offline span, the nested dissection node
+order, the v2 snapshots and their Schur complement pencil, and the coarse
+solver's identity-projection equivalence and determinism."""
 
 import logging
 import weakref
@@ -279,6 +279,26 @@ def test_dissection_is_a_memoized_permutation(r, Nx, Ny, Nz):
             order[0] = 1
 
 
+@settings(max_examples=15)
+@given(grid_cases())
+def test_jacobian_operator_matches_the_assembled_jacobian(case):
+    """The fine Jacobian operator's product equals the assembled Jacobian's,
+    Dirichlet rows and columns included, for a random vector and for ones,
+    to 1e-13 relative to |J| |x|, the scale of either product's rounding
+    (the flux terms of J 1 cancel, since the rows of Ke sum to zero); its
+    assembly is `newton_jacobian`, entry for entry."""
+    fine, rng, dirichlet = case
+    problem = random_problem(fine, rng, dirichlet, load=balanced_wells(fine, rng, 1e8))
+    args = (problem.p0, problem.fluid, problem.perm, problem.time.dt, fine,
+            problem.boundary)
+    J = newton_jacobian(*args)
+    op = fem._Jacobian(*args)
+    for x in (rng.standard_normal(fine.n_nodes), np.ones(fine.n_nodes)):
+        assert np.abs(op @ x - J @ x).max() <= 1e-13 * (abs(J) @ np.abs(x)).max()
+    A = op.tocsc()
+    assert A.format == "csc" and np.array_equal(A.toarray(), J.toarray())
+
+
 @pytest.mark.parametrize("preset", ["neumann-wells", "mixed-bc"])
 @settings(max_examples=10)
 @given(case=grid_cases())
@@ -466,7 +486,7 @@ class TrackedFactorizations:
 
 def direct_solve(_kept, J, b, _step, _it, _target):
     """A fresh factorization and direct solve for every fine Newton system."""
-    return fem.linear_solve(J, b)
+    return fem.linear_solve(J.tocsc(), b)
 
 
 @pytest.mark.parametrize("cap", [fem._REFINE_MAXSTEPS, 0])
@@ -494,6 +514,33 @@ def test_kept_factorization_matches_direct_solve(cap, case, rate):
     assert lus.calls == (min(systems, 1) if cap else systems)
     states, ref_states = np.asarray(sol.states), np.asarray(ref.states)
     assert np.abs(states - ref_states).max() <= 1e-10 * np.abs(ref_states).max()
+
+
+@pytest.mark.parametrize("cap", [fem._REFINE_MAXSTEPS, 0])
+def test_fine_jacobian_is_assembled_once_per_factorization(cap, monkeypatch):
+    """solve_fine assembles the sparse Jacobian (`newton_jacobian`) only to
+    factor it: once per run by default, and for every Newton system when
+    each one is refactored (cap 0, no forcing term)."""
+    fine = FineGrid(4, 4, 4, 1.0)
+    rng = np.random.default_rng(0)
+    problem = random_problem(fine, rng, rng.choice(fine.n_nodes, 10, replace=False),
+                             n_steps=3, load=balanced_wells(fine, rng, 1e8))
+    calls = []
+    jacobian = fem.newton_jacobian
+
+    def counting_jacobian(*args):
+        calls.append(None)
+        return jacobian(*args)
+
+    lus = TrackedFactorizations()
+    monkeypatch.setattr(fem, "newton_jacobian", counting_jacobian)
+    monkeypatch.setattr(fem.spla, "splu", lus)
+    monkeypatch.setattr(fem, "_REFINE_MAXSTEPS", cap)
+    monkeypatch.setattr(fem, "_FORCING", fem._FORCING if cap else 0.0)
+    sol = solve_fine(problem)
+    systems = sum(sol.newton_iters)
+    assert systems > 1
+    assert len(calls) == lus.calls == (1 if cap else systems)
 
 
 @pytest.mark.parametrize("online", [0, 1, 2])
@@ -544,17 +591,29 @@ def test_singular_fine_jacobian_raises(singular_from, case):
     keep[rng.choice(free)] = 0.0
     jacobians = []
 
-    def singular_jacobian(*args):
-        J = newton_jacobian(*args)
-        jacobians.append(J)
-        if len(jacobians) >= singular_from:
-            J = (sp.diags(keep) @ J).tocsr()
-            J.eliminate_zeros()
-        return J
+    class SingularJacobian(fem._Jacobian):
+        """The fine Jacobian operator with one free row zeroed from the
+        singular_from-th on, in its product and its assembly alike."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            jacobians.append(self)
+            self.singular = len(jacobians) >= singular_from
+
+        def __matmul__(self, x):
+            y = super().__matmul__(x)
+            return keep * y if self.singular else y
+
+        def tocsc(self):
+            J = super().tocsc()
+            if self.singular:
+                J = (sp.diags(keep) @ J).tocsc()
+                J.eliminate_zeros()
+            return J
 
     lus = TrackedFactorizations()
     with mock.patch.object(fem.spla, "splu", lus), \
-            mock.patch.object(fem, "newton_jacobian", singular_jacobian), \
+            mock.patch.object(fem, "_Jacobian", SingularJacobian), \
             pytest.raises(SingularMatrixError):
         solve_fine(problem)
     assert len(jacobians) == singular_from
