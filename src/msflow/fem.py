@@ -13,12 +13,14 @@ iterative refinement on that LU (`_refine`, the loop `linear_solve` runs for
 one step) to a residual of max(_REFINE_RTOL ||b||, _FORCING * tol * scale),
 with tol * scale the absolute Newton tolerance of the time step, and a system
 that _REFINE_MAXSTEPS steps do not solve, or whose residual stops falling
-first, is factored, and its LU kept instead.  Operators on a box grid (the
-fine Jacobian here and the online local systems elsewhere) are factored in
-the grid's nested dissection order (`FineGrid.dissection()`) with no further
-column ordering, and a projected system in the order of its columns'
-neighborhoods in the coarse vertex grid's (`CoarseGrid.dissection()`), with
-SuperLU's diagonal pivot threshold at _COARSE_PIVOT.  The v2 interior
+first, is factored, and its LU kept instead.  The fine Jacobian is factored
+by SuperLU in the grid's nested dissection order (`FineGrid.dissection()`)
+with no further column ordering, and a projected system in the order of its
+columns' neighborhoods in the coarse vertex grid's (`CoarseGrid.dissection()`),
+with SuperLU's diagonal pivot threshold at _COARSE_PIVOT.  The online local
+systems (`linear_solve`) are banded: a patch's block in the box's natural
+(lexicographic) node order has kl = ku <= 73 on a 16^3 r=4 mesh, and
+LAPACK's banded LU factors it in that order (`_BandedLU`).  The v2 interior
 blocks of the offline stage are not factored here but by a dense Cholesky
 factorization (`offline.build_snapshot_v2`): at 16^3 r=4 they have 64-512
 nodes and 61-386 right-hand sides, where SuperLU's triangular solves took
@@ -53,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -315,8 +318,9 @@ class _Jacobian:
 
 def _factor(A, diag_pivot_thresh=1.0):
     """Sparse LU of A (SuperLU) in the order A is given, with no column
-    ordering: callers give an operator on a box grid in the grid's
-    `dissection()` order, and a projected system in its coarse grid's."""
+    ordering: callers give the fine Jacobian or an offline operator on a box
+    grid in the grid's `dissection()` order, and a projected system in its
+    coarse grid's."""
     try:
         return spla.splu(
             sp.csc_matrix(A), permc_spec="NATURAL",
@@ -362,11 +366,51 @@ def _lu_solve(lu, A, b):
     return x, steps
 
 
+@dataclass(eq=False, repr=False)
+class _BandedLU:
+    """LAPACK's banded LU with partial pivoting (`dgbtrf`) of a square
+    sparse matrix in the order it is given, with kl subdiagonals and ku
+    superdiagonals, as a solver of A x = b (`dgbtrs`)."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    kl: int
+    ku: int
+
+    @classmethod
+    def factor(cls, A):
+        A = A.tocsr()
+        n = A.shape[0]
+        col = A.indices.astype(np.intp)
+        off = np.repeat(np.arange(n), np.diff(A.indptr)) - col  # i - j
+        kl, ku = int(off.max(initial=0)), int(-off.min(initial=0))
+        # LAPACK's band storage, Fortran-ordered: A[i, j] in row
+        # kl + ku + i - j of column j, the first kl rows left for the fill
+        # of the row exchanges; bincount sums duplicate entries, as a sparse
+        # matrix does
+        ldab = 2 * kl + ku + 1
+        ab = np.bincount(
+            col * ldab + (kl + ku) + off, weights=A.data, minlength=ldab * n
+        ).reshape(n, ldab).T
+        lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise SingularMatrixError(
+                f"banded factorization failed: zero pivot in column {info - 1}"
+            )
+        return cls(lu, piv, kl, ku)
+
+    def solve(self, b):
+        return lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)[0]
+
+
 def linear_solve(A, b):
-    """Direct sparse solve with a residual-norm check.  A is factored in the
-    order it is given (no fill-reducing column ordering): callers give a
-    grid operator in its grid's `dissection()` order."""
-    return _lu_solve(_factor(A), A, np.asarray(b, dtype=float))[0]
+    """Direct solve of the square sparse A with a residual-norm check, on
+    LAPACK's banded LU (`_BandedLU`) in the order A is given: callers give
+    the operator of a box in its natural (lexicographic) node order, whose
+    band is narrow.  The band storage takes (2 kl + ku + 1) n 8 bytes, 0.9 MB
+    for the 512-node online blocks of a 16^3 r=4 mesh (kl = ku = 73); the
+    largest r=8 block, of 4335 nodes, takes about 32 MB."""
+    return _lu_solve(_BandedLU.factor(A), A, np.asarray(b, dtype=float))[0]
 
 
 # A Newton system is solved by iterative refinement on a kept LU to this

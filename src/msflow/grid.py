@@ -11,10 +11,11 @@ once per grid and shared read-only, and a neighborhood's local numbering
 is the connectivity of its own box grid (`CoarseNeighborhood.box`), so the
 patches of one mesh share a handful of patterns.
 `FineGrid.dissection()`, the grid's nested dissection node order, is built
-the same way; every grid-shaped sparse LU (the fine Jacobian, the online
-local solves and the offline shift-invert solves) factors in the order of
-its grid, and the projected coarse systems in the order of the coarse
-vertex grid (`CoarseGrid.dissection()`).
+the same way; the grid-shaped sparse LUs (the fine Jacobian and the offline
+shift-invert solves) factor in the order of their grid, and the projected
+coarse systems in the order of the coarse vertex grid
+(`CoarseGrid.dissection()`).  The online local solves factor their banded
+blocks in the patch box's natural node order instead.
 """
 
 import functools
@@ -85,7 +86,8 @@ class FineGrid:
         longest axis (the first of equals) is split at its middle node
         plane, and a box lists its lower half, its upper half, then the
         separator plane, each in the same order, down to single nodes.
-        Every sparse LU of an operator on this grid factors in this order;
+        The SuperLU factorizations of operators on a grid (the fine
+        Jacobian, the offline shift-invert solves) factor in this order;
         built once per grid shape and read-only."""
         return _dissection(self.nx, self.ny, self.nz)
 

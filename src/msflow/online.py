@@ -10,7 +10,9 @@ first discarded eigenvalue) supports selective enrichment.
 `enrich_projection` finds every patch's free global rows once per call
 (`_free_rows`), and in each round takes each patch's load -F[rows] and
 Jacobian block J[rows, rows] once, and passes them down to the error
-indicator and the local solve alike.
+indicator and the local solve alike.  The rows are in the patch box's
+natural (lexicographic) node order, so each block is banded, and
+`fem.linear_solve` factors it with LAPACK's banded LU in that order.
 """
 
 import logging
@@ -74,16 +76,11 @@ class UpdateSchedule:
 def _free_rows(mesh, dirichlet_nodes):
     """Global rows of each patch's zero-Dirichlet online solve: patch nodes
     off the constrained patch boundary and off the global Dirichlet set, in
-    the patch box's `dissection()` order, the order their local systems are
-    factored in."""
+    the patch box's natural (lexicographic) node order, the order their
+    banded local systems are factored in."""
     dmask = np.zeros(mesh.fine.n_nodes, dtype=bool)
     dmask[dirichlet_nodes] = True
-    rows = []
-    for nb in mesh.neighborhoods:
-        order = nb.box.dissection()
-        local = nb.nodes[order]
-        rows.append(local[nb.free_mask[order] & ~dmask[local]])
-    return rows
+    return [nb.nodes[nb.free_mask & ~dmask[nb.nodes]] for nb in mesh.neighborhoods]
 
 
 def _local_solve(what, i, r, A):

@@ -61,7 +61,9 @@ def test_uniform_round_solves_each_loaded_patch_once(mesh4, fluid, uniform_perm4
     and through it `fem.linear_solve`, once per patch with a non-zero load:
     on the benchmark's workloads these online local solves are the only
     callers of `fem.linear_solve`, whose per-layer metrics would otherwise
-    read zero."""
+    read zero.  They factor on LAPACK's banded LU, so the round records no
+    `scipy.splu` span: SuperLU (`fem.lu`) factors only the fine Jacobian,
+    the projected coarse systems and the offline shift-invert operators."""
     prob = make_problem(
         mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1),
         "neumann-wells", well_rate=1e8,
@@ -83,3 +85,4 @@ def test_uniform_round_solves_each_loaded_patch_once(mesh4, fluid, uniform_perm4
     parents = sorted(s[3] for s in spans if s[0] == "fem.linear_solve")
     assert added == loaded == len(solves) == mesh4.n_neighborhoods
     assert parents == solves  # one linear_solve inside each local solve
+    assert not [s for s in spans if s[0] == "scipy.splu"]

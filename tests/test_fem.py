@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,8 +278,32 @@ def test_linear_solve_residual_bound():
 
 def test_linear_solve_singular():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="zero pivot in column 1"):
         linear_solve(A, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "lower", "upper", "1x1"])
+def test_linear_solve_banded_hand_cases(kind):
+    """The banded LU at its band's edges: no band (kl = ku = 0), one
+    triangle only (kl = 0 or ku = 0) and a single entry."""
+    rng = np.random.default_rng(7)
+    n = 1 if kind == "1x1" else 9
+    D = np.diag(rng.uniform(1.0, 2.0, n))
+    T = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1)
+    dense = {"diagonal": D, "lower": D + T, "upper": D + T.T, "1x1": D}[kind]
+    b = rng.standard_normal(n)
+    x = linear_solve(sp.csr_matrix(dense), b)
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-13, atol=0.0)
+
+
+def test_linear_solve_nan_entry_raises_without_warning():
+    """A NaN entry gives a non-finite solve, which is a SingularMatrixError,
+    and no RuntimeWarning on the way."""
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            linear_solve(A, np.ones(3))
 
 
 def test_newton_config_validation():

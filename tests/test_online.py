@@ -129,21 +129,21 @@ def test_online_vector_solves_local_system(mesh8, wells8):
     assert float(xs @ (J_sym @ xs)) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_free_local_dofs_in_box_dissection_order(mesh8, wells8):
+def test_free_local_dofs_in_natural_order(mesh8, wells8):
     """The free DOFs of every patch, with and without the mixed-bc Dirichlet
-    planes, are the nodes of the free mask in the patch box's dissection
-    order.  The online vectors solved in that order match the lexicographic
-    system solved with SuperLU's COLAMD ordering to 1e-12."""
+    planes, are the nodes of the free mask in the patch box's natural
+    (lexicographic) order, so ascending global rows.  The online vectors
+    solved in that order on the banded LU match the lexicographic system
+    solved with SuperLU's COLAMD ordering to 1e-12."""
     prob, F, J = wells8
     planes = BoundarySpec.dirichlet_x_planes(mesh8.fine, ProblemSpec.P_HIGH,
                                              ProblemSpec.P_LOW).dirichlet_nodes
     for dirichlet in (prob.boundary.dirichlet_nodes, planes):
         rows = online._free_rows(mesh8, dirichlet)
         for nb, ri in zip(mesh8.neighborhoods, rows):
-            mask = nb.free_mask & ~np.isin(nb.nodes, dirichlet)
-            order = nb.box.dissection()
-            free = order[np.isin(order, np.flatnonzero(mask))]
-            assert np.array_equal(ri, nb.nodes[free])
+            local = np.flatnonzero(nb.free_mask & ~np.isin(nb.nodes, dirichlet))
+            assert np.array_equal(ri, nb.nodes[local])
+            assert np.all(np.diff(ri) > 0)
     rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)
     for i, (nb, ri) in enumerate(zip(mesh8.neighborhoods, rows)):
         v = solve_online_vector(i, *local_problem(F, J, ri))
@@ -363,7 +363,7 @@ def test_enrichment_improves_single_newton_step(mesh8, fluid, wells8, space8):
 
 def test_error_indicator_singular_block_raises(mesh8, wells8):
     """A singular local Jacobian block surfaces as SingularMatrixError, not as
-    SuperLU's RuntimeError."""
+    LAPACK's info code."""
     prob, F, _ = wells8
     rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[13]
     r = -F[rows]
@@ -381,3 +381,20 @@ def test_online_vector_singular_block_raises(mesh8, wells8):
     r = -F[rows]
     with pytest.raises(SingularMatrixError, match="^online solve failed on neighborhood 13: "):
         solve_online_vector(13, r, sp.csr_matrix((r.size, r.size)))
+
+
+def test_online_vector_exactly_singular_band_raises(mesh8, wells8):
+    """A patch's Jacobian block with one row zeroed is exactly singular: the
+    banded LU meets a zero pivot, and the online solve names the
+    neighborhood."""
+    prob, F, J = wells8
+    rows = online._free_rows(mesh8, prob.boundary.dirichlet_nodes)[13]
+    r, J_loc = local_problem(F, J, rows)
+    keep = np.ones(rows.size)
+    keep[rows.size // 2] = 0.0
+    with pytest.raises(
+        SingularMatrixError,
+        match="^online solve failed on neighborhood 13: banded factorization "
+              "failed: zero pivot",
+    ):
+        solve_online_vector(13, r, sp.diags(keep) @ J_loc)

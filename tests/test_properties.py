@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dgemm
 
-from msflow import fem, offline
+from msflow import fem, offline, online
 from msflow.coarse import solve_gmsfem
 from msflow.errors import NewtonConvergenceError, SingularMatrixError
 from msflow.fem import (
@@ -448,6 +448,32 @@ def balanced_wells(fine, rng, rate):
     return build_source_vector(
         fine, SourceSpec([(np.array([c]), q) for c, q in zip(cells, rates)])
     )
+
+
+@settings(max_examples=15)
+@given(case=two_scale_cases(), rate=st.sampled_from([1e4, 1e8]))
+def test_banded_local_solve_matches_superlu(case, rate):
+    """`linear_solve`, LAPACK's banded LU in natural node order, solves every
+    patch's online block of a Jacobian with Dirichlet nodes and wells, and
+    the block's symmetric part (the indicator's system), as SuperLU does, to
+    1e-12 relative."""
+    mesh, rng, dirichlet = case
+    problem = random_problem(mesh.fine, rng, dirichlet,
+                             load=balanced_wells(mesh.fine, rng, rate))
+    fluid, perm, dt = problem.fluid, problem.perm, problem.time.dt
+    p = problem.p0 * (1.0 + 1e-3 * rng.standard_normal(mesh.fine.n_nodes))
+    F = newton_residual(p, problem.p0, fluid, perm, dt, problem.load, mesh.fine,
+                        problem.boundary)
+    J = newton_jacobian(p, fluid, perm, dt, mesh.fine, problem.boundary)
+    for rows in online._free_rows(mesh, dirichlet):
+        if rows.size == 0:
+            continue
+        J_loc = J[np.ix_(rows, rows)]
+        b = -F[rows]
+        for A in (J_loc, 0.5 * (J_loc + J_loc.T)):
+            ref = spla.splu(A.tocsc()).solve(b)
+            x = fem.linear_solve(A, b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class _Factorization:
