@@ -137,10 +137,18 @@ def cmd_fine_ref(args):
 
 def cmd_check(args):
     """Quick invariant suite on small grids: partition of unity, Jacobian
-    finite differences, identity-projection equivalence, driver-independent
-    offline span, v2 harmonic extensions and their Schur complement pencil,
-    and an offline pass independent of its process count."""
-    from .fem import cell_average, newton_jacobian, newton_residual, solve_fine
+    finite differences, fine Newton steps that start no worse than the
+    previous state and meet the tolerance, identity-projection equivalence,
+    driver-independent offline span, v2 harmonic extensions and their Schur
+    complement pencil, and an offline pass independent of its process
+    count."""
+    from .fem import (
+        NewtonConfig,
+        cell_average,
+        newton_jacobian,
+        newton_residual,
+        solve_fine,
+    )
     from .grid import build_two_scale_mesh
     from .model import (
         FluidProps,
@@ -209,6 +217,16 @@ def cmd_check(args):
         mesh8.fine, fluid, perm8, TimeGrid(dt=2.5e-5, n_steps=3), "mixed-bc"
     )
     ref = solve_fine(problem)
+    # each step's scale is the residual at its previous state, whether it
+    # starts there or from the extrapolated guess
+    tol, steps = NewtonConfig().tol, ref.residuals
+    report(
+        "Newton start guess",
+        all(r.initial <= r.previous and r.accepted <= tol * max(1.0, r.previous)
+            for r in steps),
+        f"{sum(r.start == 'guess' for r in steps)} of {len(steps)} steps "
+        f"started from the guess, {sum(ref.newton_iters)} Newton systems",
+    )
     R = sp.identity(mesh8.fine.n_nodes, format="csr")
     pm = ProjectionMatrix(R, [0] * mesh8.fine.n_nodes)
     space = OfflineSpace(

@@ -7,8 +7,10 @@ matrix R: the fine residual and the sparse fine Jacobian are projected to
 R^T F and R^T J R, which is solved with the sparse LU kept for the basis
 (`fem._KeptLU`, R^T J R formed only to be factored, in the coarse grid's
 nested dissection order of the columns' neighborhoods), and the update is
-prolonged.
-Scheduled online enrichment replaces the online columns of R between steps.
+prolonged.  Newton starts from the extrapolation of the states solved in the
+current basis when that is closer (`fem._extrapolate`).
+Scheduled online enrichment replaces the online columns of R between steps,
+and the extrapolation starts anew with the new basis.
 """
 
 import time
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from .fem import (
     FineSolution,
     NewtonConfig,
+    _extrapolate,
     _initial_state,
     _KeptLU,
     _log_solves,
@@ -32,11 +35,12 @@ class CoarseResult(FineSolution):
     t_basis_online: float = 0.0
 
 
-def gmsfem_step(p_prev, kept, problem, config, result, step):
+def gmsfem_step(p_prev, kept, problem, config, result, step, guess=None):
     """One backward-Euler step solved by Newton in the span of the basis
-    columns, given as the `_KeptLU` of their matrix; returns the accepted
+    columns, given as the `_KeptLU` of their matrix, from the start guess
+    `guess` if it is given and closer than p_prev; returns the accepted
     fine-grid prolonged state."""
-    return _newton_step(p_prev, problem, config, result, step, kept)
+    return _newton_step(p_prev, problem, config, result, step, kept, guess)
 
 
 def solve_gmsfem(problem, offline_space, schedule=None, config=None):
@@ -48,7 +52,12 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
     the previous accepted state and replaces the previous online columns.
     The run builds the kept LU of its basis when the basis changes and frees
     it on return, so a kept space holds no solver state; the kept LUs of the
-    run share one count of LU solves and factorizations.
+    run share one count of LU solves and factorizations.  Each step after a
+    basis's first starts Newton from the extrapolation of the states solved
+    in that basis (`fem._extrapolate`) when its projected residual is
+    smaller than the previous state's; a step at an online update starts
+    from the previous state, since the old basis's increments lie outside
+    the new span.
     """
     schedule = schedule or UpdateSchedule.none()
     config = config or NewtonConfig()
@@ -71,7 +80,9 @@ def solve_gmsfem(problem, offline_space, schedule=None, config=None):
                 projection.factor_order(mesh.coarse), projection.matrix()
             )
             kept.counts = counts
-        p = gmsfem_step(p, kept, problem, config, result, step)
+            first = step - 1  # the state this basis starts from
+        guess = _extrapolate(result.states[max(first, step - 3):])
+        p = gmsfem_step(p, kept, problem, config, result, step, guess)
         result.states.append(p)
         result.dim_history.append(projection.dim)
     _log_solves("coarse solve", result, counts)

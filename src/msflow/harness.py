@@ -37,9 +37,10 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "nb,dim,t_basis,t_ass,t_solve,e_l2,e_h1,newton_total"
 
-# Part of the fine-reference cache key: bump it whenever the cache format or
-# the fine solver's arithmetic (even its last bits) changes.
-REFERENCE_VERSION = 7
+# Part of the fine-reference cache key, and stored in the cache: bump it
+# whenever the cache format or the fine solver's arithmetic (even its last
+# bits) changes.
+REFERENCE_VERSION = 8
 
 # key -> (type, default); None default means required-when-used
 _SCHEMA = {
@@ -293,6 +294,30 @@ def _load_reference(cache, problem):
     return list(states), list(iters), t_ass, t_solve
 
 
+def _remove_stale_references(out_dir, kept):
+    """Remove the fine reference caches of out_dir, but kept, that hold an
+    older REFERENCE_VERSION, or none (written before the version was
+    stored): no key can ask for them again.  Each removal is logged at
+    INFO; a file that does not load as a cache stays."""
+    for path in sorted(out_dir.glob("fine_ref_*.npz")):
+        if path == kept:
+            continue
+        try:
+            with open(path, "rb") as fh, np.load(fh) as data:
+                if not {"states", "newton_iters"} <= set(data.files):
+                    continue
+                version = int(data["version"]) if "version" in data.files else None
+        except (OSError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile, zlib.error):
+            continue
+        if version is None or version < REFERENCE_VERSION:
+            path.unlink(missing_ok=True)
+            log.info(
+                "removed fine reference cache %s of reference version %s (now %d)",
+                path, "unknown" if version is None else version, REFERENCE_VERSION,
+            )
+
+
 def _reference_key(problem, newton):
     """The fine-reference cache key: sha256 of everything the fine solve
     reads (grid, fluid, time grid, permeability, Dirichlet nodes and values,
@@ -313,7 +338,8 @@ def fine_reference(config, force=False):
 
     The config is checked and the problem built before the output directory
     is created.  The cache is written to a temporary file and renamed into
-    place; an unreadable or mismatched cache counts as a miss."""
+    place; an unreadable or mismatched cache counts as a miss.  A new cache
+    removes those of older reference versions (`_remove_stale_references`)."""
     mesh = config.validate()
     problem = config.build_problem(mesh.fine)
     out_dir = Path(config["output.dir"])
@@ -333,10 +359,12 @@ def fine_reference(config, force=False):
                 newton_iters=np.asarray(sol.newton_iters),
                 t_ass=sol.t_ass,
                 t_solve=sol.t_solve,
+                version=REFERENCE_VERSION,
             )
         os.replace(tmp, cache)
     finally:
         tmp.unlink(missing_ok=True)
+    _remove_stale_references(out_dir, cache)
     return (sol.states, sol.newton_iters, sol.t_ass, sol.t_solve), problem, mesh
 
 

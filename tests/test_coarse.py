@@ -362,10 +362,11 @@ def _channel_wells(mesh8, fluid):
 def test_kept_lu_solves_to_the_forcing_target(mesh8, fluid, monkeypatch):
     """Every Newton system of a fine reference and of a coarse run with an
     online update, solved on its kept LU, ends with ||b - A x|| <=
-    max(1e-12 ||b||, 0.01 tol scale), scale = max(1, ||b|| of the step's
-    first system): the x it returns is that of its last refinement
-    (`_refine`), and some systems stop on the forcing target, above
-    1e-12 ||b||."""
+    max(1e-12 ||b||, 0.01 tol scale), scale = max(1, ||F|| at the step's
+    previous state), which the first system's b is unless the step started
+    from its extrapolated guess: the x it returns is that of its last
+    refinement (`_refine`), and some systems stop on the forcing target,
+    above 1e-12 ||b||."""
     prob, space = _channel_wells(mesh8, fluid)
     tol = NewtonConfig().tol
     refined, solved = [], []  # x of each _refine; (step, it, A, b, x) per system
@@ -390,12 +391,15 @@ def test_kept_lu_solves_to_the_forcing_target(mesh8, fluid, monkeypatch):
         solved.clear()
         sol = run()
         assert len(solved) == sum(sol.newton_iters) > 0
-        runs.append(list(solved))
+        runs.append((list(solved), sol.residuals))
     forced = 0
-    for systems in runs:
+    for systems, residuals in runs:
         for step, it, A, b, x in systems:
+            r = residuals[step - 1]
             if it == 1:
-                scale = max(1.0, np.linalg.norm(b))
+                assert np.linalg.norm(b) == r.initial
+                assert (r.initial == r.previous) == (r.start != "guess")
+            scale = max(1.0, r.previous)
             nb, nr = np.linalg.norm(b), np.linalg.norm(b - A @ x)
             assert nr <= max(1e-12 * nb, 0.01 * tol * scale)
             forced += nr > 1e-12 * nb
@@ -404,10 +408,12 @@ def test_kept_lu_solves_to_the_forcing_target(mesh8, fluid, monkeypatch):
 
 def test_forcing_term_cuts_the_logged_lu_solves(mesh8, fluid, caplog, monkeypatch):
     """solve_fine and solve_gmsfem each log one DEBUG record on msflow.fem
-    as they return: Newton systems, LU solves and factorizations.  The
-    forcing term takes the same Newton iterations with fewer LU solves than
-    refining every system to 1e-12 (_FORCING = 0), and as many
-    factorizations: one per basis."""
+    as they return: Newton systems, LU solves and factorizations, and the
+    time steps that started from the extrapolated guess and those that fell
+    back to the previous state.  The forcing term takes the same Newton
+    iterations from the same starts with fewer LU solves than refining
+    every system to 1e-12 (_FORCING = 0), and as many factorizations: one
+    per basis."""
     prob, space = _channel_wells(mesh8, fluid)
     schedule = UpdateSchedule(1, (3,))
 
@@ -419,15 +425,20 @@ def test_forcing_term_cuts_the_logged_lu_solves(mesh8, fluid, caplog, monkeypatc
         assert [r.name for r in records] == ["msflow.fem"] * 2
         assert [r.args[0] for r in records] == ["fine solve", "coarse solve"]
         for sol, r in zip(sols, records):
+            starts = [s.start for s in sol.residuals]
             assert r.args[1] == sum(sol.newton_iters)
+            assert r.args[4:] == (starts.count("guess"), starts.count("fallback"))
         return [r.args[1:] for r in records]
 
     forced = logged()
     monkeypatch.setattr(fem, "_FORCING", 0.0)
     exact = logged()
     assert [f[2] for f in forced] == [e[2] for e in exact] == [1, 2]
-    for (systems, solves, _), (systems0, solves0, _) in zip(forced, exact):
-        assert systems == systems0 and solves < solves0
+    # fine: steps 2-4 evaluate a guess; coarse: steps 2 and 4 (an update at 3)
+    assert [sum(f[3:]) for f in forced] == [3, 2]
+    for (systems, solves, _, *starts), (systems0, solves0, _, *starts0) in zip(
+            forced, exact):
+        assert systems == systems0 and solves < solves0 and starts == starts0
 
 
 def test_projected_systems_factor_in_the_coarse_dissection_order(mesh8, fluid):

@@ -333,6 +333,37 @@ def test_solve_fine_constant_steady_state(mesh4, fluid, uniform_perm4):
     assert sum(sol.newton_iters) == 0
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e11])
+def test_newton_step_takes_a_guess_only_if_its_residual_is_smaller(
+        mesh4, fluid, uniform_perm4, offset):
+    """A start guess whose residual is larger than the previous state's (a
+    shift of 1 kPa) or out of the density's range (1e11 Pa, c (p - p_ref)
+    = 1e3) falls back to the previous state: the step takes the iterations
+    to the state that it takes with no guess, at the same scale.  The
+    solution itself as the guess is taken, and no Newton system is
+    solved."""
+    prob = make_problem(
+        mesh4.fine, fluid, uniform_perm4, TimeGrid(dt=2.5e-5, n_steps=1),
+        "neumann-wells", well_rate=1e8,
+    )
+    ref = solve_fine(prob)
+
+    def step(guess):
+        sol = fem.FineSolution(states=[prob.p0])
+        kept = fem._KeptLU(order=mesh4.fine.dissection())
+        p = fem._newton_step(prob.p0, prob, NewtonConfig(), sol, 1, kept, guess)
+        return p, sol
+
+    p, sol = step(prob.p0 + offset)
+    [r] = sol.residuals
+    assert r.start == "fallback" and r.initial == r.previous == ref.residuals[0].previous
+    assert np.array_equal(p, ref.final) and sol.newton_iters == ref.newton_iters
+    p, sol = step(ref.final)
+    [r] = sol.residuals
+    assert r.start == "guess" and r.initial == r.accepted < r.previous
+    assert np.array_equal(p, ref.final) and sol.newton_iters == [0]
+
+
 def test_solve_fine_linear_limit_one_iteration(mesh4, uniform_perm4):
     # nearly incompressible fluid: the problem is linear, one Newton step per dt
     props = FluidProps(mu=5.0, phi=500.0, c=1e-30, rho_ref=850.0, p_ref=2e7)

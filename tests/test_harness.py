@@ -274,6 +274,36 @@ def test_bad_fine_reference_cache_is_a_miss(tmp_path, caplog, damage):
     assert np.array_equal(np.asarray(states), np.asarray(states3))
 
 
+def test_new_fine_reference_removes_older_versions(tmp_path, caplog):
+    """A newly written fine reference stores REFERENCE_VERSION and removes
+    the output directory's caches of an older version and those of none
+    (written before the version was stored), one INFO record each; a cache
+    of the current version under another key, and a file that does not
+    load as a cache, stay."""
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    arrays = dict(states=np.zeros((3, 5)), newton_iters=np.zeros(2),
+                  t_ass=0.0, t_solve=0.0)
+    older, unversioned, other, unreadable = (
+        out / f"fine_ref_{i:016d}.npz" for i in range(4)
+    )
+    np.savez(older, **arrays, version=harness.REFERENCE_VERSION - 1)
+    np.savez(unversioned, **arrays)
+    np.savez(other, **arrays, version=harness.REFERENCE_VERSION)
+    unreadable.write_bytes(b"PK not a zip archive")
+    with caplog.at_level(logging.INFO, logger="msflow.harness"):
+        fine_reference(cfg)
+    written = out / f"fine_ref_{_reference_key(cfg)}.npz"
+    assert sorted(out.iterdir()) == sorted([written, other, unreadable])
+    removals = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert [r.args[:2] for r in removals] == [
+        (older, harness.REFERENCE_VERSION - 1), (unversioned, "unknown")
+    ]
+    with np.load(written) as data:
+        assert int(data["version"]) == harness.REFERENCE_VERSION
+
+
 def test_run_experiment_report(tmp_path):
     cfg = small_config(tmp_path)
     report = run_experiment(cfg)
@@ -468,16 +498,19 @@ def test_cli_run_and_check(tmp_path, capsys):
 
 
 def test_cli_check_passes(capsys):
-    """`msflow check`: partition of unity, Jacobian finite differences, the
-    identity-projection equivalence of the coarse solver, the
-    driver-independent offline span, the v2 harmonic extensions and their
-    Schur complement pencil, and an offline pass that gives the same bits on
-    one CPU and on every CPU of the affinity mask, on small grids."""
+    """`msflow check`: partition of unity, Jacobian finite differences, fine
+    Newton steps that start no worse than their previous state and meet
+    the tolerance, the identity-projection equivalence of the coarse
+    solver, the driver-independent offline span, the v2 harmonic extensions
+    and their Schur complement pencil, and an offline pass that gives the
+    same bits on one CPU and on every CPU of the affinity mask, on small
+    grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 6 and all(line.startswith("[PASS]") for line in out)
-    assert out[4].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
-    assert out[5].startswith("[PASS] offline pass independent of process count ")
+    assert len(out) == 7 and all(line.startswith("[PASS]") for line in out)
+    assert out[2].startswith("[PASS] Newton start guess ")
+    assert out[5].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
+    assert out[6].startswith("[PASS] offline pass independent of process count ")
 
 
 @pytest.mark.skipif(

@@ -1,10 +1,11 @@
 """Property tests on small random grids, weights, states and Dirichlet node
 sets: the Q1 connectivity, the cell-block assembler and its CSR pattern, the
 Jacobian, its matrix-free operator, its Galerkin projection on a basis
-matrix, the fine solver's kept factorization, mass balance, the partition of
-unity, the driver-independent offline span, the nested dissection node
-order, the v2 snapshots and their Schur complement pencil, and the coarse
-solver's identity-projection equivalence and determinism."""
+matrix, the fine solver's kept factorization, the Newton start guess, mass
+balance, the partition of unity, the driver-independent offline span, the
+nested dissection node order, the v2 snapshots and their Schur complement
+pencil, and the coarse solver's identity-projection equivalence and
+determinism."""
 
 import logging
 import weakref
@@ -439,6 +440,77 @@ def test_coarse_solve_is_deterministic(case):
     assert first.newton_iters == second.newton_iters
 
 
+class StallRecords(logging.Handler):
+    """Collects the time steps of the Newton stall WARNINGs on msflow.fem."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.steps = []
+
+    def emit(self, record):
+        if record.msg.startswith("Newton stalled"):
+            self.steps.append(record.args[0])
+
+
+@settings(max_examples=6)
+@given(case=two_scale_cases(max_cells=3), rate=st.sampled_from([1e6, 1e8]))
+def test_newton_starts_from_the_extrapolated_guess(case, rate):
+    """In a fine solve and in a coarse solve with online updates at steps 1
+    and 4, each step is given the extrapolation of the states solved in its
+    basis (none at a basis's first step, 2 p_n - p_{n-1} at its second,
+    3 p_n - 3 p_{n-1} + p_{n-2} later; the coarse basis starts anew at each
+    update), whose Dirichlet entries are the Dirichlet values exactly.  No
+    step starts from a residual above the previous state's, a step at an
+    update evaluates no guess, and every step accepted without a stall
+    WARNING meets tol * max(1, ||F at the previous state||)."""
+    mesh, rng, dirichlet = case
+    fine = mesh.fine
+    problem = random_problem(fine, rng, dirichlet, n_steps=5,
+                             load=balanced_wells(fine, rng, rate))
+    space = build_offline_space(mesh, problem.perm, problem.fluid, problem.p0, 2,
+                                dirichlet_nodes=dirichlet)
+    tol = NewtonConfig().tol
+    guesses = []  # (step, guess) per call of the Newton driver
+    newton_step = fem._newton_step
+
+    def spy(p_prev, problem, config, sol, step, kept, guess=None):
+        guesses.append((step, guess))
+        return newton_step(p_prev, problem, config, sol, step, kept, guess)
+
+    stalls = StallRecords()
+    logger = logging.getLogger("msflow.fem")
+    logger.addHandler(stalls)
+    try:
+        with mock.patch.object(fem, "_newton_step", spy):
+            sol = solve_fine(problem)
+        fine_stalls, stalls.steps = stalls.steps, []
+        with mock.patch("msflow.coarse._newton_step", spy):
+            res = solve_gmsfem(problem, space, UpdateSchedule(1, (1, 4)))
+    finally:
+        logger.removeHandler(stalls)
+    fine_guesses, coarse_guesses = guesses[:5], guesses[5:]
+    # the index of the state each step's basis started from
+    for run, made, stalled, first in ((sol, fine_guesses, fine_stalls, [0] * 5),
+                                      (res, coarse_guesses, stalls.steps,
+                                       [0, 0, 0, 3, 3])):
+        states = np.asarray(run.states)
+        assert [step for step, _ in made] == [1, 2, 3, 4, 5]
+        for (step, guess), r, start in zip(made, run.residuals, first):
+            n = step - 1 - start  # states solved in this basis so far
+            if n == 0:
+                assert guess is None
+                assert r.start == "previous" and r.initial == r.previous
+            else:
+                a, b = states[step - 1], states[step - 2]
+                expect = 2 * a - b if n == 1 else 3 * a - 3 * b + states[step - 3]
+                assert np.abs(guess - expect).max() <= 1e-14 * np.abs(expect).max()
+                assert np.array_equal(guess[dirichlet], problem.boundary.dirichlet_values)
+                assert r.start in ("guess", "fallback", "previous")
+            assert r.initial <= r.previous
+            if step not in stalled:
+                assert r.accepted <= tol * max(1.0, r.previous)
+
+
 def balanced_wells(fine, rng, rate):
     """The load of 2-4 single-cell wells at random cells, with random rates
     of magnitude up to `rate` that sum to zero."""
@@ -573,7 +645,9 @@ def test_fine_jacobian_is_assembled_once_per_factorization(cap, monkeypatch):
 def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
     """solve_gmsfem with one kept LU per basis takes the same Newton
     iterations to the same states as with a factorization of every
-    projected system (cap 0).  The default factors once per basis (the
+    projected system (cap 0, with no forcing term, so that one solve on the
+    kept LU never meets the target, as a system started from the
+    extrapolated guess can).  The default factors once per basis (the
     offline basis, then one per online update; the projected systems are
     the factorizations with the coarse diagonal pivot threshold, the online
     local solves use SuperLU's default 1.0), and every LU is freed by the
@@ -588,7 +662,8 @@ def test_coarse_kept_factorization_matches_refactoring(online, mesh8, fluid):
     for cap in (fem._REFINE_MAXSTEPS, 0):
         lus = TrackedFactorizations()
         with mock.patch.object(fem.spla, "splu", lus), \
-                mock.patch.object(fem, "_REFINE_MAXSTEPS", cap):
+                mock.patch.object(fem, "_REFINE_MAXSTEPS", cap), \
+                mock.patch.object(fem, "_FORCING", fem._FORCING if cap else 0.0):
             result = solve_gmsfem(problem, space, schedule)
         assert lus.all_freed()
         runs[cap] = result, lus.pivots.count(fem._COARSE_PIVOT)
