@@ -137,13 +137,14 @@ def cmd_fine_ref(args):
 
 def cmd_check(args):
     """Quick invariant suite on small grids: partition of unity, Jacobian
-    finite differences, fine Newton steps that start no worse than the
-    previous state and meet the tolerance, identity-projection equivalence,
-    driver-independent offline span, v2 harmonic extensions and their Schur
-    complement pencil, and an offline pass independent of its process
-    count."""
+    finite differences (the assembled Jacobian and its operator), fine
+    Newton steps that start no worse than the previous state and meet the
+    tolerance, identity-projection equivalence, driver-independent offline
+    span, v2 harmonic extensions and their Schur complement pencil, and an
+    offline pass independent of its process count."""
     from .fem import (
         NewtonConfig,
+        _Jacobian,
         cell_average,
         newton_jacobian,
         newton_residual,
@@ -198,6 +199,7 @@ def cmd_check(args):
     p = fluid.p_ref * (1 + 0.01 * rng.standard_normal(fine4.n_nodes))
     p_prev = fluid.p_ref * np.ones(fine4.n_nodes)
     J = newton_jacobian(p, fluid, perm, 1.0, fine4).toarray()
+    op = _Jacobian(p, fluid, perm, 1.0, fine4)  # what every Newton system applies
     delta = 1e-6 * np.abs(p).max()
     worst = 0.0
     for i in rng.choice(fine4.n_nodes, 10, replace=False):
@@ -207,9 +209,11 @@ def cmd_check(args):
             newton_residual(p + e, p_prev, fluid, perm, 1.0, np.zeros(fine4.n_nodes), fine4)
             - newton_residual(p - e, p_prev, fluid, perm, 1.0, np.zeros(fine4.n_nodes), fine4)
         ) / (2 * delta)
-        denom = max(1.0, np.abs(J[:, i]).max())
-        worst = max(worst, float(np.abs(fd - J[:, i]).max() / denom))
-    report("Jacobian finite differences", worst < 1e-6, f"max rel {worst:.2e}")
+        for col in (J[:, i], op @ (e / delta)):
+            denom = max(1.0, np.abs(col).max())
+            worst = max(worst, float(np.abs(fd - col).max() / denom))
+    report("Jacobian finite differences", worst < 1e-6,
+           f"max rel {worst:.2e} (assembled and operator)")
 
     mesh8 = build_two_scale_mesh(8, 8, 8, r=4)
     perm8 = PermeabilityField(np.ones(mesh8.fine.n_cells))

@@ -30,14 +30,13 @@ factorization (`offline.build_snapshot_v2`): at 16^3 r=4 they have 64-512
 nodes and 61-386 right-hand sides, where SuperLU's triangular solves took
 most of the snapshot time; at 24^3 r=8 the largest has 4096 nodes and is
 128 MiB dense (the offline docstring gives the pass's peak memory).
-A fine Newton system is the Jacobian operator `_Jacobian`: refinement
-applies it cell by cell without assembling it, and the sparse Jacobian J
-(`newton_jacobian`) is assembled only when it is factored, once per
-`solve_fine` in a normal run.  Every coarse Newton iteration assembles J,
-and a coarse system is its Galerkin projection R^T J R (`_Galerkin`),
-which refinement applies as R^T (J (R x)) and which is formed only when it
-is factored, once per basis in a normal run.  The residual, the Jacobian
-and its operator read one per-cell state (`_cell_state`) of a checked p.
+Every Newton system is the Jacobian operator `_Jacobian`, on the fine grid
+or Galerkin-projected as R^T J R (`_Galerkin`): refinement applies it cell
+by cell without assembling it, as J x or R^T (J (R x)), and the sparse
+Jacobian J (`newton_jacobian`) is assembled only when the system is
+factored, once per basis in a normal run.  The residual reads one per-cell
+state (`_cell_state`) of a checked p, and the Jacobian and its operator
+read the derivative terms written once from it (`_jacobian_terms`).
 
 Every sparse operator (the Jacobian, the weighted global stiffness and mass,
 and the local spectral operators of the offline stage) is assembled by
@@ -251,27 +250,26 @@ def newton_residual(p, p_prev, fluid, perm, dt, load, fine, boundary=None):
     return F
 
 
+def _jacobian_terms(p, fluid, perm, dt, fine):
+    """(flux_w, accumulation, sensitivity): the cell block of the derivative
+    of `newton_residual` is flux_w Ke (frozen density) plus two columns times
+    the row of ones, the accumulation phi c rho_c (h^3 / 8) / 8 in every row
+    and the flux's density sensitivity (c / 8) flux_w (Ke p)_a in row a."""
+    rho_c, flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
+    acc = fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0
+    return flux_w, acc, (fluid.c / 8.0) * flux_w[:, None] * kp
+
+
 def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
     """Exact derivative of `newton_residual` with respect to the state.
 
     Dirichlet rows and columns are eliminated to the identity.
     """
-    rho_c, flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
+    flux_w, acc, sens = _jacobian_terms(p, fluid, perm, dt, fine)
     Ke, _ = element_matrices(fine.h)
-    # flux, frozen density: dt (kappa/mu) rho_c Ke
     blocks = flux_w[:, None, None] * Ke[None, :, :]
-    # accumulation: d/dp_i [phi rho_c vol8] = phi c rho_c vol8 / 8 for each i,
-    # with vol8 = h^3 / 8
-    blocks += (fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0)[:, None, None]
-    # flux, density sensitivity: dt (kappa/mu) c rho_c (Ke p)_j / 8 for each i
-    blocks += ((fluid.c / 8.0) * flux_w[:, None] * kp)[:, :, None]
-    # free the per-cell temporaries before the assembly allocates: every
-    # coarse Newton iteration gets here, and on the 16^3 run-v2-mixed
-    # benchmark workload (2 vCPUs, 6 runs each) the peak RSS was 93.2-94.5
-    # MiB (median 93.3) with the del and 93.9-95.9 (94.2) without; a cold
-    # 16^3 fine reference, which assembles once, takes 7.0-7.5k minor page
-    # faults either way
-    del rho_c, flux_w, kp
+    blocks += acc[:, None, None]
+    blocks += sens[:, :, None]
     return assemble_cells(
         fine, blocks, None if boundary is None else boundary.dirichlet_nodes
     )
@@ -280,13 +278,12 @@ def newton_jacobian(p, fluid, perm, dt, fine, boundary=None):
 class _Jacobian:
     """The fine Jacobian `newton_jacobian(p, fluid, perm, dt, fine,
     boundary)` as an operator: `@` applies it without assembling it,
-    `tocsc()` assembles it (only to be factored).
+    `tocsr()` assembles it (only to be factored).
 
-    The cell block of `newton_jacobian` is flux_w Ke plus two rank-one
-    terms, the accumulation and the density sensitivity, each a column per
-    cell times the row of ones; so the product gathers x per cell
-    (`cell_nodes()`), takes flux_w (Ke x_c) plus that column times sum(x_c),
-    and scatters the cell results with `np.bincount`.  Dirichlet rows and
+    The cell block is flux_w Ke plus two rank-one terms (`_jacobian_terms`),
+    so the product gathers x per cell (`cell_nodes()`), takes flux_w
+    (Ke x_c) plus the sum of the rank-one columns times sum(x_c), and
+    scatters the cell results with `np.bincount`.  Dirichlet rows and
     columns act as the identity: those entries of x are zeroed before the
     gather and copied into the result.  At 16^3 (2 vCPUs) a build and a
     product take about 0.3 ms each, where an assembly takes 1.8-3.3 ms and
@@ -294,10 +291,8 @@ class _Jacobian:
 
     def __init__(self, p, fluid, perm, dt, fine, boundary=None):
         self.args = (p, fluid, perm, dt, fine, boundary)
-        rho_c, self.flux_w, kp = _cell_state(p, fluid, perm, dt, fine)
-        # per cell: the rows of the two rank-one terms, times sum(x_c)
-        self.rank_one = (fluid.c / 8.0) * self.flux_w[:, None] * kp
-        self.rank_one += (fluid.phi * fluid.c * rho_c * (fine.h**3 / 8.0) / 8.0)[:, None]
+        self.flux_w, acc, self.rank_one = _jacobian_terms(p, fluid, perm, dt, fine)
+        self.rank_one += acc[:, None]
         self.dirichlet = (
             np.empty(0, dtype=np.int64) if boundary is None else boundary.dirichlet_nodes
         )
@@ -317,8 +312,12 @@ class _Jacobian:
         y[self.dirichlet] = x[self.dirichlet]
         return y
 
+    def tocsr(self):
+        # through the module name, which the benchmark's tracer wraps
+        return newton_jacobian(*self.args)
+
     def tocsc(self):
-        return newton_jacobian(*self.args).tocsc()
+        return self.tocsr().tocsc()
 
 
 def _factor(A, diag_pivot_thresh=1.0):
@@ -463,15 +462,15 @@ class _KeptLU:
     coarse basis matrix R, factored in the column order `order`
     (`ProjectionMatrix.factor_order`).  With c small the Jacobian barely
     moves over a run, so a few refinement steps replace a factorization.
-    counts, a Counter that the kept LUs of one run may share, gets the LU
-    solves (refinement included) as "lu_solves" and the factorizations as
-    "factorizations"."""
+    counts, a Counter that the kept LUs of one run share (a new one if none
+    is given), gets the LU solves (refinement included) as "lu_solves" and
+    the factorizations as "factorizations"."""
 
-    def __init__(self, order, R=None):
+    def __init__(self, order, R=None, counts=None):
         self.order = order
         self.R = R
         self.lu = None
-        self.counts = Counter()
+        self.counts = Counter() if counts is None else counts
 
     def release(self):
         self.lu = None
@@ -575,9 +574,9 @@ def _initial_state(problem):
 
 @dataclass(eq=False, repr=False)
 class _Galerkin:
-    """R^T J R, the Galerkin projection of the Jacobian J on the columns of
-    R: `@` applies it without forming it, `tocsc()` forms it (only to be
-    factored)."""
+    """R^T J R, the Galerkin projection of the Jacobian J (a `_Jacobian` or
+    an assembled J) on the columns of R: `@` applies it as R^T (J (R x)),
+    `tocsc()` forms R^T (J R) from J.tocsr() (only to be factored)."""
 
     R: object
     J: object
@@ -586,7 +585,7 @@ class _Galerkin:
         return self.R.T @ (self.J @ (self.R @ x))
 
     def tocsc(self):
-        return (self.R.T @ (self.J @ self.R)).tocsc()
+        return (self.R.T @ (self.J.tocsr() @ self.R)).tocsc()
 
 
 def _extrapolate(states):
@@ -619,29 +618,19 @@ def _newton_step(p_prev, problem, config, sol, step, kept, guess=None):
     (NumericRangeError) counts as not smaller.  Appends the step's
     `StepResiduals` to sol.residuals.
 
-    Each Newton system is solved with the `_KeptLU` kept, to _FORCING times
-    the absolute tolerance config.tol * scale; without a basis matrix it is
-    the fine system, the Jacobian operator `_Jacobian`, which is assembled
-    only when the kept LU factors it.  Given the basis matrix R of the kept
-    LU, the residual and the Jacobian are still assembled on the fine grid,
-    each Newton system is Galerkin-projected (`_Galerkin`: R^T J R, and
-    R^T F) and the update is prolonged with R; convergence, damping and the
-    stall guard then act on ||R^T F||.  The residual at the accepted
-    line-search point is the next iteration's.  A residual whose norm is
-    not finite raises NumericRangeError.  Appends the iteration count to
-    sol.newton_iters and the assembly (every residual, line-search trials
-    included, every fine Jacobian operator and every coarse iteration's
-    Jacobian) and solve (assembly for a factorization, projection and
-    refinement included) wall time to sol.t_ass/sol.t_solve.
-
-    The coarse systems keep the assembled J on purpose.  With R^T (J (R x))
-    on the operator as well (a prototype, 16^3 benchmark, 2 vCPUs), each
-    coarse run's t_ass fell by 0.05-0.08 s and its t_solve rose by
-    0.04-0.10 s, and the benchmark wall time did not move over 10 pairs;
-    and on the near-singular systems of two online rounds with dependent
-    online columns the kept-LU and the refactored coarse states were
-    1.1e-10 apart, against 8.3e-11 (`tests/test_properties.py` bounds the
-    gap at 1e-10).
+    Each Newton system is the Jacobian operator `_Jacobian`, solved with
+    the `_KeptLU` kept, to _FORCING times the absolute tolerance
+    config.tol * scale, and assembled only when the kept LU factors it.
+    Given the basis matrix R of the kept LU, the residual is still
+    assembled on the fine grid, each Newton system is Galerkin-projected
+    (`_Galerkin`: R^T J R, and R^T F) and the update is prolonged with R;
+    convergence, damping and the stall guard then act on ||R^T F||.  The
+    residual at the accepted line-search point is the next iteration's.  A
+    residual whose norm is not finite raises NumericRangeError.  Appends the
+    iteration count to sol.newton_iters and the assembly (every residual,
+    line-search trials included, and every Jacobian operator) and solve
+    (assembly for a factorization, projection and refinement included) wall
+    time to sol.t_ass/sol.t_solve.
     """
     fine = problem.fine
     R = kept.R
@@ -682,8 +671,8 @@ def _newton_step(p_prev, problem, config, sol, step, kept, guess=None):
         if nF <= config.tol * scale:
             break
         t0 = time.perf_counter()
-        args = (p, problem.fluid, problem.perm, problem.time.dt, fine, problem.boundary)
-        A = _Jacobian(*args) if R is None else _Galerkin(R, newton_jacobian(*args))
+        J = _Jacobian(p, problem.fluid, problem.perm, problem.time.dt, fine, problem.boundary)
+        A = J if R is None else _Galerkin(R, J)
         sol.t_ass += time.perf_counter() - t0
         t0 = time.perf_counter()
         delta = kept.solve(A, -Fc, step, iters + 1, _FORCING * config.tol * scale)

@@ -170,7 +170,9 @@ def build_snapshot_v2(mesh, i, A):
     if bnd.size == 0:
         raise ConfigError(
             f"neighborhood {i} has no constrained boundary nodes, so it has "
-            f"no v2 snapshots (v2 needs at least 3 coarse cells per axis)"
+            f"no v2 snapshots (v2 needs at least 3 coarse cells along some "
+            f"axis: with at most 2 along every axis, a neighborhood spans the "
+            f"whole domain)"
         )
     free = np.flatnonzero(nb.free_mask)
     # dense Cholesky of the SPD interior block, factored and solved in place

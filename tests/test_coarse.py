@@ -49,8 +49,8 @@ def test_coarse_solve_frees_its_kept_lu(mesh4, fluid, uniform_perm4, monkeypatch
     built = []  # (weak reference, dimension) per kept LU
     kept_lu = coarse._KeptLU
 
-    def recording_kept_lu(order, R):
-        kept = kept_lu(order, R)
+    def recording_kept_lu(order, R, counts):
+        kept = kept_lu(order, R, counts)
         built.append((weakref.ref(kept), R.shape[1]))
         return kept
 
@@ -81,10 +81,12 @@ def test_overflowing_residual_norm_raises(run, mesh4, fluid, uniform_perm4, monk
 
 
 def test_coarse_newton_uses_the_one_sparse_jacobian(mesh8, fluid, uniform_perm8,
-                                                   monkeypatch):
-    """Every coarse Newton iteration and every online round assembles the
-    sparse fine Jacobian (`fem.newton_jacobian`) once: the projected systems
-    and the online corrector have no assembly path of their own."""
+                                                   caplog, monkeypatch):
+    """A coarse run assembles the sparse fine Jacobian (`fem.newton_jacobian`)
+    once per factorization of a basis's kept LU and once per online round:
+    every other coarse Newton iteration applies the Jacobian operator, and
+    the projected systems and the online corrector (on its round's J) have
+    no assembly path of their own."""
     prob = make_problem(
         mesh8.fine, fluid, uniform_perm8, TimeGrid(dt=2.5e-5, n_steps=3),
         "neumann-wells", well_rate=1e8,
@@ -100,10 +102,14 @@ def test_coarse_newton_uses_the_one_sparse_jacobian(mesh8, fluid, uniform_perm8,
     monkeypatch.setattr(fem, "newton_jacobian", counting_jacobian)
     monkeypatch.setattr(online, "newton_jacobian", counting_jacobian)
     schedule = UpdateSchedule(2, (1, 3))
-    res = solve_gmsfem(prob, space, schedule)
+    with caplog.at_level(logging.DEBUG, logger="msflow.fem"):
+        res = solve_gmsfem(prob, space, schedule)
+    [closing] = caplog.records
+    factorizations = closing.args[3]
     rounds = schedule.n_online * len(schedule.update_steps)
-    assert sum(res.newton_iters) > 0
-    assert len(calls) == sum(res.newton_iters) + rounds
+    assert factorizations == len(schedule.update_steps)  # one per basis
+    assert sum(res.newton_iters) > factorizations
+    assert len(calls) == factorizations + rounds
 
 
 def test_coarse_refactorization_logged_at_debug(mesh8, fluid, uniform_perm8,

@@ -498,16 +498,18 @@ def test_cli_run_and_check(tmp_path, capsys):
 
 
 def test_cli_check_passes(capsys):
-    """`msflow check`: partition of unity, Jacobian finite differences, fine
-    Newton steps that start no worse than their previous state and meet
-    the tolerance, the identity-projection equivalence of the coarse
-    solver, the driver-independent offline span, the v2 harmonic extensions
-    and their Schur complement pencil, and an offline pass that gives the
-    same bits on one CPU and on every CPU of the affinity mask, on small
-    grids."""
+    """`msflow check`: partition of unity, Jacobian finite differences of the
+    assembled Jacobian and of its operator, fine Newton steps that start no
+    worse than their previous state and meet the tolerance, the
+    identity-projection equivalence of the coarse solver, the
+    driver-independent offline span, the v2 harmonic extensions and their
+    Schur complement pencil, and an offline pass that gives the same bits on
+    one CPU and on every CPU of the affinity mask, on small grids."""
     assert main(["check"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 7 and all(line.startswith("[PASS]") for line in out)
+    assert out[1].startswith("[PASS] Jacobian finite differences ")
+    assert out[1].endswith(" (assembled and operator)")
     assert out[2].startswith("[PASS] Newton start guess ")
     assert out[5].startswith("[PASS] v2 harmonic extensions and Schur pencil ")
     assert out[6].startswith("[PASS] offline pass independent of process count ")
@@ -625,7 +627,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         "time.steps = 1\n"
         f"output.dir = {tmp_path / 'out5'}\n"
     )
+    capsys.readouterr()
     assert main(["run", "--config", str(v2cfg), "--snapshot", "v2"]) == 2
+    assert ("neighborhood 13 has no constrained boundary nodes, so it has no v2 "
+            "snapshots (v2 needs at least 3 coarse cells along some axis: with "
+            "at most 2 along every axis, a neighborhood spans the whole domain)"
+            ) in capsys.readouterr().err
+    # 0: v2 on a thin 3x1x1 coarse grid, one coarse cell across two axes: no
+    # neighborhood spans the x axis, so every one has constrained nodes
+    thincfg = tmp_path / "thin.cfg"
+    thincfg.write_text(
+        "mesh.nx = 12\nmesh.ny = 4\nmesh.nz = 4\nmesh.ratio = 4\n"
+        "time.steps = 1\n"
+        f"output.dir = {tmp_path / 'out6'}\n"
+    )
+    assert main(["run", "--config", str(thincfg), "--snapshot", "v2"]) == 0
 
 
 def test_every_error_type_survives_pickling():

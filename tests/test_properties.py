@@ -405,6 +405,30 @@ def test_projected_jacobian_matches_triple_product(kind, case):
         assert np.abs(Jc @ x - y).max() <= 1e-12 * (np.abs(oracle) @ np.abs(x)).max()
 
 
+@settings(max_examples=8)
+@given(case=two_scale_cases())
+def test_projected_jacobian_operator_matches_the_assembled_projection(case):
+    """The Galerkin projection of the fine Jacobian operator on a basis with
+    online columns, Dirichlet rows included, applies as R^T (J (R x)) with
+    the assembled J, to 1e-13 relative to |R^T| |J| |R| |x|, the scale of
+    either product's rounding, and forms R^T J R of the assembled J, entry
+    for entry."""
+    mesh, rng, dirichlet = case
+    fine = mesh.fine
+    problem = random_problem(fine, rng, dirichlet, load=balanced_wells(fine, rng, 1e8))
+    R = basis_matrix("offline+online", mesh, rng, dirichlet, problem)
+    args = (problem.p0, problem.fluid, problem.perm, problem.time.dt, fine,
+            problem.boundary)
+    J = newton_jacobian(*args)
+    op = _Galerkin(R, fem._Jacobian(*args))
+    for x in (rng.standard_normal(R.shape[1]), np.ones(R.shape[1])):
+        scale = abs(R.T) @ (abs(J) @ (abs(R) @ np.abs(x)))
+        assert np.abs(op @ x - R.T @ (J @ (R @ x))).max() <= 1e-13 * scale.max()
+    A = op.tocsc()
+    assert A.format == "csc"
+    assert np.array_equal(A.toarray(), (R.T @ (J @ R)).toarray())
+
+
 def identity_space(mesh):
     n = mesh.fine.n_nodes
     pm = ProjectionMatrix(sp.identity(n, format="csr"), [0] * n)
@@ -734,6 +758,24 @@ def test_failed_fine_solve_frees_the_factorization():
             pytest.raises(NewtonConvergenceError) as failure:
         solve_fine(problem, NewtonConfig(tol=1e-300, max_iter=2, stall_ratio=1e-300))
     assert failure.value.step == 1 and lus.calls == 1
+    assert lus.all_freed()
+
+
+def test_failed_coarse_solve_frees_the_factorization(mesh8, fluid):
+    """A coarse run whose Newton fails after the first factorization of its
+    basis's kept LU frees it, as a failing fine solve does, even while the
+    exception and its traceback are still held."""
+    perm = generate_channel_field(mesh8.fine, seed=1, background=1.0,
+                                  channel=1e4, n_channels=4, n_inclusions=4)
+    problem = make_problem(mesh8.fine, fluid, perm, TimeGrid(dt=2.5e-5, n_steps=4),
+                           "neumann-wells", well_rate=1e8)
+    space = build_offline_space(mesh8, perm, fluid, problem.p0, 3)
+    lus = TrackedFactorizations()
+    with mock.patch.object(fem.spla, "splu", lus), \
+            pytest.raises(NewtonConvergenceError) as failure:
+        solve_gmsfem(problem, space,
+                     config=NewtonConfig(tol=1e-300, max_iter=2, stall_ratio=1e-300))
+    assert failure.value.step == 1 and lus.pivots == [fem._COARSE_PIVOT]
     assert lus.all_freed()
 
 
